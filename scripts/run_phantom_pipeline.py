@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from radlearn.cli import main as cli
+from radlearn.rfe import load_trace, select_best
 
 # texture 0.12 against noise 0.3 keeps the cue subtle: selection has to work
 CONFIG = {
@@ -59,17 +60,17 @@ def main():
          "--out", str(work / "report")])
 
     significance = json.loads((work / "filter" / "significance.json").read_text())
-    trace = json.loads((work / "rfe" / "rfe_trace.json").read_text())
+    trace = load_trace(work / "rfe" / "rfe_trace.json")
     report = json.loads((work / "report" / "report.json").read_text())
-    best = max(trace["steps"], key=lambda s: (s["cv_accuracy"], -len(s["subset"])))
+    best_subset, best_accuracy = select_best(trace)
 
     print(f"workdir: {work}")
     print(f"significant features: {significance['n_significant']} / "
           f"{len(significance['features'])} at alpha {significance['alpha']}")
-    print(f"elimination steps: {len(trace['steps'])}, "
-          f"all-features CV accuracy {trace['full_accuracy']:.3f}")
-    print(f"best subset: {len(best['subset'])} features at "
-          f"CV accuracy {best['cv_accuracy']:.3f}")
+    print(f"elimination steps: {len(trace.steps)}, "
+          f"all-features CV accuracy {trace.full_accuracy:.3f}")
+    print(f"best subset: {len(best_subset)} features at "
+          f"CV accuracy {best_accuracy:.3f}")
     print("comparison (all vs top):")
     for row in report["rows"]:
         a = report["all_features"]["metrics"][row]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from . import table as table_mod
 from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
-from .forest import ForestConfig, predict_proba_matrix, train_forest
+from .forest import ForestConfig
 from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import (
     NetConfig,
@@ -143,15 +144,8 @@ def cmd_filter(cfg: PipelineConfig, in_paths, out_dir) -> None:
     _write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
 
 
-def _forest_config(cfg: PipelineConfig, seed: int) -> ForestConfig:
-    return ForestConfig(
-        n_trees=cfg.forest.n_trees,
-        max_depth=cfg.forest.max_depth,
-        min_samples_leaf=cfg.forest.min_samples_leaf,
-        features_per_split=cfg.forest.features_per_split,
-        bootstrap=cfg.forest.bootstrap,
-        seed=seed,
-    )
+def _forest_config(cfg: PipelineConfig) -> ForestConfig:
+    return ForestConfig(**dataclasses.asdict(cfg.forest), seed=cfg.seeds.forest)
 
 
 def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
@@ -164,7 +158,7 @@ def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
         if not keep:
             raise DataValidationError("significance report marks no feature significant")
         table = table.select(keep)
-    trace = rfe_mod.rfe_cv(table, _forest_config(cfg, cfg.seeds.forest),
+    trace = rfe_mod.rfe_cv(table, _forest_config(cfg),
                            k_folds=cfg.rfe.k_folds, seed=cfg.seeds.rfe,
                            rerank=cfg.rfe.rerank)
     rfe_mod.save_trace(trace, os.path.join(out_dir, "rfe_trace.json"))
@@ -268,33 +262,6 @@ def cmd_diagnose(cfg: PipelineConfig, in_paths, out_dir) -> None:
                                          repr(hist.lo), repr(hist.hi)])
 
 
-def _cv_scores(table, names, cfg: PipelineConfig, seed_tag: int):
-    """Pooled out-of-fold probabilities/predictions for one feature subset."""
-    labels = table.labels
-    split = stratified_kfold(labels, cfg.rfe.k_folds, seed=cfg.seeds.kfold)
-    probas = np.full(table.n_samples, 0.5)
-    if names:
-        sub = table.select(list(names))
-        for fold in range(split.k):
-            train_idx = np.flatnonzero(split.fold_assignments != fold)
-            test_idx = split.fold_indices(fold)
-            fold_table = table_mod.FeatureTable(
-                sample_ids=[sub.sample_ids[i] for i in train_idx],
-                feature_names=sub.feature_names,
-                values=sub.values[train_idx],
-                labels=labels[train_idx],
-            )
-            seed = int(np.random.SeedSequence(
-                entropy=cfg.seeds.forest, spawn_key=(seed_tag, fold)).generate_state(1)[0])
-            model = train_forest(fold_table, _forest_config(cfg, seed))
-            probas[test_idx] = predict_proba_matrix(model, sub.values[test_idx])
-        preds = (probas >= 0.5).astype(int)
-    else:
-        majority = int(labels.sum() * 2 >= labels.size)
-        preds = np.full(table.n_samples, majority, dtype=int)
-    return probas, preds
-
-
 def _metric_rows(table, probas, preds) -> dict[str, float]:
     m = metrics(confusion(preds, table.labels))
     return {
@@ -315,8 +282,12 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
     if not all_names:
         raise DataValidationError("trace features not present in the table")
 
-    all_scores = _metric_rows(table, *_cv_scores(table, all_names, cfg, seed_tag=0))
-    top_scores = _metric_rows(table, *_cv_scores(table, list(top_names), cfg, seed_tag=1))
+    split = stratified_kfold(table.labels, cfg.rfe.k_folds, seed=cfg.seeds.kfold)
+    forest_cfg = _forest_config(cfg)
+    all_scores = _metric_rows(table, *rfe_mod.cv_predictions(
+        table, all_names, forest_cfg, split, cfg.seeds.forest, tag=0))
+    top_scores = _metric_rows(table, *rfe_mod.cv_predictions(
+        table, top_names, forest_cfg, split, cfg.seeds.forest, tag=1))
 
     doc = {
         "rows": REPORT_ROWS,

@@ -35,6 +35,11 @@ class FilterSection:
     alpha: float = 0.05
 
 
+def _is_count(value) -> bool:
+    """An int >= 1; bools are ints to Python but not counts here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class ForestSection:
     n_trees: int = 100
@@ -42,6 +47,21 @@ class ForestSection:
     min_samples_leaf: int = 1
     features_per_split: str | int = "sqrt"
     bootstrap: bool = True
+
+    def __post_init__(self):
+        for key in ("n_trees", "min_samples_leaf"):
+            if not _is_count(getattr(self, key)):
+                raise ConfigError(f"forest.{key} must be an integer >= 1, "
+                                  f"got {getattr(self, key)!r}")
+        if self.max_depth is not None and not _is_count(self.max_depth):
+            raise ConfigError(f"forest.max_depth must be null or an integer >= 1, "
+                              f"got {self.max_depth!r}")
+        if self.features_per_split != "sqrt" and not _is_count(self.features_per_split):
+            raise ConfigError(f"forest.features_per_split must be \"sqrt\" or an integer "
+                              f">= 1, got {self.features_per_split!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise ConfigError(f"forest.bootstrap must be true or false, "
+                              f"got {self.bootstrap!r}")
 
 
 @dataclass

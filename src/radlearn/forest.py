@@ -2,17 +2,20 @@
 
 Trees are grown greedily on Gini impurity with midpoint thresholds between
 consecutive distinct sorted values. Per-tree random streams derive from
-(seed, tree index) via numpy SeedSequence spawning, so a fixed seed pins the
-whole ensemble regardless of training order. Importance is mean impurity
-decrease across trees, normalized to sum 1 when any split occurred; ranking
-ties break by ascending feature name so the elimination loop has a total
-order.
+(seed, tree index) via numpy SeedSequence spawning, and each tree draws from
+its own stream in a fixed order: the bootstrap sample, then one candidate-
+feature draw per split-eligible node in preorder. A fixed seed therefore pins
+the whole ensemble. All trees of a forest grow in lockstep: round r handles
+the r-th preorder node of every tree that has one, with one batched split
+search. Importance is mean impurity decrease across trees, normalized to sum
+1 when any split occurred; ranking ties break by ascending feature name so
+the elimination loop has a total order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,41 +42,39 @@ class ForestConfig:
             raise DataValidationError("max_depth must be >= 1 or None")
         if self.min_samples_leaf < 1:
             raise DataValidationError("min_samples_leaf must be >= 1")
-        if isinstance(self.features_per_split, str) and self.features_per_split != "sqrt":
-            raise DataValidationError("features_per_split must be 'sqrt' or a count")
-
-
-@dataclass
-class _Node:
-    # split node when feature >= 0; leaf otherwise
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    p1: float = 0.0  # class-1 probability at a leaf
-
-
-@dataclass
-class _Tree:
-    nodes: list[_Node] = field(default_factory=list)
-
-    def predict_p1(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i, row in enumerate(X):
-            node = self.nodes[0]
-            while node.feature >= 0:
-                node = self.nodes[node.left] if row[node.feature] <= node.threshold \
-                    else self.nodes[node.right]
-            out[i] = node.p1
-        return out
+        if isinstance(self.features_per_split, str):
+            if self.features_per_split != "sqrt":
+                raise DataValidationError("features_per_split must be 'sqrt' or a count")
+        elif self.features_per_split < 1:
+            raise DataValidationError("features_per_split must be >= 1")
 
 
 @dataclass
 class ForestModel:
+    """Row t of each node array holds tree t, its nodes in preorder from
+    column 0 to column n_nodes[t] - 1; the columns past that are padding."""
+
     feature_names: list[str]
-    trees: list[_Tree]
+    feature: np.ndarray  # (n_trees, width) split feature index; -1 marks a leaf
+    threshold: np.ndarray  # a row goes left when its feature value <= threshold
+    left: np.ndarray  # child node ids; -1 at leaves
+    right: np.ndarray
+    p1: np.ndarray  # class-1 probability at a leaf
+    n_nodes: np.ndarray  # (n_trees,)
     importances: np.ndarray  # per feature, sums to 1 unless no split anywhere
     config: ForestConfig
+
+
+def _leaf_nodes(n_trees: int, width: int) -> dict[str, np.ndarray]:
+    """The node arrays of ``ForestModel`` for n_trees trees of up to width
+    nodes, every node still a leaf with p1 = 0."""
+    return {
+        "feature": np.full((n_trees, width), -1, dtype=np.int64),
+        "threshold": np.zeros((n_trees, width)),
+        "left": np.full((n_trees, width), -1, dtype=np.int64),
+        "right": np.full((n_trees, width), -1, dtype=np.int64),
+        "p1": np.zeros((n_trees, width)),
+    }
 
 
 def gini_impurity(counts) -> float:
@@ -86,74 +87,124 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p ** 2))
 
 
-def _best_split(X, y, candidates, min_leaf):
-    """Best (feature, threshold, gain) over candidate features; None when no
-    valid split strictly reduces impurity."""
-    n = y.size
-    n1_total = int(y.sum())
-    parent = 1.0 - ((n1_total / n) ** 2 + ((n - n1_total) / n) ** 2)
-    best = None
-    for f in candidates:
-        col = X[:, f]
-        order = np.argsort(col, kind="mergesort")
-        vs = col[order]
-        ys = y[order]
-        distinct = np.flatnonzero(vs[:-1] < vs[1:])  # split after position i
-        if distinct.size == 0:
-            continue
-        cum1 = np.cumsum(ys)
-        nl = distinct + 1
-        nr = n - nl
-        ok = (nl >= min_leaf) & (nr >= min_leaf)
-        if not ok.any():
-            continue
-        nl, nr, pos = nl[ok], nr[ok], distinct[ok]
-        l1 = cum1[pos]
-        r1 = n1_total - l1
+def _best_splits(X, rows, yb, member, count, n1, cand, min_leaf):
+    """Best (feature, threshold, gain) of each node, searched over all nodes
+    and all their candidate features at once.
+
+    Node e holds the bootstrap rows ``rows[e]`` where ``member[e]`` is set;
+    ``cand[e]`` lists its candidate features in ascending order. A node's
+    gain is -inf when no candidate has a split that leaves ``min_leaf`` rows
+    on each side; among equal gains the lowest threshold of the first
+    candidate wins.
+    """
+    # (node, candidate, row) values; non-members sort last, which is exact
+    # because feature tables are finite. Only positions between distinct
+    # values are split points, and the counts there do not depend on how
+    # tied values are ordered, so the sort need not be stable.
+    vals = np.where(member[:, None, :], X[rows[:, None, :], cand[:, :, None]], np.inf)
+    e = np.arange(rows.shape[0])
+    vs = np.sort(vals, axis=2)
+    cum1 = np.cumsum(yb[e[:, None, None], np.argsort(vals, axis=2)], axis=2)
+
+    n = count[:, None, None]
+    nl = np.arange(1, rows.shape[1])  # a split after sorted position i sends i + 1 rows left
+    nr = n - nl
+    l1 = cum1[:, :, :-1]
+    r1 = n1[:, None, None] - l1
+    ok = (vs[:, :, :-1] < vs[:, :, 1:]) & (nl >= min_leaf) & (nr >= min_leaf)
+    parent = np.array([1.0 - ((c1 / c) ** 2 + ((c - c1) / c) ** 2)
+                       for c, c1 in zip(count.tolist(), n1.tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
         gini_l = 1.0 - ((l1 / nl) ** 2 + ((nl - l1) / nl) ** 2)
         gini_r = 1.0 - ((r1 / nr) ** 2 + ((nr - r1) / nr) ** 2)
-        gain = parent - (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmax(gain))  # first (lowest threshold) among equal gains
-        if gain[k] > _MIN_GAIN and (best is None or gain[k] > best[2]):
-            threshold = (vs[pos[k]] + vs[pos[k] + 1]) / 2.0
-            best = (int(f), float(threshold), float(gain[k]))
-    return best
+        gain = parent[:, None, None] - (nl * gini_l + nr * gini_r) / n
+    gain = np.where(ok, gain, -np.inf)
+
+    pos = np.argmax(gain, axis=2)  # first (lowest threshold) among equal gains
+    col_gain = np.take_along_axis(gain, pos[:, :, None], axis=2)[:, :, 0]
+    best = np.argmax(col_gain, axis=1)  # first candidate among equal gains
+    p = pos[e, best]
+    threshold = (vs[e, best, p] + vs[e, best, p + 1]) / 2.0
+    return cand[e, best], threshold, col_gain[e, best]
 
 
-def _grow_tree(X, y, cfg: ForestConfig, rng, importance_acc: np.ndarray) -> _Tree:
+def _grow_forest(X, y, boot, rngs, cfg: ForestConfig):
+    """Grow one tree per row of ``boot`` (its bootstrap rows) in lockstep.
+
+    Each tree's pending nodes form a depth-first stack whose slots are the
+    tree's rows' homes: row i of tree t waits in stack slot ``slot[t, i]``,
+    or -1 once its leaf is closed. Round r pops the top slot of every tree
+    with a nonempty stack, so the node it handles is that tree's node r in
+    preorder. A split pushes the right child into the popped slot and the
+    left child above it.
+    """
+    n_trees, n = boot.shape
     n_features = X.shape[1]
     if cfg.features_per_split == "sqrt":
         m = max(1, int(np.sqrt(n_features)))
     else:
         m = min(int(cfg.features_per_split), n_features)
-    n_root = y.size
-    tree = _Tree()
+    yb = y[boot]
+    # leaves hold >= 1 row, so a tree has <= 2n - 1 nodes
+    nodes = _leaf_nodes(n_trees, 2 * n - 1)
+    feature, threshold, left, right, p1 = nodes.values()
+    acc = np.zeros((n_trees, n_features))  # per-tree impurity decrease
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        node_id = len(tree.nodes)
-        tree.nodes.append(_Node())
-        ys = y[idx]
-        n = ys.size
-        n1 = int(ys.sum())
-        pure = n1 == 0 or n1 == n
-        at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
-        split = None
-        if not pure and not at_depth and n >= 2 * cfg.min_samples_leaf:
-            candidates = np.sort(rng.choice(n_features, size=m, replace=False))
-            split = _best_split(X[idx], ys, candidates, cfg.min_samples_leaf)
-        if split is None:
-            tree.nodes[node_id] = _Node(p1=n1 / n)
-            return node_id
-        f, threshold, gain = split
-        importance_acc[f] += (n / n_root) * gain
-        go_left = X[idx, f] <= threshold
-        left = build(idx[go_left], depth + 1)
-        right = build(idx[~go_left], depth + 1)
-        tree.nodes[node_id] = _Node(feature=f, threshold=threshold, left=left, right=right)
-        return node_id
+    slot = np.zeros((n_trees, n), dtype=np.int64)
+    top = np.zeros(n_trees, dtype=np.int64)  # -1 when the stack is empty
+    depth = np.zeros((n_trees, n), dtype=np.int64)  # per slot
+    waiting = np.full((n_trees, n), -1, dtype=np.int64)  # node whose right child a slot holds
 
-    build(np.arange(y.size), 0)
-    return tree
+    n_nodes = np.zeros(n_trees, dtype=np.int64)
+    r = 0
+    while True:
+        trees = np.flatnonzero(top >= 0)
+        if trees.size == 0:
+            break
+        n_nodes[trees] += 1
+        s = top[trees]
+        member = slot[trees] == s[:, None]
+        count = member.sum(axis=1)
+        n1 = (member * yb[trees]).sum(axis=1)
+        parent = waiting[trees, s]
+        linked = parent >= 0
+        right[trees[linked], parent[linked]] = r
+        d = depth[trees, s]
+
+        eligible = (n1 > 0) & (n1 < count) & (count >= 2 * cfg.min_samples_leaf)
+        if cfg.max_depth is not None:
+            eligible &= d < cfg.max_depth
+        split = np.zeros(trees.size, dtype=bool)
+        e = np.flatnonzero(eligible)
+        if e.size:
+            cand = np.stack([np.sort(rngs[t].choice(n_features, size=m, replace=False))
+                             for t in trees[e].tolist()])
+            f, thr, gain = _best_splits(X, boot[trees[e]], yb[trees[e]], member[e],
+                                        count[e], n1[e], cand, cfg.min_samples_leaf)
+            found = gain > _MIN_GAIN
+            e, f, thr, gain = e[found], f[found], thr[found], gain[found]
+            split[e] = True
+
+            ts, se = trees[e], s[e]
+            feature[ts, r] = f
+            threshold[ts, r] = thr
+            left[ts, r] = r + 1
+            acc[ts, f] += (count[e] / n) * gain
+            go_left = member[e] & (X[boot[ts], f[:, None]] <= thr[:, None])
+            slot[ts] = np.where(go_left, (se + 1)[:, None], slot[ts])
+            depth[ts, se] = depth[ts, se + 1] = d[e] + 1
+            waiting[ts, se] = r
+            waiting[ts, se + 1] = -1
+            top[ts] = se + 1
+
+        leaf = ~split
+        tl = trees[leaf]
+        p1[tl, r] = n1[leaf] / count[leaf]
+        slot[tl] = np.where(member[leaf], -1, slot[tl])
+        top[tl] = s[leaf] - 1
+        r += 1
+
+    return {key: arr[:, :r] for key, arr in nodes.items()}, n_nodes, acc
 
 
 def train_forest(t: FeatureTable, cfg: ForestConfig) -> ForestModel:
@@ -163,33 +214,37 @@ def train_forest(t: FeatureTable, cfg: ForestConfig) -> ForestModel:
         raise DataValidationError("forest training needs at least 2 samples")
     if not ((y == 0).any() and (y == 1).any()):
         raise DataValidationError("forest training needs both classes present")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    importances = np.zeros(t.n_features, dtype=np.float64)
-    trees = []
-    for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        if cfg.bootstrap:
-            rows = rng.integers(0, t.n_samples, size=t.n_samples)
-        else:
-            rows = np.arange(t.n_samples)
-        acc = np.zeros(t.n_features, dtype=np.float64)
-        trees.append(_grow_tree(X[rows], y[rows], cfg, rng, acc))
-        importances += acc
-    importances /= cfg.n_trees
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    if cfg.bootstrap:
+        boot = np.stack([rng.integers(0, t.n_samples, size=t.n_samples) for rng in rngs])
+    else:
+        boot = np.broadcast_to(np.arange(t.n_samples), (cfg.n_trees, t.n_samples))
+    nodes, n_nodes, acc = _grow_forest(X, y, boot, rngs, cfg)
+    # added tree by tree, in tree order, so the sum is the same to the bit
+    importances = np.cumsum(acc, axis=0)[-1] / cfg.n_trees
     total = importances.sum()
     if total > 0:
         importances /= total
-    return ForestModel(feature_names=list(t.feature_names), trees=trees,
+    return ForestModel(feature_names=list(t.feature_names), **nodes, n_nodes=n_nodes,
                        importances=importances, config=cfg)
 
 
 def predict_proba_matrix(mdl: ForestModel, X: np.ndarray) -> np.ndarray:
     """Mean per-tree class-1 leaf probability for each row of X."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in mdl.trees:
-        out += tree.predict_p1(X)
-    return out / len(mdl.trees)
+    trees = np.arange(mdl.feature.shape[0])
+    rows = np.arange(X.shape[0])[:, None]
+    node = np.zeros((X.shape[0], trees.size), dtype=np.int64)  # (row, tree)
+    while True:
+        f = mdl.feature[trees, node]
+        inner = f >= 0
+        if not inner.any():
+            break
+        go_left = X[rows, f] <= mdl.threshold[trees, node]
+        node = np.where(inner, np.where(go_left, mdl.left[trees, node],
+                                        mdl.right[trees, node]), node)
+    # summed tree by tree, in tree order, so the mean is the same to the bit
+    return np.cumsum(mdl.p1[trees, node], axis=1)[:, -1] / trees.size
 
 
 def predict_proba(mdl: ForestModel, row: FeatureVector) -> float:
@@ -221,14 +276,9 @@ def forest_to_json(mdl: ForestModel) -> dict:
             "seed": mdl.config.seed,
         },
         "trees": [
-            {
-                "feature": [n.feature for n in tree.nodes],
-                "threshold": [n.threshold for n in tree.nodes],
-                "left": [n.left for n in tree.nodes],
-                "right": [n.right for n in tree.nodes],
-                "p1": [n.p1 for n in tree.nodes],
-            }
-            for tree in mdl.trees
+            {key: getattr(mdl, key)[t, :k].tolist()
+             for key in ("feature", "threshold", "left", "right", "p1")}
+            for t, k in enumerate(mdl.n_nodes.tolist())
         ],
     }
 
@@ -236,19 +286,30 @@ def forest_to_json(mdl: ForestModel) -> dict:
 def forest_from_json(doc: dict) -> ForestModel:
     try:
         cfg = ForestConfig(**doc["config"])
-        trees = []
-        for td in doc["trees"]:
-            nodes = [
-                _Node(feature=f, threshold=t, left=l, right=r, p1=p)
-                for f, t, l, r, p in zip(td["feature"], td["threshold"],
-                                         td["left"], td["right"], td["p1"])
-            ]
-            trees.append(_Tree(nodes=nodes))
-        return ForestModel(feature_names=list(doc["feature_names"]), trees=trees,
-                           importances=np.asarray(doc["importances"], dtype=np.float64),
-                           config=cfg)
-    except (KeyError, TypeError) as exc:
+        trees = doc["trees"]
+        n_nodes = np.array([len(td["feature"]) for td in trees], dtype=np.int64)
+        if n_nodes.size == 0 or n_nodes.min() < 1:
+            raise DataValidationError("malformed forest document: empty forest or tree")
+        width = int(n_nodes.max())
+        arrays = _leaf_nodes(n_nodes.size, width)
+        for t, td in enumerate(trees):
+            for key, arr in arrays.items():
+                arr[t, :n_nodes[t]] = td[key]
+        names = list(doc["feature_names"])
+        importances = np.asarray(doc["importances"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"malformed forest document: {exc}") from exc
+    # a split must name a known feature and point forward to its children,
+    # so every walk from the root ends at a leaf
+    inner = arrays["feature"] >= 0
+    for key in ("left", "right"):
+        child = arrays[key]
+        if (inner & ((child <= np.arange(width)) | (child >= n_nodes[:, None]))).any():
+            raise DataValidationError(f"malformed forest document: bad {key} child id")
+    if (arrays["feature"] >= len(names)).any():
+        raise DataValidationError("malformed forest document: split on an unknown feature")
+    return ForestModel(feature_names=names, **arrays, n_nodes=n_nodes,
+                       importances=importances, config=cfg)
 
 
 def save_forest(mdl: ForestModel, path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,24 +46,22 @@ def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
-def _with_seed(cfg: ForestConfig, seed: int) -> ForestConfig:
-    return ForestConfig(
-        n_trees=cfg.n_trees, max_depth=cfg.max_depth,
-        min_samples_leaf=cfg.min_samples_leaf,
-        features_per_split=cfg.features_per_split,
-        bootstrap=cfg.bootstrap, seed=seed,
-    )
+def cv_predictions(t: FeatureTable, names, forest_cfg: ForestConfig,
+                   split: FoldSplit, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled out-of-fold class-1 probabilities and 0/1 predictions of fresh
+    forests on the given feature subset.
 
-
-def _cv_accuracy(t: FeatureTable, names, forest_cfg: ForestConfig,
-                 split: FoldSplit, seed: int, step: int) -> float:
-    """Pooled k-fold accuracy of fresh forests on the given feature subset."""
+    The forest for fold f is seeded from (seed, tag, f). With no features,
+    every probability is 0.5 and every prediction is the majority class
+    (class 1 on a tie).
+    """
     names = list(names)
+    labels = t.labels
     if not names:
-        majority = max(int(t.labels.sum()), t.n_samples - int(t.labels.sum()))
-        return majority / t.n_samples
+        majority = int(labels.sum() * 2 >= labels.size)
+        return np.full(t.n_samples, 0.5), np.full(t.n_samples, majority, dtype=int)
     sub = t.select(names)
-    correct = 0
+    proba = np.empty(t.n_samples)
     for fold in range(split.k):
         test_idx = split.fold_indices(fold)
         train_idx = np.flatnonzero(split.fold_assignments != fold)
@@ -71,14 +69,11 @@ def _cv_accuracy(t: FeatureTable, names, forest_cfg: ForestConfig,
             sample_ids=[sub.sample_ids[i] for i in train_idx],
             feature_names=sub.feature_names,
             values=sub.values[train_idx],
-            labels=sub.labels[train_idx],
+            labels=labels[train_idx],
         )
-        mdl = train_forest(fold_table,
-                           _with_seed(forest_cfg, _derived_seed(seed, step, fold)))
-        proba = predict_proba_matrix(mdl, sub.values[test_idx])
-        preds = (proba >= 0.5).astype(int)
-        correct += int(np.sum(preds == sub.labels[test_idx]))
-    return correct / t.n_samples
+        mdl = train_forest(fold_table, replace(forest_cfg, seed=_derived_seed(seed, tag, fold)))
+        proba[test_idx] = predict_proba_matrix(mdl, sub.values[test_idx])
+    return proba, (proba >= 0.5).astype(int)
 
 
 def rfe_cv(t: FeatureTable, forest_cfg: ForestConfig, k_folds: int = 5,
@@ -87,8 +82,12 @@ def rfe_cv(t: FeatureTable, forest_cfg: ForestConfig, k_folds: int = 5,
         raise DataValidationError("table has no features to eliminate")
     split = stratified_kfold(t.labels, k_folds, seed=_derived_seed(seed, 0))
 
-    ranking = rank_features(train_forest(t, _with_seed(forest_cfg, forest_cfg.seed)))
-    full_accuracy = _cv_accuracy(t, ranking, forest_cfg, split, seed, step=0)
+    def cv_accuracy(names, step):
+        _, preds = cv_predictions(t, names, forest_cfg, split, seed, tag=step)
+        return int(np.sum(preds == t.labels)) / t.n_samples
+
+    ranking = rank_features(train_forest(t, forest_cfg))
+    full_accuracy = cv_accuracy(ranking, step=0)
 
     remaining = list(ranking)
     steps: list[RfeStep] = []
@@ -98,13 +97,13 @@ def rfe_cv(t: FeatureTable, forest_cfg: ForestConfig, k_folds: int = 5,
         if rerank and remaining:
             current = rank_features(train_forest(
                 t.select(remaining),
-                _with_seed(forest_cfg, _derived_seed(seed, step, k_folds + 1))))
+                replace(forest_cfg, seed=_derived_seed(seed, step, k_folds + 1))))
             f_least = current[-1]
         else:
             f_least = remaining[-1]  # lowest-ranked remaining feature
         remaining.remove(f_least)
         eliminated.append(f_least)
-        accuracy = _cv_accuracy(t, remaining, forest_cfg, split, seed, step)
+        accuracy = cv_accuracy(remaining, step)
         steps.append(RfeStep(subset=tuple(remaining), cv_accuracy=accuracy))
     return RfeTrace(steps=steps, initial_ranking=tuple(ranking),
                     eliminated_order=tuple(eliminated), full_accuracy=full_accuracy,

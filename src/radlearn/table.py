@@ -1,8 +1,8 @@
 """Sample-by-feature table, the currency between extraction and selection.
 
 CSV layout: header ``sample_id,label,<feature names...>``; labels are 0/1;
-values are written with Python's shortest round-trip float representation so
-write/read is exact.
+values must be finite and are written with Python's shortest round-trip
+float representation so write/read is exact.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ class FeatureTable:
             raise DataValidationError("duplicate feature names")
         if not np.all((self.labels == 0) | (self.labels == 1)):
             raise DataValidationError("labels must be 0 or 1")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            i, j = bad[0]
+            raise DataValidationError(
+                f"non-finite value {self.values[i, j]} for feature "
+                f"{self.feature_names[j]!r} of sample {self.sample_ids[i]!r}")
 
     @property
     def n_samples(self) -> int:

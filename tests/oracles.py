@@ -220,3 +220,114 @@ def random_level_grid(rng, shape=(4, 4, 4), n_levels=5, mask_prob=0.85):
     if not mask.any():
         mask[tuple(rng.integers(0, s) for s in shape)] = True
     return np.where(mask, lvl, 0).astype(np.int32)
+
+
+def _best_split_oracle(X, y, candidates, min_leaf):
+    """Best (feature, threshold, gain) over candidate features, one feature at
+    a time; None when no valid split strictly reduces impurity."""
+    n = y.size
+    n1_total = int(y.sum())
+    parent = 1.0 - ((n1_total / n) ** 2 + ((n - n1_total) / n) ** 2)
+    best = None
+    for f in candidates:
+        col = X[:, f]
+        order = np.argsort(col, kind="mergesort")
+        vs = col[order]
+        ys = y[order]
+        distinct = np.flatnonzero(vs[:-1] < vs[1:])  # split after position i
+        if distinct.size == 0:
+            continue
+        cum1 = np.cumsum(ys)
+        nl = distinct + 1
+        nr = n - nl
+        ok = (nl >= min_leaf) & (nr >= min_leaf)
+        if not ok.any():
+            continue
+        nl, nr, pos = nl[ok], nr[ok], distinct[ok]
+        l1 = cum1[pos]
+        r1 = n1_total - l1
+        gini_l = 1.0 - ((l1 / nl) ** 2 + ((nl - l1) / nl) ** 2)
+        gini_r = 1.0 - ((r1 / nr) ** 2 + ((nr - r1) / nr) ** 2)
+        gain = parent - (nl * gini_l + nr * gini_r) / n
+        k = int(np.argmax(gain))  # first (lowest threshold) among equal gains
+        if gain[k] > 1e-12 and (best is None or gain[k] > best[2]):
+            threshold = (vs[pos[k]] + vs[pos[k] + 1]) / 2.0
+            best = (int(f), float(threshold), float(gain[k]))
+    return best
+
+
+def forest_oracle(X, y, feature_names, n_trees, max_depth=None, min_samples_leaf=1,
+                  features_per_split="sqrt", bootstrap=True, seed=0):
+    """Forest document (the layout of ``forest_to_json``) grown one tree at a
+    time by recursion, each tree drawing its bootstrap and then one candidate
+    set per split-eligible node in preorder from its own spawned stream."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_samples, n_features = X.shape
+    if features_per_split == "sqrt":
+        m = max(1, int(np.sqrt(n_features)))
+    else:
+        m = min(int(features_per_split), n_features)
+    importances = np.zeros(n_features)
+    trees = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(tree_seed)
+        rows = (rng.integers(0, n_samples, size=n_samples) if bootstrap
+                else np.arange(n_samples))
+        Xt, yt = X[rows], y[rows]
+        acc = np.zeros(n_features)
+        nodes = []  # [feature, threshold, left, right, p1]
+
+        def build(idx, depth):
+            node_id = len(nodes)
+            nodes.append([-1, 0.0, -1, -1, 0.0])
+            ys = yt[idx]
+            n = ys.size
+            n1 = int(ys.sum())
+            split = None
+            if (0 < n1 < n and (max_depth is None or depth < max_depth)
+                    and n >= 2 * min_samples_leaf):
+                candidates = np.sort(rng.choice(n_features, size=m, replace=False))
+                split = _best_split_oracle(Xt[idx], ys, candidates, min_samples_leaf)
+            if split is None:
+                nodes[node_id][4] = n1 / n
+                return node_id
+            f, threshold, gain = split
+            acc[f] += (n / n_samples) * gain
+            go_left = Xt[idx, f] <= threshold
+            left = build(idx[go_left], depth + 1)
+            right = build(idx[~go_left], depth + 1)
+            nodes[node_id][:4] = [f, threshold, left, right]
+            return node_id
+
+        build(np.arange(n_samples), 0)
+        trees.append({key: [node[i] for node in nodes] for i, key in
+                      enumerate(("feature", "threshold", "left", "right", "p1"))})
+        importances += acc
+    importances /= n_trees
+    total = importances.sum()
+    if total > 0:
+        importances /= total
+    return {
+        "feature_names": list(feature_names),
+        "importances": importances.tolist(),
+        "config": {"n_trees": n_trees, "max_depth": max_depth,
+                   "min_samples_leaf": min_samples_leaf,
+                   "features_per_split": features_per_split,
+                   "bootstrap": bootstrap, "seed": seed},
+        "trees": trees,
+    }
+
+
+def forest_predict_oracle(doc, X):
+    """Mean class-1 leaf probability, walking each row down each tree in turn."""
+    out = np.zeros(len(X))
+    for tree in doc["trees"]:
+        for i, row in enumerate(X):
+            node = 0
+            while tree["feature"][node] >= 0:
+                f = tree["feature"][node]
+                node = tree["left"][node] if row[f] <= tree["threshold"][node] \
+                    else tree["right"][node]
+            out[i] += tree["p1"][node]
+    return out / len(doc["trees"])

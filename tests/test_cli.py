@@ -198,3 +198,25 @@ def test_rerun_determinism_all_stages(pipeline, tmp_path):
             argv += ["--in"] + inputs
         assert main(argv) == 0
         assert _dirs_byte_identical(pipeline / stage, out), f"{stage} not deterministic"
+
+
+@pytest.mark.parametrize("forest", [
+    {"n_trees": "100"}, {"n_trees": 2.5}, {"features_per_split": -2},
+    {"features_per_split": 0}, {"bootstrap": "no"},
+])
+def test_bad_forest_config_exits_one_with_one_line(tmp_path, capsys, forest):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"forest": forest}))
+    assert main(["rfe", "--config", str(bad), "--in", str(tmp_path / "features.csv"),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: config error: forest.") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage", ["filter", "rfe"])
+def test_non_finite_features_exit_two(tmp_path, capsys, stage):
+    bad = tmp_path / "features.csv"
+    bad.write_text("sample_id,label,f\ns0,0,1.0\ns1,1,nan\ns2,0,2.0\ns3,1,3.0\n")
+    assert main([stage, "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: non-finite") and err.count("\n") == 1

@@ -62,3 +62,31 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(tmp_path / "c.json")
     assert cfg.seeds.phantom == 42
     assert cfg.rfe.k_folds == 3
+
+
+@pytest.mark.parametrize("section", [
+    {"n_trees": "100"},
+    {"n_trees": 2.5},
+    {"n_trees": 0},
+    {"n_trees": True},
+    {"min_samples_leaf": 0},
+    {"min_samples_leaf": False},
+    {"max_depth": 0},
+    {"max_depth": "3"},
+    {"features_per_split": -2},
+    {"features_per_split": 0},
+    {"features_per_split": "log2"},
+    {"features_per_split": 1.5},
+    {"bootstrap": 1},
+    {"bootstrap": "yes"},
+])
+def test_bad_forest_values_rejected(section):
+    with pytest.raises(ConfigError, match=f"forest.{next(iter(section))}"):
+        parse_config({"forest": section})
+
+
+def test_good_forest_values_accepted():
+    cfg = parse_config({"forest": {"n_trees": 3, "max_depth": None, "min_samples_leaf": 2,
+                                   "features_per_split": 4, "bootstrap": False}})
+    assert (cfg.forest.n_trees, cfg.forest.features_per_split) == (3, 4)
+    assert parse_config({"forest": {"max_depth": 2}}).forest.max_depth == 2

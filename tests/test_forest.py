@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlearn.errors import DataValidationError
 from radlearn.features.vector import FeatureVector
@@ -14,6 +18,8 @@ from radlearn.forest import (
     train_forest,
 )
 from radlearn.table import FeatureTable
+
+from oracles import forest_oracle, forest_predict_oracle
 
 
 def _table(values, labels, names=None):
@@ -154,24 +160,24 @@ def test_probabilities_within_unit_interval():
 def test_max_depth_and_min_leaf_respected():
     t = _separable_table(seed=3, n=40)
     stump = train_forest(t, ForestConfig(n_trees=3, max_depth=1, bootstrap=False, seed=0))
-    for tree in stump.trees:
-        assert len(tree.nodes) <= 3
+    for n_nodes in stump.n_nodes:
+        assert n_nodes <= 3
     chunky = train_forest(t, ForestConfig(n_trees=3, min_samples_leaf=10, bootstrap=False, seed=0))
 
-    def leaf_sizes(tree, X):
+    def leaf_sizes(mdl, tree, X):
         # count samples reaching each leaf
         counts = {}
         for row in X:
             node_id = 0
-            node = tree.nodes[0]
-            while node.feature >= 0:
-                node_id = node.left if row[node.feature] <= node.threshold else node.right
-                node = tree.nodes[node_id]
+            while mdl.feature[tree, node_id] >= 0:
+                node_id = (mdl.left[tree, node_id]
+                           if row[mdl.feature[tree, node_id]] <= mdl.threshold[tree, node_id]
+                           else mdl.right[tree, node_id])
             counts[node_id] = counts.get(node_id, 0) + 1
         return counts.values()
 
-    for tree in chunky.trees:
-        assert all(c >= 10 for c in leaf_sizes(tree, t.values))
+    for tree in range(chunky.config.n_trees):
+        assert all(c >= 10 for c in leaf_sizes(chunky, tree, t.values))
 
 
 def test_json_round_trip_preserves_predictions(tmp_path):
@@ -194,3 +200,53 @@ def test_forest_file_round_trip(tmp_path):
     probe = np.linspace(-1, 1, 7)[:, None]
     assert np.array_equal(predict_proba_matrix(mdl, probe),
                           predict_proba_matrix(back, probe))
+
+
+def test_malformed_forest_document_rejected():
+    doc = forest_to_json(train_forest(_separable_table(seed=1), ForestConfig(n_trees=2, seed=1)))
+    tree = doc["trees"][0]
+    tree["left"][0] = 0  # a split pointing back at itself would never reach a leaf
+    with pytest.raises(DataValidationError, match="left child"):
+        forest_from_json(doc)
+    doc["trees"] = []
+    with pytest.raises(DataValidationError, match="empty"):
+        forest_from_json(doc)
+
+
+@st.composite
+def _forest_cases(draw):
+    n = draw(st.integers(2, 30))
+    n_features = draw(st.integers(1, 6))
+    # few levels give many ties and many levels deep trees; a real-valued
+    # scale gives thresholds whose midpoints round
+    levels = draw(st.integers(1, 12))
+    grid = draw(st.lists(st.integers(0, levels), min_size=n * n_features,
+                         max_size=n * n_features))
+    scale = draw(st.sampled_from([1.0, 0.25]) | st.floats(1e-3, 1e3))
+    values = np.array(grid, dtype=np.float64).reshape(n, n_features) * scale
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[1] = 0, 1
+    cfg = dict(
+        # past 8 trees a pairwise sum would differ from the tree-order sum
+        n_trees=draw(st.integers(1, 12)),
+        max_depth=draw(st.none() | st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        features_per_split=draw(st.just("sqrt") | st.integers(1, n_features + 1)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    return values, np.array(labels), cfg
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_forest_cases())
+def test_lockstep_forest_matches_recursive_oracle(case):
+    values, labels, cfg = case
+    t = _table(values, labels)
+    mdl = train_forest(t, ForestConfig(**cfg))
+    expected = forest_oracle(values, labels, t.feature_names, **cfg)
+    assert (json.dumps(forest_to_json(mdl), sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+    probe = np.vstack([values, values[::-1] + 0.5 * values.std()])
+    got = predict_proba_matrix(mdl, probe)
+    assert got.tobytes() == forest_predict_oracle(expected, probe).tobytes()

@@ -94,3 +94,10 @@ def test_table_invariants():
     with pytest.raises(DataValidationError):
         FeatureTable(sample_ids=["a", "b"], feature_names=["f"],
                      values=np.zeros((2, 1)), labels=np.array([0, 2]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(tmp_path, cell):
+    (tmp_path / "bad.csv").write_text(f"sample_id,label,f,g\ns0,0,1.0,2.0\ns1,1,3.0,{cell}\n")
+    with pytest.raises(DataValidationError, match="non-finite value .* 'g' of sample 's1'"):
+        read_feature_table(tmp_path / "bad.csv")
