@@ -14,6 +14,28 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 
 
+def _is_int(value, minimum: int) -> bool:
+    """An int >= minimum; bools are ints to Python but not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_count(value) -> bool:
+    return _is_int(value, 1)
+
+
+def _is_nonnegative_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value < float("inf"))
+
+
+def _check(section: str, obj, rules) -> None:
+    """Raise ConfigError for the first (key, test, expectation) a value fails."""
+    for key, test, expected in rules:
+        value = getattr(obj, key)
+        if not test(value):
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+
+
 @dataclass
 class PhantomSection:
     n_samples_per_class: int = 20
@@ -22,6 +44,17 @@ class PhantomSection:
     noise_sigma: float = 0.1
     modality: str = "SYN"
 
+    def __post_init__(self):
+        _check("phantom", self, [
+            ("n_samples_per_class", _is_count, "an integer >= 1"),
+            ("dims", lambda d: (isinstance(d, tuple) and len(d) == 3
+                              and all(_is_int(n, 8) for n in d)),
+             "3 integers >= 8"),
+            ("texture_amplitude", _is_nonnegative_real, "a finite number >= 0"),
+            ("noise_sigma", _is_nonnegative_real, "a finite number >= 0"),
+            ("modality", lambda m: isinstance(m, str) and m != "", "a non-empty string"),
+        ])
+
 
 @dataclass
 class ExtractionSection:
@@ -29,15 +62,17 @@ class ExtractionSection:
     distance: int = 1
     alpha: int = 0
 
+    def __post_init__(self):
+        _check("extraction", self, [
+            ("n_bins", _is_count, "an integer >= 1"),
+            ("distance", _is_count, "an integer >= 1"),
+            ("alpha", lambda a: _is_int(a, 0), "an integer >= 0"),
+        ])
+
 
 @dataclass
 class FilterSection:
     alpha: float = 0.05
-
-
-def _is_count(value) -> bool:
-    """An int >= 1; bools are ints to Python but not counts here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -49,25 +84,27 @@ class ForestSection:
     bootstrap: bool = True
 
     def __post_init__(self):
-        for key in ("n_trees", "min_samples_leaf"):
-            if not _is_count(getattr(self, key)):
-                raise ConfigError(f"forest.{key} must be an integer >= 1, "
-                                  f"got {getattr(self, key)!r}")
-        if self.max_depth is not None and not _is_count(self.max_depth):
-            raise ConfigError(f"forest.max_depth must be null or an integer >= 1, "
-                              f"got {self.max_depth!r}")
-        if self.features_per_split != "sqrt" and not _is_count(self.features_per_split):
-            raise ConfigError(f"forest.features_per_split must be \"sqrt\" or an integer "
-                              f">= 1, got {self.features_per_split!r}")
-        if not isinstance(self.bootstrap, bool):
-            raise ConfigError(f"forest.bootstrap must be true or false, "
-                              f"got {self.bootstrap!r}")
+        _check("forest", self, [
+            ("n_trees", _is_count, "an integer >= 1"),
+            ("min_samples_leaf", _is_count, "an integer >= 1"),
+            ("max_depth", lambda d: d is None or _is_count(d),
+             "null or an integer >= 1"),
+            ("features_per_split", lambda f: f == "sqrt" or _is_count(f),
+             "\"sqrt\" or an integer >= 1"),
+            ("bootstrap", lambda b: isinstance(b, bool), "true or false"),
+        ])
 
 
 @dataclass
 class RfeSection:
     k_folds: int = 5
     rerank: bool = False
+
+    def __post_init__(self):
+        _check("rfe", self, [
+            ("k_folds", lambda k: _is_int(k, 2), "an integer >= 2"),
+            ("rerank", lambda r: isinstance(r, bool), "true or false"),
+        ])
 
 
 @dataclass
@@ -106,6 +143,10 @@ class SeedsSection:
     train: int = 4
     net: int = 5
     kfold: int = 6
+
+    def __post_init__(self):
+        _check("seeds", self, [(f.name, lambda s: _is_int(s, 0), "an integer >= 0")
+                               for f in fields(self)])
 
 
 @dataclass
@@ -148,6 +189,8 @@ def _build_section(name: str, cls, doc: dict):
     kwargs = {}
     for key, value in doc.items():
         if (name, key) in _TUPLE_KEYS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{name}.{key} must be a list, got {value!r}")
             value = tuple(value)
         kwargs[key] = value
     try:

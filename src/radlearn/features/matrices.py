@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import DataValidationError
 from ..quantize import QuantizedVolume
@@ -146,23 +145,70 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)
 
 
+def _equal_level_edges(lvl: np.ndarray):
+    """Flat index pairs (u, v) of equal-level in-mask neighbors, one direction
+    of DIRECTIONS_13 at a time, so that no full edge list is ever held."""
+    nz, ny, nx = lvl.shape
+    for dx, dy, dz in DIRECTIONS_13:
+        sl = _shift_slices(lvl.shape, (dx, dy, dz))
+        if sl is None:
+            continue
+        src, dst = sl
+        same = np.zeros(lvl.shape, dtype=bool)
+        same[src] = (lvl[src] > 0) & (lvl[src] == lvl[dst])
+        u = np.flatnonzero(same)
+        yield u, u + (dz * ny * nx + dy * nx + dx)
+
+
+def _compress(root: np.ndarray) -> np.ndarray:
+    """Jump pointers until every entry points at its root."""
+    jumped = root[root]
+    while not np.array_equal(jumped, root):
+        root, jumped = jumped, jumped[jumped]
+    return root
+
+
+def _zone_roots(lvl: np.ndarray) -> np.ndarray:
+    """Per-voxel zone id (the smallest flat index in the zone) of a level grid.
+
+    Zones are 26-connected equal-level in-mask components, found by rounds of
+    min-root hooking: every root that shares an edge with a smaller root is
+    hooked to the smallest such root, then pointers are compressed; rounds
+    repeat until no edge joins two roots. In the first round every voxel is a
+    root, so its edges are hooked one direction at a time; only the edges
+    that still join two roots after it are kept for the later rounds.
+    Out-of-mask voxels stay their own roots.
+    """
+    root = np.arange(lvl.size)
+    for u, v in _equal_level_edges(lvl):
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
+    root = _compress(root)
+    edges = [np.zeros((2, 0), dtype=np.intp)]
+    for u, v in _equal_level_edges(lvl):
+        joins = root[u] != root[v]
+        edges.append(np.stack([u[joins], v[joins]]))
+    u, v = np.concatenate(edges, axis=1)
+    while True:
+        ru, rv = root[u], root[v]
+        joins = ru != rv
+        if not joins.any():
+            return root
+        u, v, ru, rv = u[joins], v[joins], ru[joins], rv[joins]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        root = _compress(root)
+
+
 def glszm(q: QuantizedVolume) -> TextureMatrix:
     """Zone-size counts Z(level, size) over 26-connected equal-level components."""
     _require_mask(q, 1)
     lvl = q.as_zyx()
     nb = q.n_bins
-    structure = np.ones((3, 3, 3), dtype=bool)
-    zones: list[tuple[int, int]] = []
-    for level in np.unique(lvl[lvl > 0]):
-        labeled, n_components = ndimage.label(lvl == level, structure=structure)
-        if n_components == 0:
-            continue
-        sizes = np.bincount(labeled.ravel())[1:]
-        zones.extend((int(level), int(s)) for s in sizes)
-    max_size = max(s for _, s in zones)
+    flat = lvl.ravel()
+    sizes = np.bincount(_zone_roots(lvl)[flat > 0], minlength=flat.size)
+    zones = np.flatnonzero(sizes)
+    max_size = int(sizes.max())
     matrix = np.zeros((nb, max_size), dtype=np.float64)
-    for level, size in zones:
-        matrix[level - 1, size - 1] += 1
+    np.add.at(matrix, (flat[zones] - 1, sizes[zones] - 1), 1.0)
     return TextureMatrix(kind="GLSZM", data=matrix, n_levels=nb)
 
 

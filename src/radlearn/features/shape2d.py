@@ -41,11 +41,21 @@ def _perimeter(slice_mask: np.ndarray, sx: float, sy: float) -> float:
     return float(exposed_x) * sy + float(exposed_y) * sx
 
 
-def _max_diameter(centers: np.ndarray) -> float:
+def _max_diameter(centers: np.ndarray, ys: np.ndarray) -> float:
+    """Largest center-to-center distance, taken over row ends only.
+
+    For a fixed pair of rows every step of the computed distance (x*sx,
+    difference, square, sum with the fixed y term, sqrt) rounds monotonically
+    in |x_a - x_b|, so the all-pairs maximum is attained at the leftmost or
+    rightmost pixel of each row, bit for bit. Pixels come row-major from
+    np.nonzero, so a row's ends are the first and last entries of its run.
+    """
     if centers.shape[0] < 2:
         return 0.0
-    # pairwise distances by broadcasting; slice ROIs are small enough
-    diff = centers[:, None, :] - centers[None, :, :]
+    first = np.flatnonzero(np.diff(ys, prepend=-1))
+    last = np.append(first[1:] - 1, ys.size - 1)
+    ends = centers[np.concatenate([first, last])]
+    diff = ends[:, None, :] - ends[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
@@ -81,7 +91,7 @@ def shape_2d(m: RoiMask, spacing=(1.0, 1.0, 1.0)) -> FeatureVector:
         "PerimeterSurfaceRatio": perimeter / surface,
         "Sphericity": sphericity,
         "SphericalDisproportion": 1.0 / sphericity,
-        "MaximumDiameter": _max_diameter(centers),
+        "MaximumDiameter": _max_diameter(centers, ys),
         "MajorAxisLength": major,
         "MinorAxisLength": minor,
         "Elongation": elongation,

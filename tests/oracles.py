@@ -157,6 +157,14 @@ def gldm_oracle(lvl, n_bins, alpha=0):
     return matrix
 
 
+def max_diameter_oracle(centers):
+    """Largest distance over all pairs of (n, 2) pixel centers (0 below 2)."""
+    if centers.shape[0] < 2:
+        return 0.0
+    diff = centers[:, None, :] - centers[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(-1)).max())
+
+
 def mwu_by_pair_counting(x, y):
     """(U_x, U_y) by direct comparison of every (x_i, y_j) pair."""
     ux = 0.0

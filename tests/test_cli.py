@@ -1,9 +1,12 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import radlearn
 from radlearn.cli import main
 
 CONFIG = {
@@ -220,3 +223,31 @@ def test_non_finite_features_exit_two(tmp_path, capsys, stage):
     assert main([stage, "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("radlearn: data error: non-finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage, section", [
+    ("phantom", {"seeds": {"phantom": -1}}),
+    ("phantom", {"phantom": {"n_samples_per_class": "3"}}),
+    ("phantom", {"phantom": {"dims": [16, 16]}}),
+    ("extract", {"extraction": {"n_bins": "32"}}),
+    ("extract", {"extraction": {"distance": 0}}),
+    ("rfe", {"rfe": {"k_folds": "5"}}),
+])
+def test_bad_section_config_exits_one_with_one_line(tmp_path, capsys, stage, section):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(section))
+    argv = [stage, "--config", str(bad), "--out", str(tmp_path / "o")]
+    if stage != "phantom":
+        argv += ["--in", str(tmp_path / "missing.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    key = next(iter(section))
+    assert err.startswith(f"radlearn: config error: {key}.") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    code = "import sys, radlearn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -90,3 +90,45 @@ def test_good_forest_values_accepted():
                                    "features_per_split": 4, "bootstrap": False}})
     assert (cfg.forest.n_trees, cfg.forest.features_per_split) == (3, 4)
     assert parse_config({"forest": {"max_depth": 2}}).forest.max_depth == 2
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"seeds": {"phantom": -1}}, "seeds.phantom"),
+    ({"seeds": {"kfold": "6"}}, "seeds.kfold"),
+    ({"seeds": {"net": True}}, "seeds.net"),
+    ({"seeds": {"train": 4.0}}, "seeds.train"),
+    ({"phantom": {"n_samples_per_class": "3"}}, "phantom.n_samples_per_class"),
+    ({"phantom": {"n_samples_per_class": 0}}, "phantom.n_samples_per_class"),
+    ({"phantom": {"dims": [16, 16]}}, "phantom.dims"),
+    ({"phantom": {"dims": [16, 16, 7]}}, "phantom.dims"),
+    ({"phantom": {"dims": [16, 16.0, 16]}}, "phantom.dims"),
+    ({"phantom": {"dims": 16}}, "phantom.dims"),
+    ({"phantom": {"noise_sigma": -0.1}}, "phantom.noise_sigma"),
+    ({"phantom": {"texture_amplitude": "2"}}, "phantom.texture_amplitude"),
+    ({"phantom": {"modality": 3}}, "phantom.modality"),
+    ({"extraction": {"n_bins": "32"}}, "extraction.n_bins"),
+    ({"extraction": {"n_bins": 0}}, "extraction.n_bins"),
+    ({"extraction": {"distance": 0}}, "extraction.distance"),
+    ({"extraction": {"distance": True}}, "extraction.distance"),
+    ({"extraction": {"alpha": -1}}, "extraction.alpha"),
+    ({"extraction": {"alpha": 0.5}}, "extraction.alpha"),
+    ({"rfe": {"k_folds": "5"}}, "rfe.k_folds"),
+    ({"rfe": {"k_folds": 1}}, "rfe.k_folds"),
+    ({"rfe": {"rerank": 1}}, "rfe.rerank"),
+    ({"train": {"input_dims": 16}}, "train.input_dims"),
+])
+def test_bad_section_values_rejected(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+
+
+def test_good_section_values_accepted():
+    cfg = parse_config({
+        "phantom": {"n_samples_per_class": 1, "dims": [8, 8, 9], "texture_amplitude": 0,
+                    "noise_sigma": 0.0, "modality": "T1"},
+        "extraction": {"n_bins": 1, "distance": 3, "alpha": 0},
+        "rfe": {"k_folds": 2, "rerank": True},
+        "seeds": {"phantom": 0, "forest": 2 ** 40},
+    })
+    assert cfg.phantom.dims == (8, 8, 9)
+    assert (cfg.extraction.distance, cfg.rfe.rerank, cfg.seeds.forest) == (3, True, 2 ** 40)

@@ -1,5 +1,7 @@
 """Matrix builders against brute-force enumeration oracles and hand cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,62 @@ def test_storage_order_does_not_matter():
     q2 = qvol(np.ascontiguousarray(lvl.copy()), 4)
     np.testing.assert_array_equal(glrlm(q1).data, glrlm(q2).data)
     np.testing.assert_allclose(glcm(q1).data, glcm(q2).data, atol=0)
+
+
+# --- zone labeling on shapes that need many hooking rounds ---
+
+
+def _serpentine(n, background):
+    """A one-voxel-wide path snaking through an n x n slice."""
+    lvl = np.full((1, n, n), background, dtype=np.int32)
+    for y in range(0, n, 2):
+        lvl[0, y, :] = 1
+        if y + 1 < n:
+            lvl[0, y + 1, n - 1 if y % 4 == 0 else 0] = 1
+    return lvl
+
+
+def _spiral(n, background):
+    """Nested square rings, each joined to the next one inward by a diagonal step."""
+    lvl = np.full((n, n), background, dtype=np.int32)
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        lvl[lo, lo:hi + 1] = lvl[hi, lo:hi + 1] = 1
+        lvl[lo:hi + 1, lo] = lvl[lo:hi + 1, hi] = 1
+        if lo + 1 <= hi - 1:
+            lvl[lo + 1, lo] = background
+        if lo + 2 <= hi - 2:
+            lvl[lo + 1, lo + 1] = 1
+        lo, hi = lo + 2, hi - 2
+    return lvl[None]
+
+
+def _checkerboard(shape):
+    return (np.indices(shape).sum(axis=0) % 2 + 1).astype(np.int32)
+
+
+@pytest.mark.parametrize("lvl", [
+    _serpentine(15, 0), _serpentine(14, 2), _spiral(15, 0), _spiral(16, 2),
+    _checkerboard((5, 6, 7)), _checkerboard((1, 9, 9)),
+    np.ones((5, 6, 7), dtype=np.int32), np.ones((1, 1, 1), dtype=np.int32),
+    np.concatenate([_serpentine(9, 0), _spiral(9, 2), _serpentine(9, 2)]),
+], ids=["serpentine", "serpentine-2", "spiral", "spiral-2", "checkerboard",
+        "checkerboard-slice", "constant", "single-voxel", "stacked"])
+def test_glszm_matches_oracle_on_long_zones(lvl):
+    n_bins = int(lvl.max())
+    engine = glszm(qvol(lvl, n_bins))
+    np.testing.assert_array_equal(engine.data, glszm_oracle(lvl, n_bins))
+
+
+def test_glszm_memory_grows_with_voxels_not_edges():
+    # one zone of 110,592 voxels has ~1.4M equal-level neighbor pairs; holding
+    # them all as index arrays would take well over 100 MB
+    q = qvol(np.ones((48, 48, 48), dtype=np.int32), 1)
+    tracemalloc.start()
+    try:
+        m = glszm(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.shape == (1, 48 ** 3) and m.data[0, -1] == 1
+    assert peak < 12 * 2 ** 20, f"glszm peaked at {peak / 2 ** 20:.1f} MB"
