@@ -8,11 +8,11 @@ pairwise/common intersection summary. Writes intersection.json.
 Usage: python scripts/run_modality_intersection.py [workdir]
 """
 
-import json
 import sys
 from pathlib import Path
 
 from radlearn.features import extract_all
+from radlearn.jsonio import write_json
 from radlearn.stats import filter_significant, modality_intersection
 from radlearn.table import from_rows
 from radlearn.volume import PhantomSpec, generate_phantom
@@ -46,8 +46,7 @@ def main():
         print(f"{modality:<6} {len(sets[modality])} significant features")
 
     summary = modality_intersection(sets)
-    (out / "intersection.json").write_text(
-        json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(summary.as_dict(), out / "intersection.json")
     print("pairwise intersections:")
     for pair, count in summary.pairwise.items():
         print(f"  {pair:<14} {count}")

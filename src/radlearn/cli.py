@@ -36,6 +36,7 @@ from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
 from .forest import ForestConfig
+from .jsonio import write_json
 from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import (
     NetConfig,
@@ -56,12 +57,6 @@ from .volume import (
 )
 
 REPORT_ROWS = ["Accuracy", "F1-Score", "AUROC", "Precision", "Recall"]
-
-
-def _write_json(obj, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _require_inputs(paths, count, usage):
@@ -141,7 +136,7 @@ def cmd_filter(cfg: PipelineConfig, in_paths, out_dir) -> None:
     _require_inputs(in_paths, 1, "a features.csv")
     table = table_mod.read_feature_table(in_paths[0])
     report = stats.filter_significant(table, alpha=cfg.filter.alpha)
-    _write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
+    write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
 
 
 def _forest_config(cfg: PipelineConfig) -> ForestConfig:
@@ -181,8 +176,8 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
     dendrogram = cluster_mod.agglomerate(distances, names)
     cluster_mod.save_dendrogram(dendrogram, os.path.join(out_dir, "dendrogram.json"))
     clusters = cluster_mod.cut(dendrogram, min(cfg.cluster.k, len(names)))
-    _write_json({"k": min(cfg.cluster.k, len(names)), "clusters": clusters},
-                os.path.join(out_dir, "clusters.json"))
+    write_json({"k": min(cfg.cluster.k, len(names)), "clusters": clusters},
+               os.path.join(out_dir, "clusters.json"))
 
 
 def _slices_from_manifest(entries):
@@ -295,7 +290,7 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
         "top_features": {"names": list(top_names), "metrics": top_scores,
                          "rfe_cv_accuracy": top_cv_accuracy},
     }
-    _write_json(doc, os.path.join(out_dir, "report.json"))
+    write_json(doc, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "report.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)

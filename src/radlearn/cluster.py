@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
+from .jsonio import write_json
 from .table import FeatureTable
 
 
@@ -147,9 +148,7 @@ def dendrogram_from_json(doc: dict) -> Dendrogram:
 
 
 def save_dendrogram(dg: Dendrogram, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(dendrogram_to_json(dg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(dendrogram_to_json(dg), path)
 
 
 def load_dendrogram(path) -> Dendrogram:

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .nn.config import LOSS_NAMES, OPTIMIZER_NAMES
 
 
 def _is_int(value, minimum: int) -> bool:
@@ -26,6 +27,15 @@ def _is_count(value) -> bool:
 def _is_nonnegative_real(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and 0 <= value < float("inf"))
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) < float("inf"))
+
+
+def _is_count_list(value) -> bool:
+    return isinstance(value, list) and all(_is_count(v) for v in value)
 
 
 def _check(section: str, obj, rules) -> None:
@@ -74,6 +84,9 @@ class ExtractionSection:
 class FilterSection:
     alpha: float = 0.05
 
+    def __post_init__(self):
+        _check("filter", self, [("alpha", _is_nonnegative_real, "a finite number >= 0")])
+
 
 @dataclass
 class ForestSection:
@@ -111,6 +124,9 @@ class RfeSection:
 class ClusterSection:
     k: int = 3
 
+    def __post_init__(self):
+        _check("cluster", self, [("k", _is_count, "an integer >= 1")])
+
 
 @dataclass
 class TrainSection:
@@ -124,6 +140,23 @@ class TrainSection:
     epochs: int = 25
     freeze_layers: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        _check("train", self, [
+            ("input_dims", lambda d: (isinstance(d, tuple) and len(d) == 2
+                                    and all(_is_count(n) for n in d)),
+             "2 integers >= 1"),
+            ("conv_blocks", _is_count_list, "a list of integers >= 1"),
+            ("hidden_dense", _is_count_list, "a list of integers >= 1"),
+            ("loss", lambda v: v in LOSS_NAMES, f"one of {list(LOSS_NAMES)}"),
+            ("optimizer", lambda v: v in OPTIMIZER_NAMES, f"one of {list(OPTIMIZER_NAMES)}"),
+            ("learning_rate", _is_nonnegative_real, "a finite number >= 0"),
+            ("batch_size", _is_count, "an integer >= 1"),
+            ("epochs", _is_count, "an integer >= 1"),
+            ("freeze_layers", lambda f: (isinstance(f, list)
+                                         and all(isinstance(n, str) for n in f)),
+             "a list of strings"),
+        ])
+
 
 @dataclass
 class DiagnoseSection:
@@ -133,6 +166,10 @@ class DiagnoseSection:
     flip_corr_thresh: float = -0.5
     flip_amp_thresh: float = 0.3
     static_layer_quorum: float = 0.5
+
+    def __post_init__(self):
+        _check("diagnose", self, [(f.name, _is_finite_real, "a finite number")
+                                  for f in fields(self)])
 
 
 @dataclass

@@ -17,7 +17,6 @@ described phenomena and are labeled as such in the report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import DataValidationError
 from .histogram import histogram
+from .jsonio import write_json
 from .nn.trace import TrainTrace
 
 __all__ = [
@@ -189,6 +189,4 @@ def report_to_json(report: DiagnosisReport) -> dict:
 
 
 def save_report(report: DiagnosisReport, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report_to_json(report), path)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataValidationError
 from .features.vector import FeatureVector
+from .jsonio import write_json
 from .table import FeatureTable
 
 _MIN_GAIN = 1e-12
@@ -313,9 +314,7 @@ def forest_from_json(doc: dict) -> ForestModel:
 
 
 def save_forest(mdl: ForestModel, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(forest_to_json(mdl), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(forest_to_json(mdl), path)
 
 
 def load_forest(path) -> ForestModel:

@@ -77,7 +77,7 @@ def metrics(c: ConfusionCounts) -> dict[str, float]:
     }
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
+def midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     order = np.argsort(values, kind="mergesort")
     ranks = np.empty(values.size, dtype=np.float64)
@@ -101,7 +101,7 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataValidationError("auroc requires both classes present")
-    ranks = _midranks(scores)
+    ranks = midranks(scores)
     u_pos = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u_pos / (n_pos * n_neg)
 

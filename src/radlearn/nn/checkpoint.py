@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataValidationError
+from ..jsonio import write_json
 from .network import Network
 
 
@@ -44,7 +45,7 @@ def apply_checkpoint(net: Network, ckpt: Checkpoint) -> None:
                 raise DataValidationError(
                     f"shape mismatch for {name}.{pname}: checkpoint "
                     f"{stored.shape} vs network {arr.shape}")
-            net.params[name][pname] = stored.astype(net.dtype)
+            arr[...] = stored  # a view into net.flat: write, never rebind
 
 
 def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
@@ -62,9 +63,7 @@ def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
             for name in ckpt.layer_order
         ],
     }
-    with open(path_base + ".ckpt.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(header, path_base + ".ckpt.json")
     with open(path_base + ".ckpt.raw", "wb") as fh:
         for name in ckpt.layer_order:
             for pname in ("W", "b"):

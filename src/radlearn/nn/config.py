@@ -8,6 +8,7 @@ from ..errors import ConfigError
 
 LOSS_NAMES = ("bce_logit", "hinge")
 OPTIMIZER_NAMES = ("adam", "rmsprop")
+_FLOAT32_MAX = 3.4028234663852886e38
 
 
 @dataclass
@@ -58,9 +59,10 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer must be one of {OPTIMIZER_NAMES}")
         # learning_rate 0 is allowed on purpose: it is the canonical
-        # "all layers static" fixture for the diagnostics
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        # "all layers static" fixture for the diagnostics. It must be finite
+        # in float32, or lr * 0 would move frozen layers to nan.
+        if not 0 <= self.learning_rate <= _FLOAT32_MAX:
+            raise ConfigError("learning_rate must be >= 0 and finite in float32")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:

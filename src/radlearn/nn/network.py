@@ -6,70 +6,107 @@ output. Weights are He-initialized from the config seed. The same code runs
 in float32 (training, bit-exact checkpoints) or float64 (gradient checking).
 
 Layer names are "conv1"..., "fc1"..., and "fc_out"; each layer holds a "W"
-and a "b" array.
+and a "b" array. All parameters live in one flat buffer, ``flat``, laid out
+in checkpoint order (conv1.W, conv1.b, ..., fc_out.b); ``params[name][p]``
+are reshaped views into it, so they are written with ``[...] =`` and never
+rebound.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataValidationError
 from .config import NetConfig
 from .losses import LOSSES
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """(n, c, h, w) padded input -> (n, c*k*k, out_h*out_w) patch matrix."""
-    n, c, h, w = xp.shape
-    out_h, out_w = h - k + 1, w - k + 1
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (n, c, out_h, out_w, k, k)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, out_h * out_w)
-    return np.ascontiguousarray(cols)
+@lru_cache(maxsize=64)
+def _conv_taps(h: int, w: int) -> np.ndarray:
+    """(9, h*w) flat positions, in an (h+2, w+2) padded plane, of the 3x3
+    taps of each output pixel; taps in (di, dj) row-major order."""
+    y, x = np.divmod(np.arange(h * w), w)
+    taps = np.stack([(y + di) * (w + 2) + x + dj for di in range(3) for dj in range(3)])
+    taps.flags.writeable = False  # cached, so shared by every caller
+    return taps
+
+
+@lru_cache(maxsize=64)
+def _pool_windows(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions, in an h x w plane, of the 4 cells of each 2x2 pool
+    window (windows row-major, cells row-major, an odd edge cropped), and
+    the offset of each window's first cell in that (windows, 4) table."""
+    py, px = np.divmod(np.arange((h // 2) * (w // 2)), w // 2)
+    corner = 2 * py * w + 2 * px
+    cells = np.stack([corner, corner + 1, corner + w, corner + w + 1], axis=1)
+    first = 4 * np.arange(corner.size)
+    cells.flags.writeable = first.flags.writeable = False  # cached, so shared
+    return cells, first
 
 
 class Network:
     def __init__(self, cfg: NetConfig, dtype=np.float32):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, dict[str, np.ndarray]] = {}
-        self.layer_names: list[str] = []
         rng = np.random.default_rng(cfg.seed)
 
+        layers = []  # (name, W, b) in checkpoint order
         h, w = cfg.input_dims
         in_c = 1
         for i, out_c in enumerate(cfg.conv_blocks, start=1):
             fan_in = in_c * 9
             wgt = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_c, in_c, 3, 3))
-            self._add(f"conv{i}", wgt, np.zeros(out_c))
+            layers.append((f"conv{i}", wgt, np.zeros(out_c)))
             in_c = out_c
             h, w = h // 2, w // 2
         in_features = in_c * h * w
         for i, width in enumerate(cfg.hidden_dense, start=1):
             wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(width, in_features))
-            self._add(f"fc{i}", wgt, np.zeros(width))
+            layers.append((f"fc{i}", wgt, np.zeros(width)))
             in_features = width
         wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(1, in_features))
-        self._add("fc_out", wgt, np.zeros(1))
+        layers.append(("fc_out", wgt, np.zeros(1)))
 
-    def _add(self, name, w, b):
-        self.layer_names.append(name)
-        self.params[name] = {"W": w.astype(self.dtype), "b": b.astype(self.dtype)}
+        self.layer_names = [name for name, _, _ in layers]
+        self._shapes = [(name, wgt.shape, b.shape) for name, wgt, b in layers]
+        flat = np.concatenate([a.ravel() for _, wgt, b in layers for a in (wgt, b)])
+        self._bind(flat.astype(self.dtype))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Adopt ``flat`` as the parameter buffer and rebuild the views."""
+        self.flat = flat
+        self.params: dict[str, dict[str, np.ndarray]] = {}
+        self.slices: dict[str, slice] = {}  # layer name -> its W and b in flat
+        offset = 0
+        for name, w_shape, b_shape in self._shapes:
+            start = offset
+            layer = {}
+            for pname, shape in (("W", w_shape), ("b", b_shape)):
+                size = int(np.prod(shape))
+                layer[pname] = flat[offset:offset + size].reshape(shape)
+                offset += size
+            self.params[name] = layer
+            self.slices[name] = slice(start, offset)
 
     @property
     def n_params(self) -> int:
-        return sum(p.size for layer in self.params.values() for p in layer.values())
+        return self.flat.size
 
     def astype(self, dtype) -> "Network":
         clone = Network.__new__(Network)
         clone.cfg = self.cfg
         clone.dtype = np.dtype(dtype)
         clone.layer_names = list(self.layer_names)
-        clone.params = {
-            name: {k: v.astype(dtype) for k, v in layer.items()}
-            for name, layer in self.params.items()
-        }
+        clone._shapes = self._shapes
+        clone._bind(self.flat.astype(dtype))
         return clone
+
+    def flat_grads(self, grads) -> np.ndarray:
+        """Per-layer grads concatenated in the layout of ``flat``."""
+        return np.concatenate([grads[name][p].ravel()
+                               for name in self.layer_names for p in ("W", "b")])
 
     # -- forward / backward -------------------------------------------------
 
@@ -89,26 +126,26 @@ class Network:
         for i in range(1, len(self.cfg.conv_blocks) + 1):
             name = f"conv{i}"
             wgt, b = self.params[name]["W"], self.params[name]["b"]
-            xp = np.pad(out, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            cols = _im2col(xp, 3)
-            n, _, hh, ww = out.shape
+            n, in_c, hh, ww = out.shape
             out_c = wgt.shape[0]
-            w2d = wgt.reshape(out_c, -1)
-            conv = np.einsum("of,nfp->nop", w2d, cols) + b[None, :, None]
-            conv = conv.reshape(n, out_c, hh, ww)
+            xp = np.zeros((n, in_c, hh + 2, ww + 2), dtype=self.dtype)
+            xp[:, :, 1:-1, 1:-1] = out
+            # np.take keeps cols C-contiguous; c_einsum's float32 sums depend on it
+            cols = np.take(xp.reshape(n, in_c, -1), _conv_taps(hh, ww),
+                           axis=2).reshape(n, in_c * 9, hh * ww)
+            conv = np.einsum("of,nfp->nop", wgt.reshape(out_c, -1), cols) + b[None, :, None]
             relu_mask = conv > 0
             act = conv * relu_mask
             # 2x2 max pool, stride 2, odd edge cropped; first max wins ties
-            h2, w2 = hh // 2 * 2, ww // 2 * 2
-            windows = act[:, :, :h2, :w2].reshape(n, out_c, h2 // 2, 2, w2 // 2, 2)
-            windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-                n, out_c, h2 // 2, w2 // 2, 4)
-            amax = windows.argmax(axis=-1)
-            pooled = np.take_along_axis(windows, amax[..., None], axis=-1)[..., 0]
+            cells, first = _pool_windows(hh, ww)
+            planes = act.reshape(n * out_c, hh * ww)
+            amax = np.take(planes, cells, axis=1).argmax(axis=-1)
+            pos = np.take(cells, amax + first)  # argmax positions within each plane
+            pos += (np.arange(n * out_c) * (hh * ww))[:, None]
+            pos = pos.reshape(n, out_c, hh // 2, ww // 2)
             caches.append({"name": name, "kind": "conv", "cols": cols,
-                           "in_shape": out.shape, "relu_mask": relu_mask,
-                           "amax": amax, "act_shape": act.shape})
-            out = pooled
+                           "in_shape": out.shape, "relu_mask": relu_mask, "pos": pos})
+            out = planes.ravel()[pos]
         flat_shape = out.shape
         out = out.reshape(out.shape[0], -1)
         caches.append({"kind": "flatten", "shape": flat_shape})
@@ -133,37 +170,36 @@ class Network:
     def _backward(self, caches, dlogits: np.ndarray):
         grads: dict[str, dict[str, np.ndarray]] = {}
         d = dlogits[:, None].astype(self.dtype)
-        for cache in reversed(caches):
+        # the input gradient of the first layer with weights is never used
+        first = 0 if self.cfg.conv_blocks else 1
+        for i in range(len(caches) - 1, -1, -1):
+            cache = caches[i]
             if cache["kind"] == "dense":
                 name = cache["name"]
                 if cache["relu_mask"] is not None:
                     d = d * cache["relu_mask"]  # relu follows the affine op
                 x = cache["x"]
                 grads[name] = {"W": d.T @ x, "b": d.sum(axis=0)}
+                if i == first:
+                    break
                 d = d @ self.params[name]["W"]
             elif cache["kind"] == "flatten":
                 d = d.reshape(cache["shape"])
             else:  # conv block: unpool -> relu -> conv
                 name = cache["name"]
                 wgt = self.params[name]["W"]
-                n, out_c, hh, ww = cache["act_shape"]
-                h2, w2 = hh // 2 * 2, ww // 2 * 2
-                amax = cache["amax"]
-                dwin = np.zeros((n, out_c, h2 // 2, w2 // 2, 4), dtype=self.dtype)
-                np.put_along_axis(dwin, amax[..., None], d[..., None], axis=-1)
-                dact = np.zeros(cache["act_shape"], dtype=self.dtype)
-                dact[:, :, :h2, :w2] = (
-                    dwin.reshape(n, out_c, h2 // 2, w2 // 2, 2, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(n, out_c, h2, w2)
-                )
-                dconv = dact * cache["relu_mask"]
-                dconv2d = dconv.reshape(n, out_c, -1)
+                relu_mask = cache["relu_mask"]
+                dact = np.zeros(relu_mask.size, dtype=self.dtype)
+                dact[cache["pos"]] = d
+                dconv2d = dact.reshape(relu_mask.shape) * relu_mask
+                out_c = dconv2d.shape[1]
                 cols = cache["cols"]
                 grads[name] = {
                     "W": np.einsum("nop,nfp->of", dconv2d, cols).reshape(wgt.shape),
                     "b": dconv2d.sum(axis=(0, 2)),
                 }
+                if i == first:
+                    break
                 dcols = np.einsum("of,nop->nfp", wgt.reshape(out_c, -1), dconv2d)
                 in_n, in_c, in_h, in_w = cache["in_shape"]
                 dxp = np.zeros((in_n, in_c, in_h + 2, in_w + 2), dtype=self.dtype)

@@ -1,8 +1,8 @@
 """Adam and RMSProp parameter updates.
 
-The step functions are pure array transforms; the optimizer classes keep
-per-parameter state for the training loop and step counts for Adam's bias
-correction.
+The step functions are pure array transforms; the optimizer classes step one
+flat parameter vector in place and keep its state as flat arrays of the same
+layout, plus the step count for Adam's bias correction.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = {}
-        self._v = {}
-        self._t = {}
+        self._m = None
+        self._v = None
+        self._t = 0
 
-    def update(self, key, theta, grad):
-        m = self._m.get(key, np.zeros_like(theta))
-        v = self._v.get(key, np.zeros_like(theta))
-        t = self._t.get(key, 0) + 1
-        theta, m, v = step_adam(theta, grad, m, v, t, self.lr, self.beta1,
-                                self.beta2, self.eps)
-        self._m[key], self._v[key], self._t[key] = m, v, t
+    def update(self, theta, grad):
+        """One step of theta in place; the state starts at zero on the first call."""
+        if self._m is None:
+            self._m, self._v = np.zeros_like(theta), np.zeros_like(theta)
+        self._t += 1
+        theta[...], self._m, self._v = step_adam(
+            theta, grad, self._m, self._v, self._t, self.lr, self.beta1, self.beta2,
+            self.eps)
         return theta
 
 
@@ -55,12 +56,14 @@ class RmsPropOptimizer:
         self.lr = lr
         self.decay = decay
         self.eps = eps
-        self._v = {}
+        self._v = None
 
-    def update(self, key, theta, grad):
-        v = self._v.get(key, np.zeros_like(theta))
-        theta, v = step_rmsprop(theta, grad, v, self.lr, self.decay, self.eps)
-        self._v[key] = v
+    def update(self, theta, grad):
+        """One step of theta in place; the state starts at zero on the first call."""
+        if self._v is None:
+            self._v = np.zeros_like(theta)
+        theta[...], self._v = step_rmsprop(theta, grad, self._v, self.lr, self.decay,
+                                           self.eps)
         return theta
 
 

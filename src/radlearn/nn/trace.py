@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataValidationError
+from ..jsonio import write_json
 
 
 @dataclass
@@ -122,9 +123,7 @@ def trace_from_json(doc: dict) -> TrainTrace:
 
 
 def save_trace(tr: TrainTrace, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json(tr), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(trace_to_json(tr), path)
 
 
 def load_trace(path) -> TrainTrace:

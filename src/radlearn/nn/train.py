@@ -1,10 +1,14 @@
 """Mini-batch training loop with freeze support, and the gradient check.
 
 Training runs in float32 with seeded batch shuffling, so a fixed
-(net seed, train seed, data) triple pins the whole trace bit-exactly. Frozen
-layers still receive gradients in the trace but are never updated. The trace
-snapshot per epoch uses the last batch's gradients, mirroring per-epoch
-histogram plots.
+(net seed, train seed, data) triple pins the whole trace bit-exactly. The
+parameters live in one flat float32 buffer in checkpoint order, and each batch
+makes one optimizer step on it with the batch's gradients concatenated in the
+same order. Frozen layers get a zero optimizer gradient: with zero gradient
+and zero optimizer state the Adam and RMSProp step is lr*0/(0+eps) = 0, so
+they stay bit-for-bit unmoved. The trace still records their real gradients.
+The trace snapshot per epoch uses the last batch's gradients, mirroring
+per-epoch histogram plots.
 
 gradient_check builds its own float64 copy of the network and compares the
 analytic gradients against central finite differences on sampled parameters;
@@ -32,14 +36,6 @@ from .trace import (
 )
 
 GRADIENT_CHECK_MAX_PARAMS = 5000
-
-
-def _layer_values(net: Network, name: str) -> np.ndarray:
-    return np.concatenate([net.params[name][p].ravel() for p in ("W", "b")])
-
-
-def _grad_values(grads, name: str) -> np.ndarray:
-    return np.concatenate([grads[name][p].ravel() for p in ("W", "b")])
 
 
 def _l2(arr: np.ndarray) -> float:
@@ -80,13 +76,13 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     unknown = [n for n in train_cfg.freeze_layers if n not in net.layer_names]
     if unknown:
         raise DataValidationError(f"freeze_layers name unknown layers: {unknown}")
-    frozen = set(train_cfg.freeze_layers)
+    frozen = [net.slices[name] for name in train_cfg.freeze_layers]
 
     optimizer = make_optimizer(train_cfg.optimizer, train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
     n = labels.size
     trace = TrainTrace(layer_names=list(net.layer_names))
-    prev = {name: _layer_values(net, name) for name in net.layer_names}
+    prev = {name: net.flat[net.slices[name]].copy() for name in net.layer_names}
 
     has_val = val_images is not None and val_labels is not None
     if has_val:
@@ -104,18 +100,17 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {b}",
                     epoch=epoch, batch=b)
-            for name in net.layer_names:
-                if name in frozen:
-                    continue
-                for pname in ("W", "b"):
-                    net.params[name][pname] = optimizer.update(
-                        (name, pname), net.params[name][pname], grads[name][pname])
+            step = net.flat_grads(grads)
+            for layer in frozen:
+                step[layer] = 0.0
+            optimizer.update(net.flat, step)
             last_grads = grads
 
+        last_flat = net.flat_grads(last_grads)  # frozen layers' real gradients too
         layer_records = {}
         for name in net.layer_names:
-            weights = _layer_values(net, name)
-            gradient = _grad_values(last_grads, name)
+            weights = net.flat[net.slices[name]].copy()
+            gradient = last_flat[net.slices[name]]
             layer_records[name] = LayerEpochRecord(
                 weight_l2=_l2(weights),
                 grad_l2=_l2(gradient),
@@ -151,28 +146,22 @@ def gradient_check(net_cfg: NetConfig, images, labels, loss: str = "bce_logit",
     labels = np.asarray(labels).ravel()
 
     _, grads, _ = net.loss_and_grads(images, labels, loss)
+    analytic = net.flat_grads(grads)
 
-    slots = []
-    for name in net.layer_names:
-        for pname in ("W", "b"):
-            arr = net.params[name][pname]
-            slots.extend((name, pname, i) for i in range(arr.size))
-    if len(slots) > n_probe:
+    probes = range(net.n_params)
+    if net.n_params > n_probe:
         rng = np.random.default_rng(probe_seed)
-        chosen = rng.choice(len(slots), size=n_probe, replace=False)
-        slots = [slots[i] for i in chosen]
+        probes = rng.choice(net.n_params, size=n_probe, replace=False)
 
     worst = 0.0
-    for name, pname, flat_idx in slots:
-        arr = net.params[name][pname]
-        original = arr.flat[flat_idx]
-        arr.flat[flat_idx] = original + h
+    for i in probes:
+        original = net.flat[i]
+        net.flat[i] = original + h
         loss_plus, _, _ = net.loss_and_grads(images, labels, loss)
-        arr.flat[flat_idx] = original - h
+        net.flat[i] = original - h
         loss_minus, _, _ = net.loss_and_grads(images, labels, loss)
-        arr.flat[flat_idx] = original
+        net.flat[i] = original
         numeric = (loss_plus - loss_minus) / (2.0 * h)
-        analytic = grads[name][pname].flat[flat_idx]
-        rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+        rel = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]) + abs(numeric))
         worst = max(worst, rel)
     return worst

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DataValidationError
 from .forest import ForestConfig, predict_proba_matrix, rank_features, train_forest
+from .jsonio import write_json
 from .metrics import FoldSplit, stratified_kfold
 from .table import FeatureTable
 
@@ -152,9 +153,7 @@ def trace_from_json(doc: dict) -> RfeTrace:
 
 
 def save_trace(tr: RfeTrace, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json(tr), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(trace_to_json(tr), path)
 
 
 def load_trace(path) -> RfeTrace:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
+from .metrics import midranks
 from .table import FeatureTable
 
 EXACT_LIMIT = 12
@@ -73,20 +74,6 @@ class IntersectionSummary:
         }
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    svals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and svals[j + 1] == svals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:
     """Share of assignments whose min-U is at most the observed min-U."""
     n = ranks.size
@@ -117,7 +104,7 @@ def mann_whitney_u(x, y) -> UTestResult:
         raise DataValidationError("both samples must be nonempty")
     n1, n2 = x.size, y.size
     combined = np.concatenate([x, y])
-    ranks = _midranks(combined)
+    ranks = midranks(combined)
     u_x = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     u_y = n1 * n2 - u_x
     u = min(u_x, u_y)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
+from .jsonio import write_json
 
 _HEADER_DTYPE = "f32le"
 
@@ -128,9 +129,7 @@ def save_volume(v: Volume, path_base) -> None:
         "dtype": _HEADER_DTYPE,
         "modality": v.modality_tag,
     }
-    with open(path_base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(header, path_base + ".json")
     with open(path_base + ".raw", "wb") as fh:
         fh.write(v.voxels.astype("<f4").tobytes())
 

@@ -339,3 +339,265 @@ def forest_predict_oracle(doc, X):
                     else tree["right"][node]
             out[i] += tree["p1"][node]
     return out / len(doc["trees"])
+
+
+# -- reference trainer: one array per parameter, one optimizer call per array --
+# The network, optimizers, training loop and gradient check below are the
+# per-parameter design the flat-buffer trainer replaced. The losses, metrics,
+# histograms and trace records they use are shared with the package.
+
+
+def _im2col_oracle(xp, k):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n, c, h, w = xp.shape
+    out_h, out_w = h - k + 1, w - k + 1
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, out_h * out_w)
+    return np.ascontiguousarray(cols)
+
+
+class NetworkOracle:
+    def __init__(self, cfg, dtype=np.float32):
+        self.cfg = cfg
+        self.dtype = np.dtype(dtype)
+        self.params = {}
+        self.layer_names = []
+        rng = np.random.default_rng(cfg.seed)
+        h, w = cfg.input_dims
+        in_c = 1
+        for i, out_c in enumerate(cfg.conv_blocks, start=1):
+            wgt = rng.normal(0.0, np.sqrt(2.0 / (in_c * 9)), size=(out_c, in_c, 3, 3))
+            self._add(f"conv{i}", wgt, np.zeros(out_c))
+            in_c = out_c
+            h, w = h // 2, w // 2
+        in_features = in_c * h * w
+        for i, width in enumerate(cfg.hidden_dense, start=1):
+            wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(width, in_features))
+            self._add(f"fc{i}", wgt, np.zeros(width))
+            in_features = width
+        wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(1, in_features))
+        self._add("fc_out", wgt, np.zeros(1))
+
+    def _add(self, name, w, b):
+        self.layer_names.append(name)
+        self.params[name] = {"W": w.astype(self.dtype), "b": b.astype(self.dtype)}
+
+    def _forward(self, x):
+        caches = []
+        out = x
+        for i in range(1, len(self.cfg.conv_blocks) + 1):
+            name = f"conv{i}"
+            wgt, b = self.params[name]["W"], self.params[name]["b"]
+            cols = _im2col_oracle(np.pad(out, ((0, 0), (0, 0), (1, 1), (1, 1))), 3)
+            n, _, hh, ww = out.shape
+            out_c = wgt.shape[0]
+            conv = np.einsum("of,nfp->nop", wgt.reshape(out_c, -1), cols) + b[None, :, None]
+            conv = conv.reshape(n, out_c, hh, ww)
+            relu_mask = conv > 0
+            act = conv * relu_mask
+            h2, w2 = hh // 2 * 2, ww // 2 * 2
+            windows = act[:, :, :h2, :w2].reshape(n, out_c, h2 // 2, 2, w2 // 2, 2)
+            windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
+                n, out_c, h2 // 2, w2 // 2, 4)
+            amax = windows.argmax(axis=-1)
+            pooled = np.take_along_axis(windows, amax[..., None], axis=-1)[..., 0]
+            caches.append({"name": name, "kind": "conv", "cols": cols,
+                           "in_shape": out.shape, "relu_mask": relu_mask,
+                           "amax": amax, "act_shape": act.shape})
+            out = pooled
+        flat_shape = out.shape
+        out = out.reshape(out.shape[0], -1)
+        caches.append({"kind": "flatten", "shape": flat_shape})
+        for i in range(1, len(self.cfg.hidden_dense) + 1):
+            name = f"fc{i}"
+            wgt, b = self.params[name]["W"], self.params[name]["b"]
+            z = out @ wgt.T + b
+            relu_mask = z > 0
+            caches.append({"name": name, "kind": "dense", "x": out, "relu_mask": relu_mask})
+            out = z * relu_mask
+        wgt, b = self.params["fc_out"]["W"], self.params["fc_out"]["b"]
+        caches.append({"name": "fc_out", "kind": "dense", "x": out, "relu_mask": None})
+        return (out @ wgt.T + b)[:, 0], caches
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=self.dtype)[:, None, :, :]
+        return self._forward(x)[0]
+
+    def _backward(self, caches, dlogits):
+        grads = {}
+        d = dlogits[:, None].astype(self.dtype)
+        for cache in reversed(caches):
+            if cache["kind"] == "dense":
+                name = cache["name"]
+                if cache["relu_mask"] is not None:
+                    d = d * cache["relu_mask"]
+                grads[name] = {"W": d.T @ cache["x"], "b": d.sum(axis=0)}
+                d = d @ self.params[name]["W"]
+            elif cache["kind"] == "flatten":
+                d = d.reshape(cache["shape"])
+            else:
+                name = cache["name"]
+                wgt = self.params[name]["W"]
+                n, out_c, hh, ww = cache["act_shape"]
+                h2, w2 = hh // 2 * 2, ww // 2 * 2
+                dwin = np.zeros((n, out_c, h2 // 2, w2 // 2, 4), dtype=self.dtype)
+                np.put_along_axis(dwin, cache["amax"][..., None], d[..., None], axis=-1)
+                dact = np.zeros(cache["act_shape"], dtype=self.dtype)
+                dact[:, :, :h2, :w2] = (
+                    dwin.reshape(n, out_c, h2 // 2, w2 // 2, 2, 2)
+                    .transpose(0, 1, 2, 4, 3, 5)
+                    .reshape(n, out_c, h2, w2)
+                )
+                dconv2d = (dact * cache["relu_mask"]).reshape(n, out_c, -1)
+                cols = cache["cols"]
+                grads[name] = {
+                    "W": np.einsum("nop,nfp->of", dconv2d, cols).reshape(wgt.shape),
+                    "b": dconv2d.sum(axis=(0, 2)),
+                }
+                dcols = np.einsum("of,nop->nfp", wgt.reshape(out_c, -1), dconv2d)
+                in_n, in_c, in_h, in_w = cache["in_shape"]
+                dxp = np.zeros((in_n, in_c, in_h + 2, in_w + 2), dtype=self.dtype)
+                dcols6 = dcols.reshape(in_n, in_c, 3, 3, in_h, in_w)
+                for di in range(3):
+                    for dj in range(3):
+                        dxp[:, :, di:di + in_h, dj:dj + in_w] += dcols6[:, :, di, dj]
+                d = dxp[:, :, 1:-1, 1:-1]
+        return grads
+
+    def loss_and_grads(self, x, y, loss_name):
+        from radlearn.nn.losses import LOSSES
+
+        x = np.asarray(x, dtype=self.dtype)[:, None, :, :]
+        y = np.asarray(y, dtype=self.dtype).ravel()
+        logits, caches = self._forward(x)
+        loss_vec, dz = LOSSES[loss_name](logits, y)
+        return float(loss_vec.mean()), self._backward(caches, dz / y.size), logits
+
+
+class AdamOracle:
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m, self._v, self._t = {}, {}, {}
+
+    def update(self, key, theta, grad):
+        m = self._m.get(key, np.zeros_like(theta))
+        v = self._v.get(key, np.zeros_like(theta))
+        t = self._t.get(key, 0) + 1
+        m = self.beta1 * m + (1.0 - self.beta1) * grad
+        v = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
+        m_hat = m / (1.0 - self.beta1 ** t)
+        v_hat = v / (1.0 - self.beta2 ** t)
+        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m[key], self._v[key], self._t[key] = m, v, t
+        return theta
+
+
+class RmsPropOracle:
+    def __init__(self, lr, decay=0.9, eps=1e-8):
+        self.lr, self.decay, self.eps = lr, decay, eps
+        self._v = {}
+
+    def update(self, key, theta, grad):
+        v = self.decay * self._v.get(key, np.zeros_like(theta)) + (1.0 - self.decay) * grad ** 2
+        self._v[key] = v
+        return theta - self.lr * grad / (np.sqrt(v) + self.eps)
+
+
+def train_oracle(images, labels, net_cfg, train_cfg, init=None, val_images=None,
+                 val_labels=None):
+    """(network, trace) from the per-parameter training loop."""
+    from radlearn.histogram import histogram_with_range
+    from radlearn.metrics import confusion, metrics
+    from radlearn.nn.losses import LOSSES
+    from radlearn.nn.trace import (
+        EpochRecord, HistogramRecord, LayerEpochRecord, MetricRecord, TrainTrace)
+
+    def values(layer):
+        return np.concatenate([layer[p].ravel() for p in ("W", "b")])
+
+    def l2(arr):
+        return float(np.sqrt(np.sum(arr.astype(np.float64) ** 2)))
+
+    def hist(arr):
+        counts, lo, hi = histogram_with_range(arr.astype(np.float64), 32)
+        return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
+
+    def metric(imgs, labs):
+        logits = net.forward(imgs)
+        loss_vec, _ = LOSSES[train_cfg.loss](logits, labs.astype(np.float64))
+        m = metrics(confusion((logits >= 0).astype(int), labs))
+        return MetricRecord(loss=float(loss_vec.mean()), accuracy=m["accuracy"],
+                            sensitivity=m["sensitivity"], specificity=m["specificity"])
+
+    images = np.asarray(images, dtype=np.float32)
+    labels = np.asarray(labels).ravel().astype(np.int64)
+    net = NetworkOracle(net_cfg, dtype=np.float32)
+    if init is not None:
+        for name in net.layer_names:
+            for pname in ("W", "b"):
+                net.params[name][pname] = init.layers[name][pname].astype(net.dtype)
+    frozen = set(train_cfg.freeze_layers)
+    opt_cls = AdamOracle if train_cfg.optimizer == "adam" else RmsPropOracle
+    optimizer = opt_cls(train_cfg.learning_rate)
+    rng = np.random.default_rng(train_cfg.seed)
+    n = labels.size
+    trace = TrainTrace(layer_names=list(net.layer_names))
+    prev = {name: values(net.params[name]) for name in net.layer_names}
+    for _ in range(train_cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, train_cfg.batch_size):
+            batch = order[start:start + train_cfg.batch_size]
+            _, grads, _ = net.loss_and_grads(images[batch], labels[batch], train_cfg.loss)
+            for name in net.layer_names:
+                if name in frozen:
+                    continue
+                for pname in ("W", "b"):
+                    net.params[name][pname] = optimizer.update(
+                        (name, pname), net.params[name][pname], grads[name][pname])
+        records = {}
+        for name in net.layer_names:
+            weights = values(net.params[name])
+            gradient = values(grads[name])
+            records[name] = LayerEpochRecord(
+                weight_l2=l2(weights), grad_l2=l2(gradient),
+                delta_l2=l2(weights - prev[name]),
+                weight_hist=hist(weights), grad_hist=hist(gradient))
+            prev[name] = weights
+        train_metrics = metric(images, labels)
+        if val_images is not None:
+            val_metrics = metric(np.asarray(val_images, dtype=np.float32),
+                                 np.asarray(val_labels).ravel().astype(np.int64))
+        else:
+            val_metrics = MetricRecord(**vars(train_metrics))
+        trace.epochs.append(EpochRecord(layers=records, train=train_metrics,
+                                        validation=val_metrics))
+    return net, trace
+
+
+def gradient_check_oracle(net_cfg, images, labels, loss="bce_logit", n_probe=200, h=1e-4,
+                          probe_seed=0):
+    """Worst relative error over (layer, parameter, index) slots, probed one by one."""
+    net = NetworkOracle(net_cfg, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
+    labels = np.asarray(labels).ravel()
+    _, grads, _ = net.loss_and_grads(images, labels, loss)
+    slots = [(name, pname, i) for name in net.layer_names for pname in ("W", "b")
+             for i in range(net.params[name][pname].size)]
+    if len(slots) > n_probe:
+        chosen = np.random.default_rng(probe_seed).choice(len(slots), size=n_probe,
+                                                           replace=False)
+        slots = [slots[i] for i in chosen]
+    worst = 0.0
+    for name, pname, i in slots:
+        arr = net.params[name][pname]
+        original = arr.flat[i]
+        arr.flat[i] = original + h
+        loss_plus, _, _ = net.loss_and_grads(images, labels, loss)
+        arr.flat[i] = original - h
+        loss_minus, _, _ = net.loss_and_grads(images, labels, loss)
+        arr.flat[i] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        analytic = grads[name][pname].flat[i]
+        worst = max(worst, abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric)))
+    return worst

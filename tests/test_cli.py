@@ -232,6 +232,11 @@ def test_non_finite_features_exit_two(tmp_path, capsys, stage):
     ("extract", {"extraction": {"n_bins": "32"}}),
     ("extract", {"extraction": {"distance": 0}}),
     ("rfe", {"rfe": {"k_folds": "5"}}),
+    ("train", {"train": {"input_dims": [8, 8], "epochs": 2.5}}),
+    ("train", {"train": {"optimizer": "sgd"}}),
+    ("filter", {"filter": {"alpha": "0.05"}}),
+    ("cluster", {"cluster": {"k": "3"}}),
+    ("diagnose", {"diagnose": {"static_rel_tol": "1e-4"}}),
 ])
 def test_bad_section_config_exits_one_with_one_line(tmp_path, capsys, stage, section):
     bad = tmp_path / "bad.json"

@@ -116,6 +116,33 @@ def test_good_forest_values_accepted():
     ({"rfe": {"k_folds": 1}}, "rfe.k_folds"),
     ({"rfe": {"rerank": 1}}, "rfe.rerank"),
     ({"train": {"input_dims": 16}}, "train.input_dims"),
+    ({"train": {"input_dims": [8]}}, "train.input_dims"),
+    ({"train": {"input_dims": [8, 0]}}, "train.input_dims"),
+    ({"train": {"input_dims": [8, 8.0]}}, "train.input_dims"),
+    ({"train": {"conv_blocks": 4}}, "train.conv_blocks"),
+    ({"train": {"conv_blocks": [4, 0]}}, "train.conv_blocks"),
+    ({"train": {"hidden_dense": [16.5]}}, "train.hidden_dense"),
+    ({"train": {"hidden_dense": [True]}}, "train.hidden_dense"),
+    ({"train": {"loss": "mse"}}, "train.loss"),
+    ({"train": {"optimizer": "sgd"}}, "train.optimizer"),
+    ({"train": {"learning_rate": -1e-3}}, "train.learning_rate"),
+    ({"train": {"learning_rate": "0.001"}}, "train.learning_rate"),
+    ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
+    ({"train": {"batch_size": 0}}, "train.batch_size"),
+    ({"train": {"epochs": 2.5}}, "train.epochs"),
+    ({"train": {"epochs": True}}, "train.epochs"),
+    ({"train": {"freeze_layers": "conv1"}}, "train.freeze_layers"),
+    ({"train": {"freeze_layers": [1]}}, "train.freeze_layers"),
+    ({"filter": {"alpha": "0.05"}}, "filter.alpha"),
+    ({"filter": {"alpha": -0.1}}, "filter.alpha"),
+    ({"filter": {"alpha": float("nan")}}, "filter.alpha"),
+    ({"cluster": {"k": "3"}}, "cluster.k"),
+    ({"cluster": {"k": 0}}, "cluster.k"),
+    ({"cluster": {"k": 2.0}}, "cluster.k"),
+    ({"diagnose": {"static_rel_tol": "1e-4"}}, "diagnose.static_rel_tol"),
+    ({"diagnose": {"flip_corr_thresh": float("-inf")}}, "diagnose.flip_corr_thresh"),
+    ({"diagnose": {"dead_epoch_quorum": None}}, "diagnose.dead_epoch_quorum"),
+    ({"diagnose": {"flip_amp_thresh": False}}, "diagnose.flip_amp_thresh"),
 ])
 def test_bad_section_values_rejected(doc, key):
     with pytest.raises(ConfigError, match=key):
@@ -129,6 +156,14 @@ def test_good_section_values_accepted():
         "extraction": {"n_bins": 1, "distance": 3, "alpha": 0},
         "rfe": {"k_folds": 2, "rerank": True},
         "seeds": {"phantom": 0, "forest": 2 ** 40},
+        "train": {"input_dims": [9, 11], "conv_blocks": [], "hidden_dense": [3, 2],
+                  "loss": "hinge", "optimizer": "rmsprop", "learning_rate": 0,
+                  "batch_size": 1, "epochs": 1, "freeze_layers": ["fc1", "fc_out"]},
+        "filter": {"alpha": 0},
+        "cluster": {"k": 1},
+        "diagnose": {"flip_corr_thresh": -1, "dead_abs_tol": 0.0},
     })
     assert cfg.phantom.dims == (8, 8, 9)
     assert (cfg.extraction.distance, cfg.rfe.rerank, cfg.seeds.forest) == (3, True, 2 ** 40)
+    assert cfg.train.input_dims == (9, 11) and cfg.train.freeze_layers == ["fc1", "fc_out"]
+    assert (cfg.filter.alpha, cfg.cluster.k, cfg.diagnose.flip_corr_thresh) == (0, 1, -1)

@@ -102,3 +102,13 @@ def test_steps_do_not_mutate_inputs():
     assert theta[0] == 1.0 and m[0] == 0.1 and v[0] == 0.2
     step_rmsprop(theta, grad, v, lr=0.01)
     assert theta[0] == 1.0 and v[0] == 0.2
+
+
+@pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf"), 1e39])
+def test_train_config_rejects_learning_rates_float32_cannot_hold(lr):
+    from radlearn.errors import ConfigError
+    from radlearn.nn import TrainConfig
+
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+    assert TrainConfig(learning_rate=3.4e38).learning_rate == 3.4e38

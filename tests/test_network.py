@@ -1,8 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from radlearn.errors import ConfigError, DataValidationError
-from radlearn.nn import NetConfig, Network, gradient_check
+from radlearn.nn import (
+    NetConfig,
+    Network,
+    TrainConfig,
+    checkpoint_from_network,
+    gradient_check,
+    train,
+)
+from radlearn.nn.checkpoint import apply_checkpoint
+
+from oracles import gradient_check_oracle
 
 
 def test_same_seed_identical_weights():
@@ -92,3 +104,61 @@ def test_astype_round_trip_preserves_values():
     back = as64.astype(np.float32)
     for name in net.layer_names:
         assert np.array_equal(net.params[name]["W"], back.params[name]["W"])
+
+
+def _views_of_flat(net):
+    return [np.shares_memory(net.params[name][p], net.flat)
+            for name in net.layer_names for p in ("W", "b")]
+
+
+def test_params_are_views_in_checkpoint_order():
+    net = Network(NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6))
+    assert all(_views_of_flat(net))
+    assert np.array_equal(net.flat, np.concatenate(
+        [net.params[name][p].ravel() for name in net.layer_names for p in ("W", "b")]))
+    assert net.n_params == net.flat.size
+
+
+def test_apply_checkpoint_writes_into_the_flat_buffer():
+    cfg = NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=1)
+    ckpt = checkpoint_from_network(Network(dataclasses.replace(cfg, seed=2)))
+    net = Network(cfg)
+    flat = net.flat
+    apply_checkpoint(net, ckpt)
+    assert net.flat is flat and all(_views_of_flat(net))
+    for name in net.layer_names:
+        for p in ("W", "b"):
+            assert np.array_equal(net.params[name][p], ckpt.layers[name][p])
+
+
+def test_train_from_checkpoint_keeps_params_as_views():
+    cfg = NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=1)
+    rng = np.random.default_rng(3)
+    images, labels = rng.normal(size=(6, 8, 8)), np.array([0, 1] * 3)
+    init = checkpoint_from_network(Network(dataclasses.replace(cfg, seed=2)))
+    net, _ = train(images, labels, cfg,
+                   TrainConfig(learning_rate=1e-2, epochs=2, freeze_layers=["fc1"]),
+                   init=init)
+    assert all(_views_of_flat(net))
+    assert np.array_equal(net.params["fc1"]["W"], init.layers["fc1"]["W"])
+    assert not np.array_equal(net.params["conv1"]["W"], init.layers["conv1"]["W"])
+
+
+def test_astype_returns_an_independent_buffer():
+    net = Network(NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=9))
+    as64 = net.astype(np.float64)
+    assert as64.flat.dtype == np.float64 and all(_views_of_flat(as64))
+    assert not np.shares_memory(as64.flat, net.flat)
+    before = net.flat.copy()
+    as64.params["fc_out"]["W"][...] = 7.0
+    assert np.array_equal(net.flat, before)
+
+
+@pytest.mark.parametrize("n_probe", [50, 10_000])
+def test_gradient_check_equals_per_slot_oracle(n_probe):
+    cfg = NetConfig(input_dims=(7, 9), conv_blocks=[2], hidden_dense=[3], seed=4)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 7, 9))
+    y = np.array([1, 0, 1])
+    assert gradient_check(cfg, x, y, n_probe=n_probe, probe_seed=5) == \
+        gradient_check_oracle(cfg, x, y, n_probe=n_probe, probe_seed=5)

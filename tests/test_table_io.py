@@ -101,3 +101,11 @@ def test_non_finite_value_rejected(tmp_path, cell):
     (tmp_path / "bad.csv").write_text(f"sample_id,label,f,g\ns0,0,1.0,2.0\ns1,1,3.0,{cell}\n")
     with pytest.raises(DataValidationError, match="non-finite value .* 'g' of sample 's1'"):
         read_feature_table(tmp_path / "bad.csv")
+
+
+def test_write_json_sorted_indented_with_trailing_newline(tmp_path):
+    from radlearn.jsonio import write_json
+
+    write_json({"b": 1, "a": [1.5, None]}, tmp_path / "x.json")
+    assert (tmp_path / "x.json").read_bytes() == \
+        b'{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'

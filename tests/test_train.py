@@ -1,5 +1,12 @@
+import dataclasses
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlearn.errors import DataValidationError, NumericFailure
 from radlearn.nn import (
@@ -12,6 +19,8 @@ from radlearn.nn import (
 )
 from radlearn.nn.trace import trace_to_json
 from radlearn.volume import PhantomSpec, generate_phantom, roi_slice_index
+
+from oracles import NetworkOracle, train_oracle
 
 
 def _phantom_images(n_per_class=20, seed=5, amplitude=2.0):
@@ -174,3 +183,56 @@ def test_fine_tune_from_checkpoint_continues_weights(tmp_path):
         stored = np.concatenate([warm.layers[name][p].ravel() for p in ("W", "b")])
         expected = float(np.sqrt(np.sum(stored.astype(np.float64) ** 2)))
         assert tr.epochs[0].layers[name].weight_l2 == pytest.approx(expected, rel=1e-7)
+
+
+@st.composite
+def _training_cases(draw):
+    dims = draw(st.sampled_from([(9, 11), (15, 15), (8, 8), (12, 7)]))
+    conv = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    dense = draw(st.lists(st.integers(1, 5), min_size=0, max_size=2))
+    net_cfg = NetConfig(input_dims=dims, conv_blocks=conv, hidden_dense=dense,
+                        seed=draw(st.integers(0, 99)))
+    freeze = draw(st.sampled_from([[], ["conv1", "fc_out"], ["fc_out"], ["fc1"]]))
+    layers = [f"conv{i}" for i in range(1, len(conv) + 1)] + \
+        [f"fc{i}" for i in range(1, len(dense) + 1)] + ["fc_out"]
+    train_cfg = TrainConfig(
+        loss=draw(st.sampled_from(["bce_logit", "hinge"])),
+        optimizer=draw(st.sampled_from(["adam", "rmsprop"])),
+        learning_rate=draw(st.sampled_from([0.0, 1e-3, 1e-2])),
+        batch_size=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 3)),
+        freeze_layers=[name for name in freeze if name in layers],
+        seed=draw(st.integers(0, 99)))
+    n = draw(st.integers(4, 9))
+    return (net_cfg, train_cfg, n, draw(st.integers(0, 2 ** 31)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_training_cases())
+def test_flat_trainer_matches_per_parameter_oracle(case):
+    net_cfg, train_cfg, n, data_seed, with_init, with_val = case
+    rng = np.random.default_rng(data_seed)
+    images = rng.normal(size=(n,) + net_cfg.input_dims)
+    labels = rng.permutation(np.arange(n) % 2)
+    init = None
+    if with_init:
+        init = checkpoint_from_network(
+            NetworkOracle(dataclasses.replace(net_cfg, seed=net_cfg.seed + 1)))
+    val = {}
+    if with_val:
+        val = {"val_images": rng.normal(size=(5,) + net_cfg.input_dims),
+               "val_labels": np.array([0, 1, 1, 0, 1])}
+
+    net, tr = train(images, labels, net_cfg, train_cfg, init=init, **val)
+    oracle, tr_oracle = train_oracle(images, labels, net_cfg, train_cfg, init=init, **val)
+
+    assert json.dumps(trace_to_json(tr)) == json.dumps(trace_to_json(tr_oracle))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(checkpoint_from_network(net), os.path.join(tmp, "new"))
+        save_checkpoint(checkpoint_from_network(oracle), os.path.join(tmp, "old"))
+        for ext in (".ckpt.json", ".ckpt.raw"):
+            with open(os.path.join(tmp, "new" + ext), "rb") as fh:
+                new = fh.read()
+            with open(os.path.join(tmp, "old" + ext), "rb") as fh:
+                old = fh.read()
+            assert new == old
