@@ -27,7 +27,7 @@ MODALITIES = {
 
 def significant_set(modality, params, alpha=0.05):
     spec = PhantomSpec(n_samples_per_class=15, dims=(12, 12, 12),
-                       noise_sigma=0.3, modality_tag=modality, **params)
+                       noise_sigma=0.3, modality=modality, **params)
     samples = generate_phantom(spec)
     vectors = [extract_all(v, m, n_bins=16) for v, m, _ in samples]
     table = from_rows([f"{modality}_{i}" for i in range(len(samples))],

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,19 +34,11 @@ from . import table as table_mod
 from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
-from .forest import ForestConfig
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .metrics import auroc, confusion, metrics, stratified_kfold
-from .nn import (
-    NetConfig,
-    TrainConfig,
-    checkpoint_from_network,
-    save_checkpoint,
-    train,
-)
+from .nn import checkpoint_from_network, save_checkpoint, train
 from .nn import trace as nn_trace
 from .volume import (
-    PhantomSpec,
     generate_phantom,
     load_mask,
     load_volume,
@@ -68,25 +59,18 @@ def _require_inputs(paths, count, usage):
 
 
 def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    spec = PhantomSpec(
-        n_samples_per_class=cfg.phantom.n_samples_per_class,
-        dims=cfg.phantom.dims,
-        texture_amplitude=cfg.phantom.texture_amplitude,
-        noise_sigma=cfg.phantom.noise_sigma,
-        seed=cfg.seeds.phantom,
-        modality_tag=cfg.phantom.modality,
-    )
+    spec = replace(cfg.phantom, seed=cfg.seeds.phantom)
     samples = generate_phantom(spec)
     rows = []
     per_class = {0: 0, 1: 0}
     for volume, mask, label in samples:
-        sample_id = f"{spec.modality_tag}_c{label}_s{per_class[label]:03d}"
+        sample_id = f"{spec.modality}_c{label}_s{per_class[label]:03d}"
         per_class[label] += 1
         base = os.path.join(out_dir, sample_id)
         save_volume(volume, base)
         save_mask(mask, base)
         # manifest paths are relative to the manifest itself
-        rows.append([sample_id, label, sample_id, spec.modality_tag])
+        rows.append([sample_id, label, sample_id, spec.modality])
     with open(os.path.join(out_dir, "manifest.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -139,21 +123,24 @@ def cmd_filter(cfg: PipelineConfig, in_paths, out_dir) -> None:
     write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
 
 
-def _forest_config(cfg: PipelineConfig) -> ForestConfig:
-    return ForestConfig(**dataclasses.asdict(cfg.forest), seed=cfg.seeds.forest)
+def _significant_names(path) -> list[str]:
+    """The features a significance.json (from ``filter``) marks significant."""
+    doc = read_json(path)
+    try:
+        return [f["name"] for f in doc.get("features", []) if f.get("significant")]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataValidationError(f"malformed significance report {path}: {exc!r}") from exc
 
 
 def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
     _require_inputs(in_paths, 1, "a features.csv (optionally + significance.json)")
     table = table_mod.read_feature_table(in_paths[0])
     if len(in_paths) > 1:
-        with open(in_paths[1], "r", encoding="utf-8") as fh:
-            sig = json.load(fh)
-        keep = [f["name"] for f in sig.get("features", []) if f.get("significant")]
+        keep = _significant_names(in_paths[1])
         if not keep:
             raise DataValidationError("significance report marks no feature significant")
         table = table.select(keep)
-    trace = rfe_mod.rfe_cv(table, _forest_config(cfg),
+    trace = rfe_mod.rfe_cv(table, replace(cfg.forest, seed=cfg.seeds.forest),
                            k_folds=cfg.rfe.k_folds, seed=cfg.seeds.rfe,
                            rerank=cfg.rfe.rerank)
     rfe_mod.save_trace(trace, os.path.join(out_dir, "rfe_trace.json"))
@@ -194,22 +181,9 @@ def cmd_train(cfg: PipelineConfig, in_paths, out_dir) -> None:
     _require_inputs(in_paths, 1, "a manifest.csv")
     entries = _read_manifest(in_paths[0])
     images, labels = _slices_from_manifest(entries)
-    net_cfg = NetConfig(
-        input_dims=cfg.train.input_dims,
-        conv_blocks=cfg.train.conv_blocks,
-        hidden_dense=cfg.train.hidden_dense,
-        seed=cfg.seeds.net,
-    )
-    train_cfg = TrainConfig(
-        loss=cfg.train.loss,
-        optimizer=cfg.train.optimizer,
-        learning_rate=cfg.train.learning_rate,
-        batch_size=cfg.train.batch_size,
-        epochs=cfg.train.epochs,
-        freeze_layers=cfg.train.freeze_layers,
-        seed=cfg.seeds.train,
-    )
-    network, trace = train(images, labels, net_cfg, train_cfg)
+    # the train section is both configs; each takes its own seed
+    network, trace = train(images, labels, replace(cfg.train, seed=cfg.seeds.net),
+                           replace(cfg.train, seed=cfg.seeds.train))
     save_checkpoint(checkpoint_from_network(network), os.path.join(out_dir, "model"))
     nn_trace.save_trace(trace, os.path.join(out_dir, "train_trace.json"))
     with open(os.path.join(out_dir, "train_metrics.csv"), "w", newline="",
@@ -232,15 +206,7 @@ def cmd_train(cfg: PipelineConfig, in_paths, out_dir) -> None:
 def cmd_diagnose(cfg: PipelineConfig, in_paths, out_dir) -> None:
     _require_inputs(in_paths, 1, "a train_trace.json")
     trace = nn_trace.load_trace(in_paths[0])
-    thresholds = diagnostics.DiagnosticThresholds(
-        static_rel_tol=cfg.diagnose.static_rel_tol,
-        dead_abs_tol=cfg.diagnose.dead_abs_tol,
-        dead_epoch_quorum=cfg.diagnose.dead_epoch_quorum,
-        flip_corr_thresh=cfg.diagnose.flip_corr_thresh,
-        flip_amp_thresh=cfg.diagnose.flip_amp_thresh,
-        static_layer_quorum=cfg.diagnose.static_layer_quorum,
-    )
-    report = diagnostics.diagnose(trace, thresholds)
+    report = diagnostics.diagnose(trace, cfg.diagnose)
     diagnostics.save_report(report, os.path.join(out_dir, "diagnosis.json"))
     # plot-ready per-epoch weight/gradient histogram series
     with open(os.path.join(out_dir, "gradient_flow.csv"), "w", newline="",
@@ -278,7 +244,7 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
         raise DataValidationError("trace features not present in the table")
 
     split = stratified_kfold(table.labels, cfg.rfe.k_folds, seed=cfg.seeds.kfold)
-    forest_cfg = _forest_config(cfg)
+    forest_cfg = replace(cfg.forest, seed=cfg.seeds.forest)
     all_scores = _metric_rows(table, *rfe_mod.cv_predictions(
         table, all_names, forest_cfg, split, cfg.seeds.forest, tag=0))
     top_scores = _metric_rows(table, *rfe_mod.cv_predictions(

@@ -13,13 +13,12 @@ node n+i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .table import FeatureTable
 
 
@@ -152,5 +151,4 @@ def save_dendrogram(dg: Dendrogram, path) -> None:
 
 
 def load_dendrogram(path) -> Dendrogram:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return dendrogram_from_json(json.load(fh))
+    return dendrogram_from_json(read_json(path))

@@ -18,11 +18,11 @@ described phenomena and are labeled as such in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, check, is_finite_real
 from .histogram import histogram
 from .jsonio import write_json
 from .nn.trace import TrainTrace
@@ -43,12 +43,18 @@ __all__ = [
 
 @dataclass
 class DiagnosticThresholds:
+    """Also the ``diagnose`` config section."""
+
     static_rel_tol: float = 1e-4
     dead_abs_tol: float = 1e-10
     dead_epoch_quorum: float = 0.9
     flip_corr_thresh: float = -0.5
     flip_amp_thresh: float = 0.3
     static_layer_quorum: float = 0.5
+
+    def __post_init__(self):
+        check("diagnose", self, [(f.name, is_finite_real, "a finite number")
+                                 for f in fields(self)])
 
 
 @dataclass

@@ -153,7 +153,7 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
 
 
 def _run_style_features(counts: np.ndarray, percentage_total: float):
-    """Shared math for GLRLM (runs) and GLSZM (zones).
+    """Shared math for GLRLM (runs), GLSZM (zones) and GLDM (dependences).
 
     counts is (n_levels, max_j); percentage_total is the denominator of the
     percentage feature (voxels*directions for runs, voxels for zones).
@@ -236,30 +236,14 @@ def ngtdm_features(m: TextureMatrix) -> FeatureVector:
     return _vector("ngtdm", NGTDM_FEATURES, values)
 
 
+# GLDM_FEATURES in order, as quantities of _run_style_features with the
+# dependence count (+1) in the role of the run length
+_GLDM_KEY_ORDER = ["short", "long", "gln", "jn", "jnn", "glv", "jv", "entropy",
+                   "lgl", "hgl", "short_lgl", "short_hgl", "long_lgl", "long_hgl"]
+
+
 def gldm_features(m: TextureMatrix) -> FeatureVector:
     _check_kind(m, "GLDM")
-    counts = m.data
-    n = float(counts.sum())
-    iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
-    # dependence j is a neighbor count starting at 0; formulas use j+1
-    dv = np.arange(1, counts.shape[1] + 1, dtype=np.float64)[None, :]
-    p = counts / n
-    mu_i = float(np.sum(iv * p))
-    mu_d = float(np.sum(dv * p))
-    values = {
-        "SmallDependenceEmphasis": float(np.sum(counts / dv ** 2) / n),
-        "LargeDependenceEmphasis": float(np.sum(counts * dv ** 2) / n),
-        "GrayLevelNonUniformity": float(np.sum(counts.sum(axis=1) ** 2) / n),
-        "DependenceNonUniformity": float(np.sum(counts.sum(axis=0) ** 2) / n),
-        "DependenceNonUniformityNormalized": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
-        "GrayLevelVariance": float(np.sum((iv - mu_i) ** 2 * p)),
-        "DependenceVariance": float(np.sum((dv - mu_d) ** 2 * p)),
-        "DependenceEntropy": _entropy_bits(p.ravel()),
-        "LowGrayLevelEmphasis": float(np.sum(counts / iv ** 2) / n),
-        "HighGrayLevelEmphasis": float(np.sum(counts * iv ** 2) / n),
-        "SmallDependenceLowGrayLevelEmphasis": float(np.sum(counts / (iv ** 2 * dv ** 2)) / n),
-        "SmallDependenceHighGrayLevelEmphasis": float(np.sum(counts * iv ** 2 / dv ** 2) / n),
-        "LargeDependenceLowGrayLevelEmphasis": float(np.sum(counts * dv ** 2 / iv ** 2) / n),
-        "LargeDependenceHighGrayLevelEmphasis": float(np.sum(counts * iv ** 2 * dv ** 2) / n),
-    }
-    return _vector("gldm", GLDM_FEATURES, [values[k] for k in GLDM_FEATURES])
+    # GLDM has no percentage feature, so its denominator is immaterial
+    stats = _run_style_features(m.data, 1.0)
+    return _vector("gldm", GLDM_FEATURES, [stats[k] for k in _GLDM_KEY_ORDER])

@@ -14,14 +14,13 @@ the elimination loop has a total order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import ConfigError, DataValidationError, check, is_count
 from .features.vector import FeatureVector
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .table import FeatureTable
 
 _MIN_GAIN = 1e-12
@@ -29,6 +28,9 @@ _MIN_GAIN = 1e-12
 
 @dataclass
 class ForestConfig:
+    """Also the ``forest`` config section, except ``seed``, which comes from
+    ``seeds.forest``."""
+
     n_trees: int = 100
     max_depth: int | None = None
     min_samples_leaf: int = 1
@@ -37,17 +39,14 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise DataValidationError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DataValidationError("max_depth must be >= 1 or None")
-        if self.min_samples_leaf < 1:
-            raise DataValidationError("min_samples_leaf must be >= 1")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split != "sqrt":
-                raise DataValidationError("features_per_split must be 'sqrt' or a count")
-        elif self.features_per_split < 1:
-            raise DataValidationError("features_per_split must be >= 1")
+        check("forest", self, [
+            ("n_trees", is_count, "an integer >= 1"),
+            ("min_samples_leaf", is_count, "an integer >= 1"),
+            ("max_depth", lambda d: d is None or is_count(d), "null or an integer >= 1"),
+            ("features_per_split", lambda f: f == "sqrt" or is_count(f),
+             "\"sqrt\" or an integer >= 1"),
+            ("bootstrap", lambda b: isinstance(b, bool), "true or false"),
+        ])
 
 
 @dataclass
@@ -298,7 +297,7 @@ def forest_from_json(doc: dict) -> ForestModel:
                 arr[t, :n_nodes[t]] = td[key]
         names = list(doc["feature_names"])
         importances = np.asarray(doc["importances"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataValidationError(f"malformed forest document: {exc}") from exc
     # a split must name a known feature and point forward to its children,
     # so every walk from the root ends at a leaf
@@ -318,5 +317,4 @@ def save_forest(mdl: ForestModel, path) -> None:
 
 
 def load_forest(path) -> ForestModel:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return forest_from_json(json.load(fh))
+    return forest_from_json(read_json(path))

@@ -7,13 +7,12 @@ training dtype is float32, so the round trip is bit-exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DataValidationError
-from ..jsonio import write_json
+from ..jsonio import read_json, write_json
 from .network import Network
 
 
@@ -72,11 +71,9 @@ def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
 
 def load_checkpoint(path_base) -> Checkpoint:
     path_base = str(path_base)
-    with open(path_base + ".ckpt.json", "r", encoding="utf-8") as fh:
-        try:
-            header = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"malformed checkpoint header: {exc}") from exc
+    header = read_json(path_base + ".ckpt.json")
+    if not isinstance(header, dict):
+        raise DataValidationError("malformed checkpoint header: not an object")
     if header.get("dtype") != "f32le":
         raise DataValidationError(f"unsupported checkpoint dtype {header.get('dtype')!r}")
     with open(path_base + ".ckpt.raw", "rb") as fh:

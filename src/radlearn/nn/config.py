@@ -1,10 +1,15 @@
-"""Network and training configuration."""
+"""Network and training configuration.
+
+Together the two classes are the ``train`` config section (see
+``radlearn.config.TrainSection``); their ``seed`` fields come from
+``seeds.net`` and ``seeds.train``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+from ..errors import check, is_count, is_count_list, is_int_tuple, is_real
 
 LOSS_NAMES = ("bce_logit", "hinge")
 OPTIMIZER_NAMES = ("adam", "rmsprop")
@@ -14,39 +19,40 @@ _FLOAT32_MAX = 3.4028234663852886e38
 @dataclass
 class NetConfig:
     """Plain conv stack: per block conv3x3(channels) -> relu -> maxpool2,
-    then dense hidden layers with relu and a single-logit output."""
+    then dense hidden layers with relu and a single-logit output. Weights
+    are He-initialized."""
 
     input_dims: tuple[int, int] = (16, 16)
     conv_blocks: list[int] = field(default_factory=lambda: [4])
     hidden_dense: list[int] = field(default_factory=lambda: [16])
     seed: int = 0
-    init_scale: str = "he"
 
     def __post_init__(self):
-        self.input_dims = tuple(int(d) for d in self.input_dims)
-        self.conv_blocks = [int(c) for c in self.conv_blocks]
-        self.hidden_dense = [int(w) for w in self.hidden_dense]
-        if len(self.input_dims) != 2 or any(d < 1 for d in self.input_dims):
-            raise ConfigError(f"input_dims must be two positive integers, got {self.input_dims}")
-        if any(c < 1 for c in self.conv_blocks):
-            raise ConfigError("conv channel counts must be positive")
-        if any(w < 1 for w in self.hidden_dense):
-            raise ConfigError("dense widths must be positive")
-        if self.init_scale != "he":
-            raise ConfigError(f"unsupported init_scale {self.init_scale!r}")
-        h, w = self.input_dims
-        for i, _ in enumerate(self.conv_blocks):
-            h, w = h // 2, w // 2
-            if h < 1 or w < 1:
-                raise ConfigError(
-                    f"input {self.input_dims} too small for {len(self.conv_blocks)} pooling stages"
-                )
+        if isinstance(self.input_dims, list):
+            self.input_dims = tuple(self.input_dims)
+        check("train", self, [
+            ("input_dims", lambda d: is_int_tuple(d, 2, 1), "2 integers >= 1"),
+            ("conv_blocks", is_count_list, "a list of integers >= 1"),
+            ("hidden_dense", is_count_list, "a list of integers >= 1"),
+            ("conv_blocks", lambda c: min(self.input_dims) >> len(c) >= 1,
+             f"short enough for input_dims {self.input_dims} (each block halves them)"),
+        ])
+
+    @property
+    def layer_names(self) -> list[str]:
+        """conv1..., fc1..., then fc_out, in checkpoint order."""
+        return ([f"conv{i}" for i in range(1, len(self.conv_blocks) + 1)]
+                + [f"fc{i}" for i in range(1, len(self.hidden_dense) + 1)]
+                + ["fc_out"])
 
 
 @dataclass
 class TrainConfig:
     loss: str = "bce_logit"
     optimizer: str = "adam"
+    # 0 is allowed on purpose: it is the canonical "all layers static"
+    # fixture for the diagnostics. It must be finite in float32, or lr * 0
+    # would move frozen layers to nan.
     learning_rate: float = 1e-4
     batch_size: int = 4
     epochs: int = 25
@@ -54,17 +60,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in LOSS_NAMES:
-            raise ConfigError(f"loss must be one of {LOSS_NAMES}, got {self.loss!r}")
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZER_NAMES}")
-        # learning_rate 0 is allowed on purpose: it is the canonical
-        # "all layers static" fixture for the diagnostics. It must be finite
-        # in float32, or lr * 0 would move frozen layers to nan.
-        if not 0 <= self.learning_rate <= _FLOAT32_MAX:
-            raise ConfigError("learning_rate must be >= 0 and finite in float32")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        self.freeze_layers = list(self.freeze_layers)
+        check("train", self, [
+            ("loss", lambda v: v in LOSS_NAMES, f"one of {list(LOSS_NAMES)}"),
+            ("optimizer", lambda v: v in OPTIMIZER_NAMES, f"one of {list(OPTIMIZER_NAMES)}"),
+            ("learning_rate", lambda v: is_real(v) and 0 <= v <= _FLOAT32_MAX,
+             "a number >= 0 that float32 can hold"),
+            ("batch_size", is_count, "an integer >= 1"),
+            ("epochs", is_count, "an integer >= 1"),
+            ("freeze_layers", lambda f: (isinstance(f, list)
+                                         and all(isinstance(n, str) for n in f)),
+             "a list of strings"),
+        ])

@@ -5,11 +5,11 @@ blocks, flatten, dense hidden layers with relu, and a single-logit dense
 output. Weights are He-initialized from the config seed. The same code runs
 in float32 (training, bit-exact checkpoints) or float64 (gradient checking).
 
-Layer names are "conv1"..., "fc1"..., and "fc_out"; each layer holds a "W"
-and a "b" array. All parameters live in one flat buffer, ``flat``, laid out
-in checkpoint order (conv1.W, conv1.b, ..., fc_out.b); ``params[name][p]``
-are reshaped views into it, so they are written with ``[...] =`` and never
-rebound.
+Layer names are ``NetConfig.layer_names``: "conv1"..., "fc1"..., and
+"fc_out"; each layer holds a "W" and a "b" array. All parameters live in one
+flat buffer, ``flat``, laid out in checkpoint order (conv1.W, conv1.b, ...,
+fc_out.b); ``params[name][p]`` are reshaped views into it, so they are
+written with ``[...] =`` and never rebound.
 """
 
 from __future__ import annotations
@@ -52,26 +52,25 @@ class Network:
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(cfg.seed)
 
-        layers = []  # (name, W, b) in checkpoint order
+        layers = []  # (W, b) in checkpoint order
         h, w = cfg.input_dims
         in_c = 1
-        for i, out_c in enumerate(cfg.conv_blocks, start=1):
+        for out_c in cfg.conv_blocks:
             fan_in = in_c * 9
             wgt = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_c, in_c, 3, 3))
-            layers.append((f"conv{i}", wgt, np.zeros(out_c)))
+            layers.append((wgt, np.zeros(out_c)))
             in_c = out_c
             h, w = h // 2, w // 2
         in_features = in_c * h * w
-        for i, width in enumerate(cfg.hidden_dense, start=1):
+        for width in cfg.hidden_dense + [1]:  # the hidden layers, then fc_out
             wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(width, in_features))
-            layers.append((f"fc{i}", wgt, np.zeros(width)))
+            layers.append((wgt, np.zeros(width)))
             in_features = width
-        wgt = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(1, in_features))
-        layers.append(("fc_out", wgt, np.zeros(1)))
 
-        self.layer_names = [name for name, _, _ in layers]
-        self._shapes = [(name, wgt.shape, b.shape) for name, wgt, b in layers]
-        flat = np.concatenate([a.ravel() for _, wgt, b in layers for a in (wgt, b)])
+        self.layer_names = cfg.layer_names
+        self._shapes = [(name, wgt.shape, b.shape)
+                        for name, (wgt, b) in zip(self.layer_names, layers)]
+        flat = np.concatenate([a.ravel() for wgt, b in layers for a in (wgt, b)])
         self._bind(flat.astype(self.dtype))
 
     def _bind(self, flat: np.ndarray) -> None:

@@ -8,13 +8,12 @@ histograms of weight and gradient values. Train and validation metric rows
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DataValidationError
-from ..jsonio import write_json
+from ..jsonio import read_json, write_json
 
 
 @dataclass
@@ -127,5 +126,4 @@ def save_trace(tr: TrainTrace, path) -> None:
 
 
 def load_trace(path) -> TrainTrace:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return trace_from_json(json.load(fh))
+    return trace_from_json(read_json(path))

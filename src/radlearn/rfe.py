@@ -15,14 +15,13 @@ Re-ranking the remaining features at every step is available behind the
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataValidationError
 from .forest import ForestConfig, predict_proba_matrix, rank_features, train_forest
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .metrics import FoldSplit, stratified_kfold
 from .table import FeatureTable
 
@@ -157,8 +156,7 @@ def save_trace(tr: RfeTrace, path) -> None:
 
 
 def load_trace(path) -> RfeTrace:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return trace_from_json(json.load(fh))
+    return trace_from_json(read_json(path))
 
 
 def write_accuracy_curve(tr: RfeTrace, path) -> None:

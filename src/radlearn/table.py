@@ -61,7 +61,11 @@ class FeatureTable:
 
     def select(self, names) -> "FeatureTable":
         names = list(names)
-        idx = [self.feature_names.index(n) for n in names]
+        column = {name: j for j, name in enumerate(self.feature_names)}
+        missing = [n for n in names if not isinstance(n, str) or n not in column]
+        if missing:
+            raise DataValidationError(f"no such feature(s) in the table: {missing}")
+        idx = [column[n] for n in names]
         return FeatureTable(sample_ids=self.sample_ids, feature_names=names,
                             values=self.values[:, idx], labels=self.labels)
 

@@ -14,15 +14,21 @@ of the toolkit studies.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError
-from .jsonio import write_json
+from .errors import (
+    DataValidationError,
+    check,
+    is_count,
+    is_int_tuple,
+    is_nonnegative_real,
+)
+from .jsonio import read_json, write_json
 
 _HEADER_DTYPE = "f32le"
+_BLOB_FRACTION = 0.35  # ellipsoid semi-axes as a fraction of the grid
 
 
 @dataclass
@@ -88,26 +94,26 @@ class RoiMask:
 
 @dataclass
 class PhantomSpec:
-    """Recipe for a paired two-class synthetic dataset."""
+    """Recipe for a paired two-class synthetic dataset; also the ``phantom``
+    config section, except ``seed``, which comes from ``seeds.phantom``."""
 
     n_samples_per_class: int = 20
     dims: tuple[int, int, int] = (16, 16, 16)
     texture_amplitude: float = 2.0
     noise_sigma: float = 0.1
     seed: int = 0
-    modality_tag: str = "SYN"
-    blob_fraction: float = field(default=0.35, repr=False)
+    modality: str = "SYN"
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if self.n_samples_per_class < 1:
-            raise DataValidationError("n_samples_per_class must be >= 1")
-        if self.texture_amplitude < 0:
-            raise DataValidationError("texture_amplitude must be >= 0")
-        if self.noise_sigma < 0:
-            raise DataValidationError("noise_sigma must be >= 0")
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise DataValidationError(f"phantom dims must be 3 positive integers, got {self.dims}")
+        if isinstance(self.dims, list):
+            self.dims = tuple(self.dims)
+        check("phantom", self, [
+            ("n_samples_per_class", is_count, "an integer >= 1"),
+            ("dims", lambda d: is_int_tuple(d, 3, 8), "3 integers >= 8"),
+            ("texture_amplitude", is_nonnegative_real, "a finite number >= 0"),
+            ("noise_sigma", is_nonnegative_real, "a finite number >= 0"),
+            ("modality", lambda m: isinstance(m, str) and m != "", "a non-empty string"),
+        ])
 
 
 def check_pair(v: Volume, m: RoiMask) -> None:
@@ -137,11 +143,7 @@ def save_volume(v: Volume, path_base) -> None:
 def load_volume(path_base) -> Volume:
     """Read a volume written by save_volume, verifying all invariants."""
     path_base = str(path_base)
-    with open(path_base + ".json", "r", encoding="utf-8") as fh:
-        try:
-            header = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"malformed volume header {path_base}.json: {exc}") from exc
+    header = read_json(path_base + ".json")
     for key in ("dims", "spacing", "dtype", "modality"):
         if key not in header:
             raise DataValidationError(f"volume header missing key {key!r}")
@@ -188,7 +190,7 @@ def roi_slice_index(m: RoiMask) -> int:
     return int(np.argmax(counts))
 
 
-def _blob_field(dims, fraction):
+def _blob_field(dims):
     """Quadratic-falloff ellipsoid centered in the grid.
 
     Returns (profile, support): profile = 1 - r^2 inside the ellipsoid,
@@ -197,7 +199,7 @@ def _blob_field(dims, fraction):
     nx, ny, nz = dims
     z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
     cx, cy, cz = (nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0
-    ax, ay, az = fraction * nx, fraction * ny, fraction * nz
+    ax, ay, az = _BLOB_FRACTION * nx, _BLOB_FRACTION * ny, _BLOB_FRACTION * nz
     r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
     support = r2 <= 1.0
     profile = np.where(support, 1.0 - r2, 0.0)
@@ -217,9 +219,7 @@ def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
     sub-seed, so at texture_amplitude 0 the two classes are voxel-identical.
     Class 1 differs only by the checkerboard term inside the ROI.
     """
-    if any(d < 8 for d in spec.dims):
-        raise DataValidationError(f"phantom dims must be >= 8 per axis, got {spec.dims}")
-    profile, support = _blob_field(spec.dims, spec.blob_fraction)
+    profile, support = _blob_field(spec.dims)
     checker = _checkerboard(spec.dims) * support
     mask = RoiMask(dims=spec.dims, bits=np.ascontiguousarray(support, dtype=np.uint8).ravel())
 
@@ -234,7 +234,7 @@ def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
             if label == 1:
                 field3d = field3d + spec.texture_amplitude * checker
             vol = Volume(dims=spec.dims, spacing=(1.0, 1.0, 1.0),
-                         modality_tag=spec.modality_tag,
+                         modality_tag=spec.modality,
                          voxels=field3d.astype(np.float32).ravel())
             out.append((vol, mask, label))
     return out

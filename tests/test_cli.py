@@ -256,3 +256,50 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("stage, doc", [
+    ("rfe", {"forest": 5}),
+    ("rfe", {"forest": None}),
+    ("phantom", {"phantom": [16, 16, 16]}),
+    ("phantom", {"train": {"freeze_layers": ["convX"]}}),
+    ("train", {"train": {"freeze_layers": ["convX"]}}),
+    ("diagnose", {"train": {"input_dims": [4, 4], "conv_blocks": [2, 2, 2]}}),
+    ("filter", {"train": {"learning_rate": 1e39}}),
+    ("phantom", {"phantom": {"seed": 3}}),
+])
+def test_config_mistakes_exit_one_on_any_stage(tmp_path, capsys, stage, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([stage, "--config", str(bad), "--in", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: config error: ") and err.count("\n") == 1
+
+
+def test_config_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"phantom": {"modality": "\xe9"}}')
+    assert main(["phantom", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1, 2]", b"null"])
+@pytest.mark.parametrize("stage", ["diagnose", "cluster", "report", "rfe"])
+def test_malformed_json_inputs_exit_two(pipeline, tmp_path, capsys, stage, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    inputs = [str(bad)] if stage == "diagnose" else [str(pipeline / "extract" / "features.csv"),
+                                                     str(bad)]
+    assert main([stage, "--in", *inputs, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
+
+
+def test_significance_naming_unknown_feature_exits_two(pipeline, tmp_path, capsys):
+    sig = tmp_path / "significance.json"
+    sig.write_text(json.dumps({"features": [{"name": "nope", "significant": True}]}))
+    assert main(["rfe", "--in", str(pipeline / "extract" / "features.csv"), str(sig),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "nope" in capsys.readouterr().err

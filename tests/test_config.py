@@ -3,7 +3,11 @@ import json
 import pytest
 
 from radlearn.config import default_config, load_config, parse_config
+from radlearn.diagnostics import DiagnosticThresholds
 from radlearn.errors import ConfigError
+from radlearn.forest import ForestConfig
+from radlearn.nn import NetConfig, TrainConfig
+from radlearn.volume import PhantomSpec
 
 
 def test_defaults_are_fixed_seeds():
@@ -167,3 +171,62 @@ def test_good_section_values_accepted():
     assert (cfg.extraction.distance, cfg.rfe.rerank, cfg.seeds.forest) == (3, True, 2 ** 40)
     assert cfg.train.input_dims == (9, 11) and cfg.train.freeze_layers == ["fc1", "fc_out"]
     assert (cfg.filter.alpha, cfg.cluster.k, cfg.diagnose.flip_corr_thresh) == (0, 1, -1)
+
+
+@pytest.mark.parametrize("section", ["phantom", "forest", "train", "diagnose", "seeds"])
+@pytest.mark.parametrize("value", [5, None, [], "x"])
+def test_non_object_section_rejected(section, value):
+    with pytest.raises(ConfigError, match=f"section '{section}' must be a JSON object"):
+        parse_config({section: value})
+
+
+@pytest.mark.parametrize("section", ["phantom", "forest", "train", "diagnose", "extraction"])
+def test_seed_key_rejected_in_sections(section):
+    with pytest.raises(ConfigError, match=f"unknown key.*'{section}'.*seed"):
+        parse_config({section: {"seed": 3}})
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"train": {"freeze_layers": ["convX"]}}, "train.freeze_layers"),
+    ({"train": {"conv_blocks": [], "freeze_layers": ["conv1"]}}, "train.freeze_layers"),
+    ({"train": {"hidden_dense": [], "freeze_layers": ["fc1"]}}, "train.freeze_layers"),
+    ({"train": {"input_dims": [4, 4], "conv_blocks": [2, 2, 2]}}, "train.conv_blocks"),
+    ({"train": {"input_dims": [9, 4], "conv_blocks": [2, 2, 2]}}, "train.conv_blocks"),
+    ({"train": {"learning_rate": 1e39}}, "train.learning_rate"),
+])
+def test_train_stage_mistakes_rejected_when_parsed(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+
+
+def test_pooling_depth_and_freeze_names_at_the_limit_accepted():
+    cfg = parse_config({"train": {"input_dims": [8, 9], "conv_blocks": [1, 1, 1],
+                                  "hidden_dense": [2, 2],
+                                  "freeze_layers": ["conv3", "fc2", "fc_out"]}})
+    assert cfg.train.layer_names == ["conv1", "conv2", "conv3", "fc1", "fc2", "fc_out"]
+
+
+def test_sections_are_the_stage_classes():
+    cfg = default_config()
+    assert type(cfg.phantom) is PhantomSpec and type(cfg.forest) is ForestConfig
+    assert type(cfg.diagnose) is DiagnosticThresholds
+    assert isinstance(cfg.train, NetConfig) and isinstance(cfg.train, TrainConfig)
+    assert cfg.phantom == PhantomSpec() and cfg.forest == ForestConfig()
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (PhantomSpec, {"noise_sigma": -1}, "phantom.noise_sigma"),
+    (ForestConfig, {"n_trees": 0}, "forest.n_trees"),
+    (NetConfig, {"hidden_dense": [0]}, "train.hidden_dense"),
+    (TrainConfig, {"epochs": 0}, "train.epochs"),
+    (DiagnosticThresholds, {"static_rel_tol": float("nan")}, "diagnose.static_rel_tol"),
+])
+def test_stage_classes_raise_config_error_from_python(cls, kwargs, key):
+    with pytest.raises(ConfigError, match=key):
+        cls(**kwargs)
+
+
+def test_load_config_not_utf8(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b'{"seeds": {"phantom": "\xff"}}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(tmp_path / "bad.json")

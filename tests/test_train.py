@@ -236,3 +236,11 @@ def test_flat_trainer_matches_per_parameter_oracle(case):
             with open(os.path.join(tmp, "old" + ext), "rb") as fh:
                 old = fh.read()
             assert new == old
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff", b"[]"])
+def test_malformed_checkpoint_header_rejected(tmp_path, header):
+    (tmp_path / "m.ckpt.json").write_bytes(header)
+    (tmp_path / "m.ckpt.raw").write_bytes(b"")
+    with pytest.raises(DataValidationError, match="malformed"):
+        load_checkpoint(tmp_path / "m")

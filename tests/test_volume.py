@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import mask_from_zyx, vol_from_values
 from oracles import glcm_counts_oracle
 
-from radlearn.errors import DataValidationError
+from radlearn.errors import ConfigError, DataValidationError
 from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import (
     PhantomSpec,
@@ -158,7 +158,7 @@ def test_phantom_mask_has_at_least_27_voxels():
 
 
 def test_phantom_small_dims_rejected():
-    with pytest.raises(DataValidationError):
+    with pytest.raises(ConfigError, match="phantom.dims"):
         generate_phantom(PhantomSpec(n_samples_per_class=1, dims=(7, 8, 8), seed=1))
 
 
