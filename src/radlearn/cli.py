@@ -34,7 +34,7 @@ from . import table as table_mod
 from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
-from .jsonio import read_json, write_json
+from .jsonio import read_csv, read_json, write_json
 from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import checkpoint_from_network, save_checkpoint, train
 from .nn import trace as nn_trace
@@ -81,17 +81,16 @@ def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
 def _read_manifest(path):
     root = os.path.dirname(os.path.abspath(str(path)))
     entries = []
-    with open(str(path), "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label", "path_base", "modality"]:
-            raise DataValidationError(f"{path}: bad manifest header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataValidationError(f"{path}:{lineno}: ragged manifest row")
-            if row[1] not in ("0", "1"):
-                raise DataValidationError(f"{path}:{lineno}: label must be 0 or 1")
-            entries.append((row[0], int(row[1]), os.path.join(root, row[2])))
+    lines = read_csv(path)
+    header = lines[0] if lines else None
+    if header != ["sample_id", "label", "path_base", "modality"]:
+        raise DataValidationError(f"{path}: bad manifest header {header}")
+    for lineno, row in enumerate(lines[1:], start=2):
+        if len(row) != 4:
+            raise DataValidationError(f"{path}:{lineno}: ragged manifest row")
+        if row[1] not in ("0", "1"):
+            raise DataValidationError(f"{path}:{lineno}: label must be 0 or 1")
+        entries.append((row[0], int(row[1]), os.path.join(root, row[2])))
     if not entries:
         raise DataValidationError(f"{path}: manifest has no samples")
     return entries

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import read_json, write_json
+from .jsonio import write_json
 from .table import FeatureTable
 
 
@@ -136,19 +136,5 @@ def dendrogram_to_json(dg: Dendrogram) -> dict:
     }
 
 
-def dendrogram_from_json(doc: dict) -> Dendrogram:
-    try:
-        return Dendrogram(
-            merges=[(m["node_a"], m["node_b"], m["height"]) for m in doc["merges"]],
-            leaf_names=list(doc["leaf_names"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataValidationError(f"malformed dendrogram document: {exc}") from exc
-
-
 def save_dendrogram(dg: Dendrogram, path) -> None:
     write_json(dendrogram_to_json(dg), path)
-
-
-def load_dendrogram(path) -> Dendrogram:
-    return dendrogram_from_json(read_json(path))

@@ -4,6 +4,9 @@ All builders share the same geometric conventions:
 
 * 13 unique 3D direction offsets at Chebyshev distance 1 (26-connectivity up
   to sign); GLCM scales them by its distance parameter.
+* one neighbor walk, ``_neighbors``, visits each direction that fits the
+  grid once; NGTDM and GLDM walk the 26-neighborhood as these 13
+  directions, each neighbor pair feeding both of its ends.
 * co-occurrence/run/zone/dependence counts are summed ("merged") over
   directions before any normalization.
 * level 0 marks out-of-mask voxels; in-mask levels are 1..n_bins.
@@ -37,8 +40,6 @@ DIRECTIONS_13 = (
     (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
 )
 
-OFFSETS_26 = DIRECTIONS_13 + tuple((-dx, -dy, -dz) for dx, dy, dz in DIRECTIONS_13)
-
 
 @dataclass
 class TextureMatrix:
@@ -53,20 +54,26 @@ def _axis_slices(n: int, d: int):
     return slice(-d, n), slice(0, n + d)
 
 
-def _shift_slices(shape, offset):
-    """(src, dst) index tuples such that dst = src + offset, both in-grid.
+def _neighbors(lvl: np.ndarray, directions=DIRECTIONS_13, distance: int = 1):
+    """(src, dst, stride) for each (dx, dy, dz) direction that fits the
+    (nz, ny, nx) grid: index tuples with dst = src + distance * direction,
+    both in-grid, and the flat index offset from src to dst."""
+    nz, ny, nx = lvl.shape
+    for dx, dy, dz in directions:
+        dx, dy, dz = dx * distance, dy * distance, dz * distance
+        if abs(dx) >= nx or abs(dy) >= ny or abs(dz) >= nz:
+            continue
+        sz, tz = _axis_slices(nz, dz)
+        sy, ty = _axis_slices(ny, dy)
+        sx, tx = _axis_slices(nx, dx)
+        yield (sz, sy, sx), (tz, ty, tx), dz * ny * nx + dy * nx + dx
 
-    shape is (nz, ny, nx); offset is (dx, dy, dz). Returns None when the
-    offset exceeds the grid extent.
-    """
-    nz, ny, nx = shape
-    dx, dy, dz = offset
-    if abs(dx) >= nx or abs(dy) >= ny or abs(dz) >= nz:
-        return None
-    sz, tz = _axis_slices(nz, dz)
-    sy, ty = _axis_slices(ny, dy)
-    sx, tx = _axis_slices(nx, dx)
-    return (sz, sy, sx), (tz, ty, tx)
+
+def _same_level(lvl: np.ndarray, src, dst) -> np.ndarray:
+    """Grid mask of the in-mask voxels whose src -> dst neighbor has their level."""
+    same = np.zeros(lvl.shape, dtype=bool)
+    same[src] = (lvl[src] > 0) & (lvl[src] == lvl[dst])
+    return same
 
 
 def _require_mask(q: QuantizedVolume, minimum: int = 1) -> None:
@@ -84,11 +91,7 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
     nb = q.n_bins
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
     counts = np.zeros((nb, nb), dtype=np.float64)
-    for dx, dy, dz in dirs:
-        sl = _shift_slices(lvl.shape, (dx * distance, dy * distance, dz * distance))
-        if sl is None:
-            continue
-        src, dst = sl
+    for src, dst, _ in _neighbors(lvl, dirs, distance):
         a = lvl[src].ravel()
         b = lvl[dst].ravel()
         valid = (a > 0) & (b > 0)
@@ -108,29 +111,17 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     _require_mask(q, 1)
     lvl = q.as_zyx()
     nb = q.n_bins
-    nz, ny, nx = lvl.shape
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
-    max_len = max(nz, ny, nx)
-    matrix = np.zeros((nb, max_len), dtype=np.float64)
+    matrix = np.zeros((nb, max(lvl.shape)), dtype=np.float64)
     flat = lvl.ravel()
-    mask = flat > 0
-    for dx, dy, dz in dirs:
-        sl = _shift_slices(lvl.shape, (dx, dy, dz))
-        if sl is None:
-            # direction longer than the grid: every in-mask voxel is a run of 1
-            matrix[:, 0] += np.bincount(flat[mask] - 1, minlength=nb)
-            continue
-        src, dst = sl
+    walked = 0
+    for src, dst, stride in _neighbors(lvl, dirs):
+        walked += 1
         # cont[p] = run continues from p to p+d
-        cont = np.zeros(lvl.shape, dtype=bool)
-        a = lvl[src]
-        b = lvl[dst]
-        cont[src] = (a > 0) & (a == b)
+        cont = _same_level(lvl, src, dst)
         # run starts where no same-level in-mask predecessor feeds into p
-        cont_prev = np.zeros(lvl.shape, dtype=bool)
-        cont_prev[dst] = cont[src]
-        run_start = (lvl > 0) & ~cont_prev
-        stride = dz * (ny * nx) + dy * nx + dx
+        run_start = lvl > 0
+        run_start[dst] &= ~cont[src]
         cont_flat = cont.ravel()
         pos = np.flatnonzero(run_start.ravel())
         length = 1
@@ -141,23 +132,11 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
                 matrix[:, length - 1] += np.bincount(flat[done] - 1, minlength=nb)
             pos = pos[advancing] + stride
             length += 1
+    if walked < len(dirs):
+        # each direction longer than the grid makes every in-mask voxel a run of 1
+        matrix[:, 0] += (len(dirs) - walked) * np.bincount(flat[flat > 0] - 1, minlength=nb)
     last = int(np.max(np.nonzero(matrix.any(axis=0))[0])) if matrix.any() else 0
     return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)
-
-
-def _equal_level_edges(lvl: np.ndarray):
-    """Flat index pairs (u, v) of equal-level in-mask neighbors, one direction
-    of DIRECTIONS_13 at a time, so that no full edge list is ever held."""
-    nz, ny, nx = lvl.shape
-    for dx, dy, dz in DIRECTIONS_13:
-        sl = _shift_slices(lvl.shape, (dx, dy, dz))
-        if sl is None:
-            continue
-        src, dst = sl
-        same = np.zeros(lvl.shape, dtype=bool)
-        same[src] = (lvl[src] > 0) & (lvl[src] == lvl[dst])
-        u = np.flatnonzero(same)
-        yield u, u + (dz * ny * nx + dy * nx + dx)
 
 
 def _compress(root: np.ndarray) -> np.ndarray:
@@ -176,15 +155,20 @@ def _zone_roots(lvl: np.ndarray) -> np.ndarray:
     hooked to the smallest such root, then pointers are compressed; rounds
     repeat until no edge joins two roots. In the first round every voxel is a
     root, so its edges are hooked one direction at a time; only the edges
-    that still join two roots after it are kept for the later rounds.
-    Out-of-mask voxels stay their own roots.
+    that still join two roots after it are kept for the later rounds. Each
+    direction's equal-level mask is built once and kept as a mask, not as
+    index arrays. Out-of-mask voxels stay their own roots.
     """
+    same = [(_same_level(lvl, src, dst), stride) for src, dst, stride in _neighbors(lvl)]
     root = np.arange(lvl.size)
-    for u, v in _equal_level_edges(lvl):
-        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
+    for edge, stride in same:
+        u = np.flatnonzero(edge)  # hook the larger end of each edge to the smaller
+        np.minimum.at(root, u + max(stride, 0), u + min(stride, 0))
     root = _compress(root)
     edges = [np.zeros((2, 0), dtype=np.intp)]
-    for u, v in _equal_level_edges(lvl):
+    for edge, stride in same:
+        u = np.flatnonzero(edge)
+        v = u + stride
         joins = root[u] != root[v]
         edges.append(np.stack([u[joins], v[joins]]))
     u, v = np.concatenate(edges, axis=1)
@@ -224,18 +208,17 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
     mask = lvl > 0
     nsum = np.zeros(lvl.shape, dtype=np.float64)
     ncnt = np.zeros(lvl.shape, dtype=np.int64)
-    for offset in OFFSETS_26:
-        sl = _shift_slices(lvl.shape, offset)
-        if sl is None:
-            continue
-        src, dst = sl
-        nsum[src] += lvl[dst]  # out-of-mask levels are 0, so masking is implicit
+    for src, dst, _ in _neighbors(lvl):
+        # out-of-mask levels are 0, so masking is implicit; each pair feeds
+        # both ends, and sums of at most 26 integer levels are exact
+        nsum[src] += lvl[dst]
+        nsum[dst] += lvl[src]
         ncnt[src] += mask[dst]
+        ncnt[dst] += mask[src]
     has_nb = mask & (ncnt > 0)
     deviation = np.zeros(lvl.shape, dtype=np.float64)
     deviation[has_nb] = np.abs(lvl[has_nb] - nsum[has_nb] / ncnt[has_nb])
-    levels_in = q.as_zyx()[mask] - 1
-    n_i = np.bincount(levels_in, minlength=nb).astype(np.float64)
+    n_i = np.bincount(q.as_zyx()[mask] - 1, minlength=nb).astype(np.float64)
     s_i = np.bincount(q.as_zyx()[has_nb] - 1, weights=deviation[has_nb], minlength=nb)
     p_i = n_i / n_i.sum()
     return TextureMatrix(kind="NGTDM", data=np.column_stack([n_i, p_i, s_i]), n_levels=nb)
@@ -250,13 +233,10 @@ def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
     nb = q.n_bins
     mask = lvl > 0
     dep = np.zeros(lvl.shape, dtype=np.int64)
-    for offset in OFFSETS_26:
-        sl = _shift_slices(lvl.shape, offset)
-        if sl is None:
-            continue
-        src, dst = sl
+    for src, dst, _ in _neighbors(lvl):
         ok = mask[src] & mask[dst] & (np.abs(lvl[src].astype(np.int64) - lvl[dst]) <= alpha)
         dep[src] += ok
+        dep[dst] += ok
     matrix = np.zeros((nb, 27), dtype=np.float64)
     np.add.at(matrix, (lvl[mask] - 1, dep[mask]), 1.0)
     return TextureMatrix(kind="GLDM", data=matrix, n_levels=nb)

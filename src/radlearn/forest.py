@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataValidationError, check, is_count
+from .errors import DataValidationError, check, is_count
 from .features.vector import FeatureVector
-from .jsonio import read_json, write_json
 from .table import FeatureTable
 
 _MIN_GAIN = 1e-12
@@ -63,18 +62,6 @@ class ForestModel:
     n_nodes: np.ndarray  # (n_trees,)
     importances: np.ndarray  # per feature, sums to 1 unless no split anywhere
     config: ForestConfig
-
-
-def _leaf_nodes(n_trees: int, width: int) -> dict[str, np.ndarray]:
-    """The node arrays of ``ForestModel`` for n_trees trees of up to width
-    nodes, every node still a leaf with p1 = 0."""
-    return {
-        "feature": np.full((n_trees, width), -1, dtype=np.int64),
-        "threshold": np.zeros((n_trees, width)),
-        "left": np.full((n_trees, width), -1, dtype=np.int64),
-        "right": np.full((n_trees, width), -1, dtype=np.int64),
-        "p1": np.zeros((n_trees, width)),
-    }
 
 
 def gini_impurity(counts) -> float:
@@ -145,9 +132,11 @@ def _grow_forest(X, y, boot, rngs, cfg: ForestConfig):
     else:
         m = min(int(cfg.features_per_split), n_features)
     yb = y[boot]
-    # leaves hold >= 1 row, so a tree has <= 2n - 1 nodes
-    nodes = _leaf_nodes(n_trees, 2 * n - 1)
-    feature, threshold, left, right, p1 = nodes.values()
+    # leaves hold >= 1 row, so a tree has <= 2n - 1 nodes, each a leaf until split
+    shape = (n_trees, 2 * n - 1)
+    feature, left, right = (np.full(shape, -1, dtype=np.int64) for _ in range(3))
+    threshold, p1 = np.zeros(shape), np.zeros(shape)
+    nodes = dict(feature=feature, threshold=threshold, left=left, right=right, p1=p1)
     acc = np.zeros((n_trees, n_features))  # per-tree impurity decrease
 
     slot = np.zeros((n_trees, n), dtype=np.int64)
@@ -281,40 +270,3 @@ def forest_to_json(mdl: ForestModel) -> dict:
             for t, k in enumerate(mdl.n_nodes.tolist())
         ],
     }
-
-
-def forest_from_json(doc: dict) -> ForestModel:
-    try:
-        cfg = ForestConfig(**doc["config"])
-        trees = doc["trees"]
-        n_nodes = np.array([len(td["feature"]) for td in trees], dtype=np.int64)
-        if n_nodes.size == 0 or n_nodes.min() < 1:
-            raise DataValidationError("malformed forest document: empty forest or tree")
-        width = int(n_nodes.max())
-        arrays = _leaf_nodes(n_nodes.size, width)
-        for t, td in enumerate(trees):
-            for key, arr in arrays.items():
-                arr[t, :n_nodes[t]] = td[key]
-        names = list(doc["feature_names"])
-        importances = np.asarray(doc["importances"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataValidationError(f"malformed forest document: {exc}") from exc
-    # a split must name a known feature and point forward to its children,
-    # so every walk from the root ends at a leaf
-    inner = arrays["feature"] >= 0
-    for key in ("left", "right"):
-        child = arrays[key]
-        if (inner & ((child <= np.arange(width)) | (child >= n_nodes[:, None]))).any():
-            raise DataValidationError(f"malformed forest document: bad {key} child id")
-    if (arrays["feature"] >= len(names)).any():
-        raise DataValidationError("malformed forest document: split on an unknown feature")
-    return ForestModel(feature_names=names, **arrays, n_nodes=n_nodes,
-                       importances=importances, config=cfg)
-
-
-def save_forest(mdl: ForestModel, path) -> None:
-    write_json(forest_to_json(mdl), path)
-
-
-def load_forest(path) -> ForestModel:
-    return forest_from_json(read_json(path))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
+from .jsonio import read_csv
 
 
 @dataclass
@@ -97,31 +98,29 @@ def write_feature_table(t: FeatureTable, path) -> None:
 
 
 def read_feature_table(path) -> FeatureTable:
-    with open(str(path), "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines = read_csv(path)
+    if not lines:
+        raise DataValidationError(f"{path}: empty feature table")
+    header = lines[0]
+    if header[:2] != ["sample_id", "label"]:
+        raise DataValidationError(f"{path}: header must start with sample_id,label")
+    names = header[2:]
+    if len(set(names)) != len(names):
+        raise DataValidationError(f"{path}: duplicate feature column names")
+    ids: list[str] = []
+    labels: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if len(row) != len(header):
+            raise DataValidationError(f"{path}:{lineno}: ragged row")
+        ids.append(row[0])
+        if row[1] not in ("0", "1"):
+            raise DataValidationError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+        labels.append(int(row[1]))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty feature table") from None
-        if header[:2] != ["sample_id", "label"]:
-            raise DataValidationError(f"{path}: header must start with sample_id,label")
-        names = header[2:]
-        if len(set(names)) != len(names):
-            raise DataValidationError(f"{path}: duplicate feature column names")
-        ids: list[str] = []
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataValidationError(f"{path}:{lineno}: ragged row")
-            ids.append(row[0])
-            if row[1] not in ("0", "1"):
-                raise DataValidationError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
-            labels.append(int(row[1]))
-            try:
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise DataValidationError(f"{path}: table has no rows")
     return FeatureTable(sample_ids=ids, feature_names=names,

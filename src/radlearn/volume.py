@@ -14,6 +14,7 @@ of the toolkit studies.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     is_count,
     is_int_tuple,
     is_nonnegative_real,
+    is_real,
 )
 from .jsonio import read_json, write_json
 
@@ -144,14 +146,22 @@ def load_volume(path_base) -> Volume:
     """Read a volume written by save_volume, verifying all invariants."""
     path_base = str(path_base)
     header = read_json(path_base + ".json")
+    if not isinstance(header, dict):
+        raise DataValidationError(f"volume header must be a JSON object, got {header!r}")
     for key in ("dims", "spacing", "dtype", "modality"):
         if key not in header:
             raise DataValidationError(f"volume header missing key {key!r}")
     if header["dtype"] != _HEADER_DTYPE:
         raise DataValidationError(f"unsupported dtype {header['dtype']!r}")
-    dims = header["dims"]
-    if len(dims) != 3 or any(not isinstance(d, int) or d < 1 for d in dims):
-        raise DataValidationError(f"header dims must be 3 positive integers, got {dims}")
+    dims, spacing, modality = header["dims"], header["spacing"], header["modality"]
+    if not (isinstance(dims, list) and is_int_tuple(tuple(dims), 3, 1)):
+        raise DataValidationError(f"header dims must be 3 positive integers, got {dims!r}")
+    # the upper bound keeps out integers too large for a float, as well as inf and nan
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(is_real(s) and 0 < s <= sys.float_info.max for s in spacing)):
+        raise DataValidationError(f"header spacing must be 3 finite reals > 0, got {spacing!r}")
+    if not isinstance(modality, str):
+        raise DataValidationError(f"header modality must be a string, got {modality!r}")
     n = dims[0] * dims[1] * dims[2]
     with open(path_base + ".raw", "rb") as fh:
         blob = fh.read()
@@ -160,8 +170,7 @@ def load_volume(path_base) -> Volume:
             f"raw file length {len(blob)} bytes does not match dims {dims} (expected {4 * n})"
         )
     voxels = np.frombuffer(blob, dtype="<f4").copy()
-    return Volume(dims=tuple(dims), spacing=tuple(header["spacing"]),
-                  modality_tag=header["modality"], voxels=voxels)
+    return Volume(dims=tuple(dims), spacing=tuple(spacing), modality_tag=modality, voxels=voxels)
 
 
 def save_mask(m: RoiMask, path_base) -> None:

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -303,3 +304,29 @@ def test_significance_naming_unknown_feature_exits_two(pipeline, tmp_path, capsy
     assert main(["rfe", "--in", str(pipeline / "extract" / "features.csv"), str(sig),
                  "--out", str(tmp_path / "o")]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, name", [("filter", "extract/features.csv"),
+                                         ("extract", "phantom/manifest.csv")])
+def test_csv_not_utf8_exits_two(pipeline, tmp_path, capsys, stage, name):
+    bad = tmp_path / os.path.basename(name)
+    bad.write_bytes((pipeline / name).read_bytes().replace(b"_s000", b"_s\xff00", 1))
+    assert main([stage, "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: ") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", [5, {"spacing": "abc"}, {"dims": 16}])
+def test_malformed_volume_header_exits_two(pipeline, tmp_path, capsys, header):
+    phantom = tmp_path / "phantom"
+    shutil.copytree(pipeline / "phantom", phantom)
+    base = (phantom / "manifest.csv").read_text().splitlines()[1].split(",")[2]
+    path = phantom / (base + ".json")
+    if isinstance(header, dict):
+        header = {**json.loads(path.read_text()), **header}
+    path.write_text(json.dumps(header))
+    assert main(["extract", "--in", str(phantom / "manifest.csv"),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: ") and err.count("\n") == 1

@@ -9,7 +9,6 @@ from radlearn.cluster import (
     agglomerate,
     correlation_distance_matrix,
     cut,
-    dendrogram_from_json,
     dendrogram_to_json,
 )
 from radlearn.errors import DataValidationError
@@ -154,14 +153,6 @@ def test_planted_pairs_recovered():
     clusters = cut(dg, 3)
     assert sorted(map(tuple, clusters)) == [
         ("p0_a", "p0_b"), ("p1_a", "p1_b"), ("p2_a", "p2_b")]
-
-
-def test_dendrogram_json_round_trip():
-    d = np.array([[0.0, 0.2], [0.2, 0.0]])
-    dg = agglomerate(d, ["u", "v"])
-    back = dendrogram_from_json(dendrogram_to_json(dg))
-    assert back.merges == dg.merges
-    assert back.leaf_names == dg.leaf_names
 
 
 def test_asymmetric_matrix_rejected():

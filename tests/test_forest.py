@@ -9,7 +9,6 @@ from radlearn.errors import DataValidationError
 from radlearn.features.vector import FeatureVector
 from radlearn.forest import (
     ForestConfig,
-    forest_from_json,
     forest_to_json,
     gini_impurity,
     predict_proba,
@@ -178,39 +177,6 @@ def test_max_depth_and_min_leaf_respected():
 
     for tree in range(chunky.config.n_trees):
         assert all(c >= 10 for c in leaf_sizes(chunky, tree, t.values))
-
-
-def test_json_round_trip_preserves_predictions(tmp_path):
-    t = _separable_table(seed=5)
-    mdl = train_forest(t, ForestConfig(n_trees=8, seed=5))
-    doc = forest_to_json(mdl)
-    back = forest_from_json(doc)
-    probe = np.linspace(-2, 2, 11)[:, None]
-    assert np.array_equal(predict_proba_matrix(mdl, probe), predict_proba_matrix(back, probe))
-    assert np.array_equal(back.importances, mdl.importances)
-
-
-def test_forest_file_round_trip(tmp_path):
-    from radlearn.forest import load_forest, save_forest
-
-    t = _separable_table(seed=9)
-    mdl = train_forest(t, ForestConfig(n_trees=4, seed=9))
-    save_forest(mdl, tmp_path / "forest.json")
-    back = load_forest(tmp_path / "forest.json")
-    probe = np.linspace(-1, 1, 7)[:, None]
-    assert np.array_equal(predict_proba_matrix(mdl, probe),
-                          predict_proba_matrix(back, probe))
-
-
-def test_malformed_forest_document_rejected():
-    doc = forest_to_json(train_forest(_separable_table(seed=1), ForestConfig(n_trees=2, seed=1)))
-    tree = doc["trees"][0]
-    tree["left"][0] = 0  # a split pointing back at itself would never reach a leaf
-    with pytest.raises(DataValidationError, match="left child"):
-        forest_from_json(doc)
-    doc["trees"] = []
-    with pytest.raises(DataValidationError, match="empty"):
-        forest_from_json(doc)
 
 
 @st.composite

@@ -71,6 +71,13 @@ def test_non_numeric_value_rejected(tmp_path):
         read_feature_table(tmp_path / "bad.csv")
 
 
+def test_field_beyond_csv_limit_rejected(tmp_path):
+    # the csv module refuses fields longer than its field size limit
+    (tmp_path / "bad.csv").write_text("sample_id,label,f\n" + "s" * 200_000 + ",0,1.0\n")
+    with pytest.raises(DataValidationError, match="not valid CSV"):
+        read_feature_table(tmp_path / "bad.csv")
+
+
 def test_from_rows_requires_matching_names():
     v1 = FeatureVector(names=["a"], values=np.array([1.0]))
     v2 = FeatureVector(names=["b"], values=np.array([2.0]))

@@ -75,6 +75,23 @@ def test_zero_dim_header_rejected(tmp_path):
         load_volume(tmp_path / "v")
 
 
+@pytest.mark.parametrize("header, match", [
+    (5, "JSON object"),
+    ({"spacing": "abc"}, "spacing"),
+    ({"spacing": [1.0, 1.0, 0.0]}, "spacing"),
+    ({"dims": 16}, "dims"),
+    ({"dims": [2, 2, True]}, "dims"),
+    ({"modality": 3}, "modality"),
+])
+def test_malformed_header_fields_rejected(tmp_path, header, match):
+    save_volume(vol_from_values([1, 2, 3, 4], dims=(2, 2, 1)), tmp_path / "v")
+    if isinstance(header, dict):
+        header = {**json.loads((tmp_path / "v.json").read_text()), **header}
+    (tmp_path / "v.json").write_text(json.dumps(header))
+    with pytest.raises(DataValidationError, match=match):
+        load_volume(tmp_path / "v")
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_volume(tmp_path / "nothing")
