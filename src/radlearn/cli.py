@@ -19,7 +19,7 @@ Stages and their artifacts:
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import os
 import sys
 from dataclasses import replace
@@ -34,7 +34,7 @@ from . import table as table_mod
 from .config import PipelineConfig, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
-from .jsonio import read_csv, read_json, write_json
+from .jsonio import read_csv, read_json, write_csv, write_json
 from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import checkpoint_from_network, save_checkpoint, train
 from .nn import trace as nn_trace
@@ -61,7 +61,7 @@ def _require_inputs(paths, count, usage):
 def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
     spec = replace(cfg.phantom, seed=cfg.seeds.phantom)
     samples = generate_phantom(spec)
-    rows = []
+    rows = [["sample_id", "label", "path_base", "modality"]]
     per_class = {0: 0, 1: 0}
     for volume, mask, label in samples:
         sample_id = f"{spec.modality}_c{label}_s{per_class[label]:03d}"
@@ -71,11 +71,7 @@ def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
         save_mask(mask, base)
         # manifest paths are relative to the manifest itself
         rows.append([sample_id, label, sample_id, spec.modality])
-    with open(os.path.join(out_dir, "manifest.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label", "path_base", "modality"])
-        writer.writerows(rows)
+    write_csv(os.path.join(out_dir, "manifest.csv"), rows)
 
 
 def _read_manifest(path):
@@ -152,13 +148,12 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
     if len(in_paths) > 1:
         trace = rfe_mod.load_trace(in_paths[1])
         names, _ = rfe_mod.select_best(trace)
-        names = list(names)
         if len(names) < 2:
             raise DataValidationError(
                 f"best subset has {len(names)} feature(s); clustering needs >= 2")
     else:
         names = list(table.feature_names)
-    distances = cluster_mod.correlation_distance_matrix(table, names)
+    distances = cluster_mod.correlation_distance_matrix(table.select(names), names)
     dendrogram = cluster_mod.agglomerate(distances, names)
     cluster_mod.save_dendrogram(dendrogram, os.path.join(out_dir, "dendrogram.json"))
     clusters = cluster_mod.cut(dendrogram, min(cfg.cluster.k, len(names)))
@@ -185,21 +180,11 @@ def cmd_train(cfg: PipelineConfig, in_paths, out_dir) -> None:
                            replace(cfg.train, seed=cfg.seeds.train))
     save_checkpoint(checkpoint_from_network(network), os.path.join(out_dir, "model"))
     nn_trace.save_trace(trace, os.path.join(out_dir, "train_trace.json"))
-    with open(os.path.join(out_dir, "train_metrics.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch",
-                         "train_loss", "train_accuracy", "train_sensitivity",
-                         "train_specificity",
-                         "val_loss", "val_accuracy", "val_sensitivity",
-                         "val_specificity"])
-        for i, epoch in enumerate(trace.epochs):
-            writer.writerow(
-                [i]
-                + [repr(getattr(epoch.train, a)) for a in
-                   ("loss", "accuracy", "sensitivity", "specificity")]
-                + [repr(getattr(epoch.validation, a)) for a in
-                   ("loss", "accuracy", "sensitivity", "specificity")])
+    cols = ("loss", "accuracy", "sensitivity", "specificity")
+    write_csv(os.path.join(out_dir, "train_metrics.csv"),
+              [["epoch", *("train_" + c for c in cols), *("val_" + c for c in cols)]]
+              + [[i, *(repr(getattr(m, c)) for m in (e.train, e.validation) for c in cols)]
+                 for i, e in enumerate(trace.epochs)])
 
 
 def cmd_diagnose(cfg: PipelineConfig, in_paths, out_dir) -> None:
@@ -208,18 +193,13 @@ def cmd_diagnose(cfg: PipelineConfig, in_paths, out_dir) -> None:
     report = diagnostics.diagnose(trace, cfg.diagnose)
     diagnostics.save_report(report, os.path.join(out_dir, "diagnosis.json"))
     # plot-ready per-epoch weight/gradient histogram series
-    with open(os.path.join(out_dir, "gradient_flow.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "layer", "kind", "bin", "count", "lo", "hi"])
-        for e, epoch in enumerate(trace.epochs):
-            for layer in trace.layer_names:
-                rec = epoch.layers[layer]
-                for kind, hist in (("weight", rec.weight_hist),
-                                   ("gradient", rec.grad_hist)):
-                    for b, count in enumerate(hist.counts):
-                        writer.writerow([e, layer, kind, b, count,
-                                         repr(hist.lo), repr(hist.hi)])
+    write_csv(os.path.join(out_dir, "gradient_flow.csv"), itertools.chain(
+        [["epoch", "layer", "kind", "bin", "count", "lo", "hi"]],
+        ([e, layer, kind, b, count, repr(hist.lo), repr(hist.hi)]
+         for e, epoch in enumerate(trace.epochs) for layer in trace.layer_names
+         for kind, hist in (("weight", epoch.layers[layer].weight_hist),
+                            ("gradient", epoch.layers[layer].grad_hist))
+         for b, count in enumerate(hist.counts))))
 
 
 def _metric_rows(table, probas, preds) -> dict[str, float]:
@@ -256,12 +236,9 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
                          "rfe_cv_accuracy": top_cv_accuracy},
     }
     write_json(doc, os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "report.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "all_features", "top_features"])
-        for row in REPORT_ROWS:
-            writer.writerow([row, repr(all_scores[row]), repr(top_scores[row])])
+    write_csv(os.path.join(out_dir, "report.csv"),
+              [["metric", "all_features", "top_features"]]
+              + [[row, repr(all_scores[row]), repr(top_scores[row])] for row in REPORT_ROWS])
 
 
 _COMMANDS = {

@@ -18,7 +18,7 @@ described phenomena and are labeled as such in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -92,8 +92,8 @@ def pearson(a, b) -> float:
 def detect_static_layers(tr: TrainTrace, rel_tol: float = 1e-4) -> dict[str, bool]:
     """Layer is static when every epoch's weight delta is negligible
     relative to the weight norm."""
-    if tr.n_epochs < 2:
-        raise DataValidationError("static-layer detection needs at least 2 epochs")
+    if tr.n_epochs < 2 or not tr.layer_names:
+        raise DataValidationError("static-layer detection needs at least 2 epochs and a layer")
     flags = {}
     for name in tr.layer_names:
         deltas = tr.series(name, "delta_l2")
@@ -174,24 +174,8 @@ def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None,
 
 
 def report_to_json(report: DiagnosisReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "class_flipping": report.class_flipping,
-        "sens_spec_correlation": report.sens_spec_correlation,
-        "layers": [
-            {
-                "layer": ld.layer,
-                "static_weights": ld.static_weights,
-                "dead_gradient": ld.dead_gradient,
-                "mean_delta_l2": ld.mean_delta_l2,
-                "mean_grad_l2": ld.mean_grad_l2,
-            }
-            for ld in report.layers
-        ],
-        "thresholds": vars(report.thresholds).copy(),
-        "note": "detector thresholds are one formalization of qualitative "
-                "training pathologies; tune via the diagnose config section",
-    }
+    return {**asdict(report), "note": "detector thresholds are one formalization of qualitative "
+            "training pathologies; tune via the diagnose config section"}
 
 
 def save_report(report: DiagnosisReport, path) -> None:

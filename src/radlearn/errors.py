@@ -8,6 +8,8 @@ so a bad value raises the same ``section.key must be ...`` ConfigError whether
 it came from a config file or from a Python caller.
 """
 
+import sys
+
 
 class RadlearnError(Exception):
     """Base class for all package errors."""
@@ -40,8 +42,9 @@ def is_count(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """An int or float, not a bool; may still be inf or nan."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int (not a bool) within float range; may be inf or nan."""
+    return isinstance(value, float) or (is_int(value, -sys.float_info.max)
+                                        and value <= sys.float_info.max)
 
 
 def is_nonnegative_real(value) -> bool:

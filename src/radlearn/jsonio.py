@@ -1,21 +1,46 @@
-"""The one JSON writer behind every JSON artifact, the one JSON reader and
-the one CSV reader.
+"""The one JSON writer, JSON reader, typed JSON decoder, CSV reader and CSV writer.
 
-Keys are sorted, the indent is two spaces and the file ends in a newline, so
-a rerun on the same inputs writes the same bytes.
+``write_json`` sorts keys and indents by two spaces, so a rerun writes the same
+bytes; it writes dataclasses as objects and tuples as arrays. ``from_json``
+turns a parsed document into a dataclass, checking every key and value on the
+way, or raises one ``DataValidationError("malformed <what>: <path> ...")``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import typing
+from dataclasses import fields, is_dataclass
 
-from .errors import DataValidationError
+from .errors import DataValidationError, is_real
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...] | None:
+    """The field names of a dataclass; None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _plain(value):
+    """json's ``default`` hook: ``value`` with each dataclass in it as a dict of its
+    fields. Nested ones are done here: in the encoder each adds a generator level."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    names = _field_names(type(value))
+    if names is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 def write_json(obj, path) -> None:
     with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
 
@@ -31,6 +56,94 @@ def read_json(path, error=DataValidationError):
         raise error(f"{path} is malformed: not valid JSON ({exc})") from exc
 
 
+class _Mismatch(Exception):
+    """A wrong value; its path is built while unwinding, so only on failure."""
+
+    def __init__(self, expected: str, got: str):
+        super().__init__(f"must be {expected}, got {got[:60]}{'...' * (len(got) > 60)}")
+        self.path: list[str] = []  # innermost first
+
+
+def from_json(cls, doc, what: str):
+    """``doc`` decoded as the dataclass ``cls``. Objects need exactly the field names as
+    keys; values must match the hints: dataclasses, ``list[X]``, ``tuple[X, ...]``,
+    ``dict[str, X]``, ``float`` (int or float), ``int``, ``bool``, ``str``; no bool is a number."""
+    try:
+        return _decoder(cls)(doc)
+    except _Mismatch as exc:
+        where = "".join(reversed(exc.path)).lstrip(".") or "document"
+        raise DataValidationError(f"malformed {what}: {where} {exc}") from None
+
+
+_SCALARS = {  # type -> (description, test)
+    float: ("a number", is_real),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(tp):
+    """The decoding closure for one type hint, built once per type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _SCALARS:
+        expected, ok = _SCALARS[tp]
+
+        def scalar(value):
+            if not ok(value):
+                raise _Mismatch(expected, repr(value))
+            return value
+        return scalar
+    if _field_names(tp) is not None:
+        return _dataclass_decoder(tp)
+    if origin is dict and args[0] is str:
+        kind, build, item_type, expected = dict, dict, args[1], "a JSON object"
+    elif origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        kind, build, item_type, expected = list, origin, args[0], "a list"
+    else:
+        raise TypeError(f"from_json cannot decode {tp!r}")
+    decode_item = _decoder(item_type)
+    ok = _SCALARS[item_type][1] if kind is list and item_type in _SCALARS else None
+
+    def container(value):
+        if not isinstance(value, kind):
+            raise _Mismatch(expected, repr(value))
+        # a list of scalars is checked in C first; the loop then finds a bad item
+        if ok is not None and (set(map(type, value)) <= {item_type} or all(map(ok, value))):
+            return build(value)
+        out = {}
+        try:
+            for key, item in (value.items() if kind is dict else enumerate(value)):
+                out[key] = decode_item(item)
+        except _Mismatch as exc:
+            exc.path.append(f"[{key!r}]")
+            raise
+        return out if kind is dict else build(out.values())
+    return container
+
+
+def _dataclass_decoder(cls):
+    hints = typing.get_type_hints(cls)
+    decoders = [(name, _decoder(hints[name])) for name in _field_names(cls)]
+    keys = frozenset(_field_names(cls))
+    expected = f"a JSON object with keys {sorted(keys)}"
+
+    def decode(value):
+        if not isinstance(value, dict) or value.keys() != keys:
+            raise _Mismatch(expected, f"keys {sorted(map(str, value))}"
+                            if isinstance(value, dict) else repr(value))
+        kwargs = {}
+        try:
+            for name, decode_field in decoders:
+                kwargs[name] = decode_field(value[name])
+        except _Mismatch as exc:
+            exc.path.append(f".{name}")
+            raise
+        return cls(**kwargs)
+    return decode
+
+
 def read_csv(path) -> list[list[str]]:
     """The rows of a CSV file; DataValidationError when it is not UTF-8 CSV.
     File-system errors pass through."""
@@ -41,3 +154,9 @@ def read_csv(path) -> list[list[str]]:
         raise DataValidationError(f"{path} is malformed: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         raise DataValidationError(f"{path} is malformed: not valid CSV ({exc})") from exc
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, the header first, as UTF-8 CSV."""
+    with open(str(path), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)

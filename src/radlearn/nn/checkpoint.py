@@ -7,12 +7,13 @@ training dtype is float32, so the round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DataValidationError
-from ..jsonio import read_json, write_json
+from ..jsonio import from_json, read_json, write_json
 from .network import Network
 
 
@@ -47,22 +48,31 @@ def apply_checkpoint(net: Network, ckpt: Checkpoint) -> None:
             arr[...] = stored  # a view into net.flat: write, never rebind
 
 
+@dataclass
+class _ParamHeader:
+    name: str
+    shape: list[int]
+
+
+@dataclass
+class _LayerHeader:
+    name: str
+    params: list[_ParamHeader]
+
+
+@dataclass
+class _Header:
+    dtype: str
+    layers: list[_LayerHeader]
+
+
 def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
     path_base = str(path_base)
-    header = {
-        "dtype": "f32le",
-        "layers": [
-            {
-                "name": name,
-                "params": [
-                    {"name": pname, "shape": list(ckpt.layers[name][pname].shape)}
-                    for pname in ("W", "b")
-                ],
-            }
-            for name in ckpt.layer_order
-        ],
-    }
-    write_json(header, path_base + ".ckpt.json")
+    write_json(_Header(dtype="f32le", layers=[
+        _LayerHeader(name=name, params=[
+            _ParamHeader(name=pname, shape=list(ckpt.layers[name][pname].shape))
+            for pname in ("W", "b")])
+        for name in ckpt.layer_order]), path_base + ".ckpt.json")
     with open(path_base + ".ckpt.raw", "wb") as fh:
         for name in ckpt.layer_order:
             for pname in ("W", "b"):
@@ -71,29 +81,24 @@ def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
 
 def load_checkpoint(path_base) -> Checkpoint:
     path_base = str(path_base)
-    header = read_json(path_base + ".ckpt.json")
-    if not isinstance(header, dict):
-        raise DataValidationError("malformed checkpoint header: not an object")
-    if header.get("dtype") != "f32le":
-        raise DataValidationError(f"unsupported checkpoint dtype {header.get('dtype')!r}")
+    header = from_json(_Header, read_json(path_base + ".ckpt.json"), "checkpoint header")
+    if header.dtype != "f32le":
+        raise DataValidationError(f"unsupported checkpoint dtype {header.dtype!r}")
     with open(path_base + ".ckpt.raw", "rb") as fh:
         blob = fh.read()
-    layers: dict[str, dict[str, np.ndarray]] = {}
-    order: list[str] = []
+    layers: dict[str, dict[str, np.ndarray]] = {layer.name: {} for layer in header.layers}
     offset = 0
-    for layer in header["layers"]:
-        name = layer["name"]
-        order.append(name)
-        layers[name] = {}
-        for param in layer["params"]:
-            shape = tuple(param["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = 4 * count
+    for layer in header.layers:
+        for param in layer.params:
+            if not all(0 <= n <= len(blob) // 4 for n in param.shape):
+                raise DataValidationError(f"malformed checkpoint header: {layer.name}."
+                                          f"{param.name}.shape {param.shape} is out of range")
+            nbytes = 4 * math.prod(param.shape)
             if offset + nbytes > len(blob):
                 raise DataValidationError("checkpoint blob shorter than header describes")
-            arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(shape)
-            layers[name][param["name"]] = arr.copy()
+            arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(param.shape)
+            layers[layer.name][param.name] = arr.copy()
             offset += nbytes
     if offset != len(blob):
         raise DataValidationError("checkpoint blob longer than header describes")
-    return Checkpoint(layers=layers, layer_order=order)
+    return Checkpoint(layers=layers, layer_order=[layer.name for layer in header.layers])

@@ -8,12 +8,12 @@ histograms of weight and gradient values. Train and validation metric rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import DataValidationError
-from ..jsonio import read_json, write_json
+from ..jsonio import from_json, read_json, write_json
 
 
 @dataclass
@@ -66,63 +66,22 @@ class TrainTrace:
         return np.array([getattr(getattr(e, which), attribute) for e in self.epochs])
 
 
-def _hist_to_json(h: HistogramRecord) -> dict:
-    return {"counts": list(h.counts), "lo": h.lo, "hi": h.hi}
-
-
-def _hist_from_json(doc: dict) -> HistogramRecord:
-    return HistogramRecord(counts=list(doc["counts"]), lo=doc["lo"], hi=doc["hi"])
-
-
 def trace_to_json(tr: TrainTrace) -> dict:
-    return {
-        "layer_names": list(tr.layer_names),
-        "epochs": [
-            {
-                "layers": {
-                    name: {
-                        "weight_l2": rec.weight_l2,
-                        "grad_l2": rec.grad_l2,
-                        "delta_l2": rec.delta_l2,
-                        "weight_hist": _hist_to_json(rec.weight_hist),
-                        "grad_hist": _hist_to_json(rec.grad_hist),
-                    }
-                    for name, rec in epoch.layers.items()
-                },
-                "train": vars(epoch.train).copy(),
-                "validation": vars(epoch.validation).copy(),
-            }
-            for epoch in tr.epochs
-        ],
-    }
+    return asdict(tr)
 
 
-def trace_from_json(doc: dict) -> TrainTrace:
-    try:
-        epochs = []
-        for ed in doc["epochs"]:
-            layers = {
-                name: LayerEpochRecord(
-                    weight_l2=rec["weight_l2"],
-                    grad_l2=rec["grad_l2"],
-                    delta_l2=rec["delta_l2"],
-                    weight_hist=_hist_from_json(rec["weight_hist"]),
-                    grad_hist=_hist_from_json(rec["grad_hist"]),
-                )
-                for name, rec in ed["layers"].items()
-            }
-            epochs.append(EpochRecord(
-                layers=layers,
-                train=MetricRecord(**ed["train"]),
-                validation=MetricRecord(**ed["validation"]),
-            ))
-        return TrainTrace(layer_names=list(doc["layer_names"]), epochs=epochs)
-    except (KeyError, TypeError) as exc:
-        raise DataValidationError(f"malformed training trace: {exc}") from exc
+def trace_from_json(doc) -> TrainTrace:
+    tr = from_json(TrainTrace, doc, "training trace")
+    for i, epoch in enumerate(tr.epochs):  # compared sorted: keys are sorted on disk
+        if sorted(epoch.layers) != sorted(tr.layer_names):
+            raise DataValidationError(
+                f"malformed training trace: epochs[{i}].layers must have the keys "
+                f"{tr.layer_names} of layer_names, got {sorted(epoch.layers)}")
+    return tr
 
 
 def save_trace(tr: TrainTrace, path) -> None:
-    write_json(trace_to_json(tr), path)
+    write_json(tr, path)
 
 
 def load_trace(path) -> TrainTrace:

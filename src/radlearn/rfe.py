@@ -14,14 +14,13 @@ Re-ranking the remaining features at every step is available behind the
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import DataValidationError
 from .forest import ForestConfig, predict_proba_matrix, rank_features, train_forest
-from .jsonio import read_json, write_json
+from .jsonio import from_json, read_json, write_csv, write_json
 from .metrics import FoldSplit, stratified_kfold
 from .table import FeatureTable
 
@@ -123,36 +122,15 @@ def select_best(tr: RfeTrace) -> tuple[tuple[str, ...], float]:
 
 
 def trace_to_json(tr: RfeTrace) -> dict:
-    return {
-        "steps": [
-            {"subset": list(s.subset), "cv_accuracy": s.cv_accuracy}
-            for s in tr.steps
-        ],
-        "initial_ranking": list(tr.initial_ranking),
-        "eliminated_order": list(tr.eliminated_order),
-        "full_accuracy": tr.full_accuracy,
-        "k_folds": tr.k_folds,
-        "seed": tr.seed,
-    }
+    return asdict(tr)
 
 
-def trace_from_json(doc: dict) -> RfeTrace:
-    try:
-        return RfeTrace(
-            steps=[RfeStep(subset=tuple(s["subset"]), cv_accuracy=s["cv_accuracy"])
-                   for s in doc["steps"]],
-            initial_ranking=tuple(doc["initial_ranking"]),
-            eliminated_order=tuple(doc["eliminated_order"]),
-            full_accuracy=doc["full_accuracy"],
-            k_folds=doc["k_folds"],
-            seed=doc["seed"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataValidationError(f"malformed elimination trace: {exc}") from exc
+def trace_from_json(doc) -> RfeTrace:
+    return from_json(RfeTrace, doc, "elimination trace")
 
 
 def save_trace(tr: RfeTrace, path) -> None:
-    write_json(trace_to_json(tr), path)
+    write_json(tr, path)
 
 
 def load_trace(path) -> RfeTrace:
@@ -161,8 +139,6 @@ def load_trace(path) -> RfeTrace:
 
 def write_accuracy_curve(tr: RfeTrace, path) -> None:
     """Accuracy-versus-subset-size curve as CSV, one row per elimination step."""
-    with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "subset_size", "cv_accuracy"])
-        for i, step in enumerate(tr.steps, start=1):
-            writer.writerow([i, len(step.subset), repr(step.cv_accuracy)])
+    write_csv(path, [["step", "subset_size", "cv_accuracy"]]
+              + [[i, len(step.subset), repr(step.cv_accuracy)]
+                 for i, step in enumerate(tr.steps, start=1)])

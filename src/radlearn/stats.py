@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,14 +47,7 @@ class SignificanceReport:
         return [f.name for f in self.features if f.significant]
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "features": [
-                {"name": f.name, "p_value": f.p_value, "significant": f.significant}
-                for f in self.features
-            ],
-            "n_significant": len(self.significant_names()),
-        }
+        return {**asdict(self), "n_significant": len(self.significant_names())}
 
 
 @dataclass
@@ -65,13 +58,7 @@ class IntersectionSummary:
     set_sizes: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "pairwise": self.pairwise,
-            "common": self.common,
-            "common_size": len(self.common),
-            "union_size": self.union_size,
-            "set_sizes": self.set_sizes,
-        }
+        return {**asdict(self), "common_size": len(self.common)}
 
 
 def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:

@@ -7,13 +7,13 @@ float representation so write/read is exact.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import read_csv
+from .jsonio import read_csv, write_csv
 
 
 @dataclass
@@ -90,11 +90,10 @@ def from_rows(sample_ids, labels, vectors) -> FeatureTable:
 
 
 def write_feature_table(t: FeatureTable, path) -> None:
-    with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label"] + t.feature_names)
-        for sid, label, row in zip(t.sample_ids, t.labels, t.values):
-            writer.writerow([sid, int(label)] + [repr(float(v)) for v in row])
+    write_csv(path, itertools.chain(
+        [["sample_id", "label"] + t.feature_names],
+        ([sid, int(label)] + [repr(float(v)) for v in row]
+         for sid, label, row in zip(t.sample_ids, t.labels, t.values))))
 
 
 def read_feature_table(path) -> FeatureTable:

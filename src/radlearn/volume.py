@@ -14,7 +14,7 @@ of the toolkit studies.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +25,8 @@ from .errors import (
     is_count,
     is_int_tuple,
     is_nonnegative_real,
-    is_real,
 )
-from .jsonio import read_json, write_json
+from .jsonio import from_json, read_json, write_json
 
 _HEADER_DTYPE = "f32le"
 _BLOB_FRACTION = 0.35  # ellipsoid semi-axes as a fraction of the grid
@@ -51,8 +50,8 @@ class Volume:
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise DataValidationError(f"volume dims must be 3 positive integers, got {self.dims}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise DataValidationError(f"voxel spacing must be 3 positive reals, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0 < s < float("inf") for s in self.spacing):
+            raise DataValidationError(f"spacing must be 3 finite reals > 0, got {self.spacing}")
         self.voxels = np.ascontiguousarray(self.voxels, dtype=np.float32).ravel()
         n = self.dims[0] * self.dims[1] * self.dims[2]
         if self.voxels.size != n:
@@ -126,18 +125,21 @@ def check_pair(v: Volume, m: RoiMask) -> None:
         raise DataValidationError("mask is empty; at least one voxel must be set")
 
 
+@dataclass
+class _Header:
+    dims: list[int]
+    spacing: list[float]
+    dtype: str
+    modality: str
+
+
 def save_volume(v: Volume, path_base) -> None:
     """Write ``<path_base>.json`` + ``<path_base>.raw``."""
     path_base = str(path_base)
     if not np.all(np.isfinite(v.voxels)):
         raise DataValidationError("refusing to save volume with non-finite voxels")
-    header = {
-        "dims": list(v.dims),
-        "spacing": list(v.spacing),
-        "dtype": _HEADER_DTYPE,
-        "modality": v.modality_tag,
-    }
-    write_json(header, path_base + ".json")
+    write_json(_Header(dims=list(v.dims), spacing=list(v.spacing), dtype=_HEADER_DTYPE,
+                       modality=v.modality_tag), path_base + ".json")
     with open(path_base + ".raw", "wb") as fh:
         fh.write(v.voxels.astype("<f4").tobytes())
 
@@ -145,32 +147,18 @@ def save_volume(v: Volume, path_base) -> None:
 def load_volume(path_base) -> Volume:
     """Read a volume written by save_volume, verifying all invariants."""
     path_base = str(path_base)
-    header = read_json(path_base + ".json")
-    if not isinstance(header, dict):
-        raise DataValidationError(f"volume header must be a JSON object, got {header!r}")
-    for key in ("dims", "spacing", "dtype", "modality"):
-        if key not in header:
-            raise DataValidationError(f"volume header missing key {key!r}")
-    if header["dtype"] != _HEADER_DTYPE:
-        raise DataValidationError(f"unsupported dtype {header['dtype']!r}")
-    dims, spacing, modality = header["dims"], header["spacing"], header["modality"]
-    if not (isinstance(dims, list) and is_int_tuple(tuple(dims), 3, 1)):
-        raise DataValidationError(f"header dims must be 3 positive integers, got {dims!r}")
-    # the upper bound keeps out integers too large for a float, as well as inf and nan
-    if not (isinstance(spacing, list) and len(spacing) == 3
-            and all(is_real(s) and 0 < s <= sys.float_info.max for s in spacing)):
-        raise DataValidationError(f"header spacing must be 3 finite reals > 0, got {spacing!r}")
-    if not isinstance(modality, str):
-        raise DataValidationError(f"header modality must be a string, got {modality!r}")
-    n = dims[0] * dims[1] * dims[2]
+    header = from_json(_Header, read_json(path_base + ".json"), "volume header")
+    if header.dtype != _HEADER_DTYPE:
+        raise DataValidationError(f"unsupported dtype {header.dtype!r}")
+    n = math.prod(header.dims)  # Volume checks dims and spacing
     with open(path_base + ".raw", "rb") as fh:
         blob = fh.read()
     if len(blob) != 4 * n:
         raise DataValidationError(
-            f"raw file length {len(blob)} bytes does not match dims {dims} (expected {4 * n})"
-        )
+            f"raw file length {len(blob)} does not match dims {header.dims} (expected {4 * n})")
     voxels = np.frombuffer(blob, dtype="<f4").copy()
-    return Volume(dims=tuple(dims), spacing=tuple(spacing), modality_tag=modality, voxels=voxels)
+    return Volume(dims=header.dims, spacing=header.spacing, modality_tag=header.modality,
+                  voxels=voxels)
 
 
 def save_mask(m: RoiMask, path_base) -> None:

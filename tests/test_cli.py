@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import radlearn
+from radlearn import rfe
 from radlearn.cli import main
 
 CONFIG = {
@@ -238,6 +239,9 @@ def test_non_finite_features_exit_two(tmp_path, capsys, stage):
     ("filter", {"filter": {"alpha": "0.05"}}),
     ("cluster", {"cluster": {"k": "3"}}),
     ("diagnose", {"diagnose": {"static_rel_tol": "1e-4"}}),
+    ("phantom", {"phantom": {"texture_amplitude": 10 ** 400}}),
+    ("diagnose", {"diagnose": {"flip_amp_thresh": 10 ** 400}}),
+    ("filter", {"filter": {"alpha": 10 ** 400}}),
 ])
 def test_bad_section_config_exits_one_with_one_line(tmp_path, capsys, stage, section):
     bad = tmp_path / "bad.json"
@@ -330,3 +334,60 @@ def test_malformed_volume_header_exits_two(pipeline, tmp_path, capsys, header):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def abc_rfe(tmp_path_factory):
+    """An elimination trace over a table of the features a, b and c, and the
+    index of its best step."""
+    root = tmp_path_factory.mktemp("abc")
+    rows = ["sample_id,label,a,b,c"] + [f"s{i},{i % 2},{i},{i * i % 5},{(3 * i) % 7}"
+                                        for i in range(8)]
+    (root / "features.csv").write_text("\n".join(rows) + "\n")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    assert main(["rfe", "--config", str(root / "config.json"),
+                 "--in", str(root / "features.csv"), "--out", str(root)]) == 0
+    trace = rfe.load_trace(root / "rfe_trace.json")
+    best, _ = rfe.select_best(trace)
+    return root, [step.subset for step in trace.steps].index(best)
+
+
+_DROP = object()  # delete the key instead of setting it
+
+
+@pytest.mark.parametrize("stage, path, value", [
+    ("diagnose", ["epochs", 0, "layers", "conv1", "weight_l2"], "x"),
+    ("diagnose", ["epochs", 0, "layers", "conv1", "delta_l2"], None),
+    ("diagnose", ["epochs", 0, "validation", "sensitivity"], "x"),
+    ("diagnose", ["layer_names"], "abc"),
+    ("diagnose", ["epochs", 1, "layers", "conv1"], _DROP),
+    ("diagnose", ["epochs", 0, "layers"], []),
+    ("cluster", ["steps", 0, "cv_accuracy"], "x"),
+    ("cluster", ["steps", 0, "cv_accuracy"], None),
+    ("report", ["steps", 0, "cv_accuracy"], "x"),
+    ("report", ["steps", 0, "cv_accuracy"], None),
+    ("cluster", ["steps", "best", "subset"], [1, 2]),
+    ("report", ["steps", "best", "subset"], "abc"),
+])
+def test_trace_with_one_wrong_value_exits_two(pipeline, abc_rfe, tmp_path, capsys,
+                                              stage, path, value):
+    root, best = abc_rfe
+    if stage == "diagnose":
+        source, inputs = pipeline / "train" / "train_trace.json", []
+    else:
+        source, inputs = root / "rfe_trace.json", [str(root / "features.csv")]
+    doc = json.loads(source.read_text())
+    parent = doc
+    path = [best if key == "best" else key for key in path]
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    bad = tmp_path / source.name
+    bad.write_text(json.dumps(doc))
+    assert main([stage, "--config", str(root / "config.json"), "--in", *inputs, str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: malformed") and err.count("\n") == 1

@@ -3,7 +3,9 @@
 Whatever the document, ``main`` must return exit code 1 (config) or 2 (data)
 with exactly one line on stderr, and no exception may escape. Every stage
 but ``phantom`` is pointed at missing inputs, so a config that happens to be
-valid stops at exit 2 before any work is done.
+valid stops at exit 2 before any work is done. The trace fuzz instead swaps
+one leaf or container of a real training or elimination trace, which may
+leave it valid (exit 0) but must never let an exception escape.
 """
 
 import contextlib
@@ -12,11 +14,13 @@ import json
 from dataclasses import fields
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radlearn.cli import main
 from radlearn.config import default_config
+from radlearn.nn import NetConfig, TrainConfig, save_trace, train
 
 INPUT_STAGES = ["extract", "filter", "rfe", "cluster", "train", "diagnose", "report"]
 _DEFAULTS = default_config()
@@ -147,3 +151,51 @@ def test_malformed_input_artifact_exits_two(workdir, stage, content):
                                                           str(artifact)]
     code, err = _run([stage, "--in", *inputs, "--out", str(workdir / "out")])
     _assert_one_line(code, err, {2})
+
+
+def _paths(doc, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def traces(workdir):
+    """A tiny real train_trace.json and rfe_trace.json, with every path in each."""
+    rng = np.random.default_rng(0)
+    _, trace = train(rng.normal(size=(8, 8, 8)).astype(np.float32), np.array([0, 1] * 4),
+                     NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=1),
+                     TrainConfig(epochs=4, seed=2))
+    save_trace(trace, workdir / "train_trace.json")
+    (workdir / "small.json").write_text(json.dumps({"forest": {"n_trees": 5},
+                                                    "rfe": {"k_folds": 2}}))
+    assert main(["rfe", "--config", str(workdir / "small.json"),
+                 "--in", str(workdir / "features.csv"), "--out", str(workdir)]) == 0
+    docs = {name: json.loads((workdir / name).read_text())
+            for name in ("train_trace.json", "rfe_trace.json")}
+    return {name: (doc, list(_paths(doc))) for name, doc in docs.items()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stage=st.sampled_from(["diagnose", "cluster", "report"]), value=json_values,
+       data=st.data())
+def test_trace_with_one_value_swapped_exits_zero_or_two(workdir, traces, stage, value, data):
+    name = "train_trace.json" if stage == "diagnose" else "rfe_trace.json"
+    doc, paths = traces[name]
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    mutated = workdir / f"mutated_{name}"
+    mutated.write_text(json.dumps(doc))
+    inputs = [str(mutated)] if stage == "diagnose" else [str(workdir / "features.csv"),
+                                                         str(mutated)]
+    code, err = _run([stage, "--config", str(workdir / "small.json"), "--in", *inputs,
+                      "--out", str(workdir / "out")])
+    if code:
+        _assert_one_line(code, err, {2})

@@ -147,6 +147,9 @@ def test_good_forest_values_accepted():
     ({"diagnose": {"flip_corr_thresh": float("-inf")}}, "diagnose.flip_corr_thresh"),
     ({"diagnose": {"dead_epoch_quorum": None}}, "diagnose.dead_epoch_quorum"),
     ({"diagnose": {"flip_amp_thresh": False}}, "diagnose.flip_amp_thresh"),
+    ({"phantom": {"texture_amplitude": 10 ** 400}}, "phantom.texture_amplitude"),
+    ({"diagnose": {"flip_amp_thresh": -10 ** 400}}, "diagnose.flip_amp_thresh"),
+    ({"filter": {"alpha": 10 ** 400}}, "filter.alpha"),
 ])
 def test_bad_section_values_rejected(doc, key):
     with pytest.raises(ConfigError, match=key):

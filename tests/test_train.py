@@ -238,7 +238,13 @@ def test_flat_trainer_matches_per_parameter_oracle(case):
             assert new == old
 
 
-@pytest.mark.parametrize("header", [b"{not json", b"\xff", b"[]"])
+@pytest.mark.parametrize("header", [
+    b"{not json", b"\xff", b"[]",
+    b'{"dtype": "f32le"}',
+    b'{"dtype": "f32le", "layers": 5}',
+    b'{"dtype": "f32le", "layers": [{"name": "fc", "params": [{"name": "W", "shape": "ab"}]}]}',
+    b'{"dtype": "f32le", "layers": [{"name": "fc", "params": [{"name": "W", "shape": [-1]}]}]}',
+])
 def test_malformed_checkpoint_header_rejected(tmp_path, header):
     (tmp_path / "m.ckpt.json").write_bytes(header)
     (tmp_path / "m.ckpt.raw").write_bytes(b"")
