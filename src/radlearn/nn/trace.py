@@ -72,7 +72,7 @@ def trace_to_json(tr: TrainTrace) -> dict:
 
 def trace_from_json(doc) -> TrainTrace:
     tr = from_json(TrainTrace, doc, "training trace")
-    for i, epoch in enumerate(tr.epochs):  # compared sorted: keys are sorted on disk
+    for i, epoch in enumerate(tr.epochs):  # order-free: keys are sorted on disk
         if sorted(epoch.layers) != sorted(tr.layer_names):
             raise DataValidationError(
                 f"malformed training trace: epochs[{i}].layers must have the keys "
