@@ -122,9 +122,14 @@ def _significant_names(path) -> list[str]:
     """The features a significance.json (from ``filter``) marks significant."""
     doc = read_json(path)
     try:
-        return [f["name"] for f in doc.get("features", []) if f.get("significant")]
+        marks = [(f["name"], f["significant"]) for f in doc.get("features", [])]
     except (AttributeError, KeyError, TypeError) as exc:
         raise DataValidationError(f"malformed significance report {path}: {exc!r}") from exc
+    for name, flag in marks:
+        if not isinstance(flag, bool):
+            raise DataValidationError(f"malformed significance report {path}: 'significant' "
+                                      f"of {name!r} must be true or false, got {flag!r}")
+    return [name for name, flag in marks if flag]
 
 
 def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:

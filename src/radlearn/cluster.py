@@ -50,7 +50,7 @@ def correlation_distance_matrix(t: FeatureTable, names=None) -> np.ndarray:
     return dist
 
 
-def agglomerate(d: np.ndarray, leaf_names, linkage: str = "average") -> Dendrogram:
+def agglomerate(d: np.ndarray, leaf_names) -> Dendrogram:
     d = np.asarray(d, dtype=np.float64)
     leaf_names = list(leaf_names)
     n = len(leaf_names)
@@ -58,8 +58,6 @@ def agglomerate(d: np.ndarray, leaf_names, linkage: str = "average") -> Dendrogr
         raise DataValidationError("distance matrix shape must match leaf count")
     if not np.allclose(d, d.T):
         raise DataValidationError("distance matrix must be symmetric")
-    if linkage != "average":
-        raise DataValidationError(f"unsupported linkage {linkage!r}")
 
     # active cluster id -> (size, representative name); distances in a dict
     active: dict[int, tuple[int, str]] = {i: (1, leaf_names[i]) for i in range(n)}

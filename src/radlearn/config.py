@@ -14,21 +14,24 @@ and rule is written once, in that class:
     seeds       SeedsSection
 
 Unknown sections or keys are rejected so typos cannot silently fall back to
-defaults. The classes check their own values and raise ConfigError, also when
-called from Python. ``seed`` keys exist only in ``seeds``: the classes that
-carry a seed get it from there, and a section that names one is rejected.
+defaults. The classes check their own values with ``jsonio.check`` and raise
+ConfigError, also when called from Python: each value's type against its field
+hint, then the class's rules, which state only ranges and allowed values.
+``seed`` keys exist only in ``seeds``: the classes that carry a seed get it
+from there, and a section that names one is rejected.
 Every seed is an explicit integer with a fixed default; nothing is ever
 derived from the clock.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .diagnostics import DiagnosticThresholds
-from .errors import ConfigError, check, is_count, is_int, is_nonnegative_real
+from .errors import ConfigError
 from .forest import ForestConfig
-from .jsonio import read_json
+from .jsonio import check, read_json
 from .nn.config import NetConfig, TrainConfig
 from .volume import PhantomSpec
 
@@ -41,9 +44,9 @@ class ExtractionSection:
 
     def __post_init__(self):
         check("extraction", self, [
-            ("n_bins", is_count, "an integer >= 1"),
-            ("distance", is_count, "an integer >= 1"),
-            ("alpha", lambda a: is_int(a, 0), "an integer >= 0"),
+            ("n_bins", lambda n: n >= 1, ">= 1"),
+            ("distance", lambda d: d >= 1, ">= 1"),
+            ("alpha", lambda a: a >= 0, ">= 0"),
         ])
 
 
@@ -52,7 +55,7 @@ class FilterSection:
     alpha: float = 0.05
 
     def __post_init__(self):
-        check("filter", self, [("alpha", is_nonnegative_real, "a finite number >= 0")])
+        check("filter", self, [("alpha", lambda a: 0 <= a < math.inf, "finite and >= 0")])
 
 
 @dataclass
@@ -61,10 +64,7 @@ class RfeSection:
     rerank: bool = False
 
     def __post_init__(self):
-        check("rfe", self, [
-            ("k_folds", lambda k: is_int(k, 2), "an integer >= 2"),
-            ("rerank", lambda r: isinstance(r, bool), "true or false"),
-        ])
+        check("rfe", self, [("k_folds", lambda k: k >= 2, ">= 2")])
 
 
 @dataclass
@@ -72,7 +72,7 @@ class ClusterSection:
     k: int = 3
 
     def __post_init__(self):
-        check("cluster", self, [("k", is_count, "an integer >= 1")])
+        check("cluster", self, [("k", lambda k: k >= 1, ">= 1")])
 
 
 @dataclass
@@ -84,7 +84,7 @@ class TrainSection(NetConfig, TrainConfig):
         TrainConfig.__post_init__(self)
         check("train", self, [
             ("freeze_layers", lambda f: set(f) <= set(self.layer_names),
-             f"a list of layer names from {self.layer_names}"),
+             f"layer names from {self.layer_names}"),
         ])
 
 
@@ -98,8 +98,7 @@ class SeedsSection:
     kfold: int = 6
 
     def __post_init__(self):
-        check("seeds", self, [(f.name, lambda s: is_int(s, 0), "an integer >= 0")
-                              for f in fields(self)])
+        check("seeds", self, [(f.name, lambda s: s >= 0, ">= 0") for f in fields(self)])
 
 
 @dataclass

@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataValidationError, check, is_finite_real
+from .errors import DataValidationError
 from .histogram import histogram
-from .jsonio import write_json
+from .jsonio import check, write_json
 from .nn.trace import TrainTrace
 
 __all__ = [
@@ -53,8 +53,7 @@ class DiagnosticThresholds:
     static_layer_quorum: float = 0.5
 
     def __post_init__(self):
-        check("diagnose", self, [(f.name, is_finite_real, "a finite number")
-                                 for f in fields(self)])
+        check("diagnose", self, [(f.name, math.isfinite, "finite") for f in fields(self)])
 
 
 @dataclass
@@ -133,12 +132,11 @@ def detect_class_flipping(sens, spec, corr_thresh: float = -0.5,
     return bool(corr < corr_thresh) and amp_ok, corr
 
 
-def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None,
-             which: str = "validation") -> DiagnosisReport:
+def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None) -> DiagnosisReport:
     """Combine the three detectors into a verdict over one trace.
 
-    which selects the metric series for flip detection ("validation" by
-    default; identical to "train" when training ran without a held-out set).
+    Flip detection reads the validation metric series (identical to the train
+    series when training ran without a held-out set).
     """
     th = thresholds or DiagnosticThresholds()
     static = detect_static_layers(tr, th.static_rel_tol)
@@ -153,8 +151,8 @@ def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None,
         )
         for name in tr.layer_names
     ]
-    sens = tr.metric_series("sensitivity", which)
-    spec = tr.metric_series("specificity", which)
+    sens = tr.metric_series("sensitivity")
+    spec = tr.metric_series("specificity")
     if sens.size >= 4:
         flipping, corr = detect_class_flipping(sens, spec, th.flip_corr_thresh,
                                                th.flip_amp_thresh)

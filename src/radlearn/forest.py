@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, check, is_count
+from .errors import DataValidationError
 from .features.vector import FeatureVector
+from .jsonio import check
 from .table import FeatureTable
 
 _MIN_GAIN = 1e-12
@@ -39,12 +40,12 @@ class ForestConfig:
 
     def __post_init__(self):
         check("forest", self, [
-            ("n_trees", is_count, "an integer >= 1"),
-            ("min_samples_leaf", is_count, "an integer >= 1"),
-            ("max_depth", lambda d: d is None or is_count(d), "null or an integer >= 1"),
-            ("features_per_split", lambda f: f == "sqrt" or is_count(f),
-             "\"sqrt\" or an integer >= 1"),
-            ("bootstrap", lambda b: isinstance(b, bool), "true or false"),
+            ("n_trees", lambda n: n >= 1, ">= 1"),
+            ("min_samples_leaf", lambda n: n >= 1, ">= 1"),
+            ("max_depth", lambda d: d is None or d >= 1, "null or >= 1"),
+            # a string (str(f) == f) must be "sqrt"; an integer must be >= 1
+            ("features_per_split", lambda f: f == "sqrt" if str(f) == f else f >= 1,
+             "\"sqrt\" or >= 1"),
         ])
 
 

@@ -1,9 +1,13 @@
-"""The one JSON writer, JSON reader, typed JSON decoder, CSV reader and CSV writer.
+"""The one JSON writer, JSON reader, typed decoder, config checker, CSV reader and CSV writer.
 
 ``write_json`` sorts keys and indents by two spaces, so a rerun writes the same
 bytes; it writes dataclasses as objects and tuples as arrays. ``from_json``
 turns a parsed document into a dataclass, checking every key and value on the
 way, or raises one ``DataValidationError("malformed <what>: <path> ...")``.
+``check`` runs in each config dataclass's ``__post_init__``: it checks every
+field against its type hint with the same decoder, then the section's range
+rules, or raises one ``ConfigError("<section>.<key> must be ...")``. So each
+key's type is written once, as its hint.
 """
 
 from __future__ import annotations
@@ -11,10 +15,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import sys
+import types
 import typing
 from dataclasses import fields, is_dataclass
 
-from .errors import DataValidationError, is_real
+from .errors import ConfigError, DataValidationError
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,7 +73,9 @@ class _Mismatch(Exception):
 def from_json(cls, doc, what: str):
     """``doc`` decoded as the dataclass ``cls``. Objects need exactly the field names as
     keys; values must match the hints: dataclasses, ``list[X]``, ``tuple[X, ...]``,
-    ``dict[str, X]``, ``float`` (int or float), ``int``, ``bool``, ``str``; no bool is a number."""
+    ``tuple[X, X, X]``, ``dict[str, X]``, ``float`` (int or float within float range),
+    ``int``, ``bool``, ``str``, ``None`` and unions of these scalars (``int | None``);
+    no bool is a number. A tuple hint takes a list or a tuple."""
     try:
         return _decoder(cls)(doc)
     except _Mismatch as exc:
@@ -75,11 +83,31 @@ def from_json(cls, doc, what: str):
         raise DataValidationError(f"malformed {what}: {where} {exc}") from None
 
 
-_SCALARS = {  # type -> (description, test)
-    float: ("a number", is_real),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+def check(section: str, obj, rules) -> None:
+    """Check a config dataclass: decode each field through the decoder its hint
+    names and store the result back (a tuple hint turns a list into a tuple),
+    then apply each ``(key, test, expected)`` range rule to the decoded values."""
+    try:
+        for name, decode in _field_decoders(type(obj)):
+            setattr(obj, name, decode(getattr(obj, name)))
+        for name, test, expected in rules:
+            if not test(getattr(obj, name)):
+                raise _Mismatch(expected, repr(getattr(obj, name)))
+    except _Mismatch as exc:
+        raise ConfigError(f"{section}.{name}{''.join(reversed(exc.path))} {exc}") from None
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SCALARS = {  # type -> (description, test); bools are ints to Python but not numbers here
+    float: ("a number", lambda v: isinstance(v, float)
+            or (_integer(v) and abs(v) <= sys.float_info.max)),
+    int: ("an integer", _integer),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("null", lambda v: v is None),
 }
 
 
@@ -87,8 +115,13 @@ _SCALARS = {  # type -> (description, test)
 def _decoder(tp):
     """The decoding closure for one type hint, built once per type."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in _SCALARS:
-        expected, ok = _SCALARS[tp]
+    if tp in _SCALARS or origin in (typing.Union, types.UnionType):
+        options = args if origin else (tp,)
+        if not set(options) <= _SCALARS.keys():
+            raise TypeError(f"from_json cannot decode {tp!r}")
+        expected = " or ".join(_SCALARS[t][0] for t in options)
+        tests = [_SCALARS[t][1] for t in options]
+        ok = tests[0] if len(tests) == 1 else lambda v: any(test(v) for test in tests)
 
         def scalar(value):
             if not ok(value):
@@ -97,17 +130,22 @@ def _decoder(tp):
         return scalar
     if _field_names(tp) is not None:
         return _dataclass_decoder(tp)
+    size = None  # a fixed tuple's length; its items must share one type
     if origin is dict and args[0] is str:
         kind, build, item_type, expected = dict, dict, args[1], "a JSON object"
-    elif origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
-        kind, build, item_type, expected = list, origin, args[0], "a list"
+    elif origin is list:
+        kind, build, item_type, expected = list, list, args[0], "a list"
+    elif origin is tuple and len(set(args) - {Ellipsis}) == 1:
+        kind, build, item_type, expected = (list, tuple), tuple, args[0], "a list"
+        if Ellipsis not in args:
+            size, expected = len(args), f"a list of {len(args)} items"
     else:
         raise TypeError(f"from_json cannot decode {tp!r}")
     decode_item = _decoder(item_type)
-    ok = _SCALARS[item_type][1] if kind is list and item_type in _SCALARS else None
+    ok = _SCALARS[item_type][1] if kind is not dict and item_type in _SCALARS else None
 
     def container(value):
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (size is not None and len(value) != size):
             raise _Mismatch(expected, repr(value))
         # a list of scalars is checked in C first; the loop then finds a bad item
         if ok is not None and (set(map(type, value)) <= {item_type} or all(map(ok, value))):
@@ -123,9 +161,15 @@ def _decoder(tp):
     return container
 
 
-def _dataclass_decoder(cls):
+@functools.lru_cache(maxsize=None)
+def _field_decoders(cls) -> tuple:
+    """``(name, decoder)`` for each field of the dataclass ``cls``, built once."""
     hints = typing.get_type_hints(cls)
-    decoders = [(name, _decoder(hints[name])) for name in _field_names(cls)]
+    return tuple((name, _decoder(hints[name])) for name in _field_names(cls))
+
+
+def _dataclass_decoder(cls):
+    decoders = _field_decoders(cls)
     keys = frozenset(_field_names(cls))
     expected = f"a JSON object with keys {sorted(keys)}"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import check, is_count, is_count_list, is_int_tuple, is_real
+from ..jsonio import check
 
 LOSS_NAMES = ("bce_logit", "hinge")
 OPTIMIZER_NAMES = ("adam", "rmsprop")
@@ -28,14 +28,12 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.input_dims, list):
-            self.input_dims = tuple(self.input_dims)
         check("train", self, [
-            ("input_dims", lambda d: is_int_tuple(d, 2, 1), "2 integers >= 1"),
-            ("conv_blocks", is_count_list, "a list of integers >= 1"),
-            ("hidden_dense", is_count_list, "a list of integers >= 1"),
+            ("input_dims", lambda d: min(d) >= 1, "all >= 1"),
+            ("conv_blocks", lambda c: all(n >= 1 for n in c), "all >= 1"),
+            ("hidden_dense", lambda h: all(n >= 1 for n in h), "all >= 1"),
             ("conv_blocks", lambda c: min(self.input_dims) >> len(c) >= 1,
-             f"short enough for input_dims {self.input_dims} (each block halves them)"),
+             "short enough for input_dims (each block halves them)"),
         ])
 
     @property
@@ -63,11 +61,7 @@ class TrainConfig:
         check("train", self, [
             ("loss", lambda v: v in LOSS_NAMES, f"one of {list(LOSS_NAMES)}"),
             ("optimizer", lambda v: v in OPTIMIZER_NAMES, f"one of {list(OPTIMIZER_NAMES)}"),
-            ("learning_rate", lambda v: is_real(v) and 0 <= v <= _FLOAT32_MAX,
-             "a number >= 0 that float32 can hold"),
-            ("batch_size", is_count, "an integer >= 1"),
-            ("epochs", is_count, "an integer >= 1"),
-            ("freeze_layers", lambda f: (isinstance(f, list)
-                                         and all(isinstance(n, str) for n in f)),
-             "a list of strings"),
+            ("learning_rate", lambda v: 0 <= v <= _FLOAT32_MAX, "in [0, float32 max]"),
+            ("batch_size", lambda b: b >= 1, ">= 1"),
+            ("epochs", lambda e: e >= 1, ">= 1"),
         ])

@@ -62,8 +62,9 @@ class TrainTrace:
             raise DataValidationError(f"unknown layer {layer!r}")
         return np.array([getattr(e.layers[layer], attribute) for e in self.epochs])
 
-    def metric_series(self, attribute: str, which: str = "validation") -> np.ndarray:
-        return np.array([getattr(getattr(e, which), attribute) for e in self.epochs])
+    def metric_series(self, attribute: str) -> np.ndarray:
+        """Per-epoch series of one validation metric (loss/accuracy/sensitivity/specificity)."""
+        return np.array([getattr(e.validation, attribute) for e in self.epochs])
 
 
 def trace_to_json(tr: TrainTrace) -> dict:

@@ -58,7 +58,7 @@ class FeatureTable:
         try:
             return self.values[:, self.feature_names.index(name)]
         except ValueError:
-            raise KeyError(name) from None
+            raise DataValidationError(f"no such feature in the table: {name!r}") from None
 
     def select(self, names) -> "FeatureTable":
         names = list(names)

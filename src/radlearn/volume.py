@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataValidationError,
-    check,
-    is_count,
-    is_int_tuple,
-    is_nonnegative_real,
-)
-from .jsonio import from_json, read_json, write_json
+from .errors import DataValidationError
+from .jsonio import check, from_json, read_json, write_json
 
 _HEADER_DTYPE = "f32le"
 _BLOB_FRACTION = 0.35  # ellipsoid semi-axes as a fraction of the grid
@@ -106,14 +100,12 @@ class PhantomSpec:
     modality: str = "SYN"
 
     def __post_init__(self):
-        if isinstance(self.dims, list):
-            self.dims = tuple(self.dims)
         check("phantom", self, [
-            ("n_samples_per_class", is_count, "an integer >= 1"),
-            ("dims", lambda d: is_int_tuple(d, 3, 8), "3 integers >= 8"),
-            ("texture_amplitude", is_nonnegative_real, "a finite number >= 0"),
-            ("noise_sigma", is_nonnegative_real, "a finite number >= 0"),
-            ("modality", lambda m: isinstance(m, str) and m != "", "a non-empty string"),
+            ("n_samples_per_class", lambda n: n >= 1, ">= 1"),
+            ("dims", lambda d: min(d) >= 8, "all >= 8"),
+            ("texture_amplitude", lambda a: 0 <= a < math.inf, "finite and >= 0"),
+            ("noise_sigma", lambda s: 0 <= s < math.inf, "finite and >= 0"),
+            ("modality", lambda m: m != "", "non-empty"),
         ])
 
 

@@ -310,6 +310,19 @@ def test_significance_naming_unknown_feature_exits_two(pipeline, tmp_path, capsy
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["false", 1, None])
+def test_significance_flag_not_a_bool_exits_two(pipeline, tmp_path, capsys, flag):
+    doc = json.loads((pipeline / "filter" / "significance.json").read_text())
+    doc["features"][0]["significant"] = flag
+    sig = tmp_path / "significance.json"
+    sig.write_text(json.dumps(doc))
+    assert main(["rfe", "--in", str(pipeline / "extract" / "features.csv"), str(sig),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
+    assert "significant" in err and doc["features"][0]["name"] in err
+
+
 @pytest.mark.parametrize("stage, name", [("filter", "extract/features.csv"),
                                          ("extract", "phantom/manifest.csv")])
 def test_csv_not_utf8_exits_two(pipeline, tmp_path, capsys, stage, name):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,8 @@ def test_good_forest_values_accepted():
     ({"phantom": {"texture_amplitude": 10 ** 400}}, "phantom.texture_amplitude"),
     ({"diagnose": {"flip_amp_thresh": -10 ** 400}}, "diagnose.flip_amp_thresh"),
     ({"filter": {"alpha": 10 ** 400}}, "filter.alpha"),
+    ({"phantom": {"dims": [16, 16.0, 16]}}, r"^phantom\.dims\[1\] must be an integer, got 16\.0$"),
+    ({"forest": {"n_trees": 0}}, r"^forest\.n_trees must be >= 1, got 0$"),
 ])
 def test_bad_section_values_rejected(doc, key):
     with pytest.raises(ConfigError, match=key):
@@ -223,6 +226,10 @@ def test_sections_are_the_stage_classes():
     (NetConfig, {"hidden_dense": [0]}, "train.hidden_dense"),
     (TrainConfig, {"epochs": 0}, "train.epochs"),
     (DiagnosticThresholds, {"static_rel_tol": float("nan")}, "diagnose.static_rel_tol"),
+    (NetConfig, {"seed": "x"}, "train.seed"),
+    (ForestConfig, {"seed": 1.5}, "forest.seed"),
+    (ForestConfig, {"bootstrap": "yes"}, "forest.bootstrap"),
+    (PhantomSpec, {"dims": [16, 16]}, "phantom.dims"),
 ])
 def test_stage_classes_raise_config_error_from_python(cls, kwargs, key):
     with pytest.raises(ConfigError, match=key):
@@ -233,3 +240,9 @@ def test_load_config_not_utf8(tmp_path):
     (tmp_path / "bad.json").write_bytes(b'{"seeds": {"phantom": "\xff"}}')
     with pytest.raises(ConfigError, match="UTF-8"):
         load_config(tmp_path / "bad.json")
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert parse_config(json.loads(block)) == default_config()

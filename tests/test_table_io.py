@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radlearn.cluster import correlation_distance_matrix
 from radlearn.errors import DataValidationError
 from radlearn.features.vector import FeatureVector
 from radlearn.table import (
@@ -92,6 +93,13 @@ def test_select_and_class_split():
     assert np.array_equal(sub.values[:, 0], t.column("b.z"))
     neg, pos = t.class_split("a.x")
     assert neg.size == 3 and pos.size == 3
+
+
+def test_unknown_column_is_a_data_error():
+    with pytest.raises(DataValidationError, match="'nope'"):
+        _table().column("nope")
+    with pytest.raises(DataValidationError, match="'nope'"):
+        correlation_distance_matrix(_table(), ["nope", "a.x"])
 
 
 def test_table_invariants():
