@@ -1,20 +1,22 @@
 """Random-forest classifier with Gini importances, built for determinism.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds between
-consecutive distinct sorted values. Per-tree random streams derive from
-(seed, tree index) via numpy SeedSequence spawning, and each tree draws from
-its own stream in a fixed order: the bootstrap sample, then one candidate-
-feature draw per split-eligible node in preorder. A fixed seed therefore pins
-the whole ensemble. All trees of a forest grow in lockstep: round r handles
-the r-th preorder node of every tree that has one, with one batched split
-search. Importance is mean impurity decrease across trees, normalized to sum
-1 when any split occurred; ranking ties break by ascending feature name so
-the elimination loop has a total order.
+consecutive distinct sorted values. A forest draws from one generator,
+``default_rng(seed)``, in a fixed order: first the bootstrap rows of all trees
+as one ``(n_trees, n)`` integer block (no draw without bootstrap), then one
+``(n_trees, n_features)`` block of uniform keys per round. All trees grow in
+lockstep: round r handles the r-th preorder node of every tree that has one,
+with one batched split search, and draws its key block whether or not any
+node splits. The candidates of node r of tree t are the m features with the
+smallest keys in row t, in ascending feature order. A fixed seed therefore
+pins the whole ensemble. Importance is mean impurity decrease across trees,
+normalized to sum 1 when any split occurred; ranking ties break by ascending
+feature name so the elimination loop has a total order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,8 +118,9 @@ def _best_splits(X, rows, yb, member, count, n1, cand, min_leaf):
     return cand[e, best], threshold, col_gain[e, best]
 
 
-def _grow_forest(X, y, boot, rngs, cfg: ForestConfig):
-    """Grow one tree per row of ``boot`` (its bootstrap rows) in lockstep.
+def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
+    """Grow one tree per row of ``boot`` (its bootstrap rows) in lockstep,
+    drawing each round's candidate keys from ``rng``.
 
     Each tree's pending nodes form a depth-first stack whose slots are the
     tree's rows' homes: row i of tree t waits in stack slot ``slot[t, i]``,
@@ -151,6 +154,7 @@ def _grow_forest(X, y, boot, rngs, cfg: ForestConfig):
         trees = np.flatnonzero(top >= 0)
         if trees.size == 0:
             break
+        keys = rng.random((n_trees, n_features))
         n_nodes[trees] += 1
         s = top[trees]
         member = slot[trees] == s[:, None]
@@ -167,8 +171,7 @@ def _grow_forest(X, y, boot, rngs, cfg: ForestConfig):
         split = np.zeros(trees.size, dtype=bool)
         e = np.flatnonzero(eligible)
         if e.size:
-            cand = np.stack([np.sort(rngs[t].choice(n_features, size=m, replace=False))
-                             for t in trees[e].tolist()])
+            cand = np.sort(np.argpartition(keys[trees[e]], m - 1, axis=1)[:, :m], axis=1)
             f, thr, gain = _best_splits(X, boot[trees[e]], yb[trees[e]], member[e],
                                         count[e], n1[e], cand, cfg.min_samples_leaf)
             found = gain > _MIN_GAIN
@@ -204,12 +207,12 @@ def train_forest(t: FeatureTable, cfg: ForestConfig) -> ForestModel:
         raise DataValidationError("forest training needs at least 2 samples")
     if not ((y == 0).any() and (y == 1).any()):
         raise DataValidationError("forest training needs both classes present")
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    rng = np.random.default_rng(cfg.seed)
     if cfg.bootstrap:
-        boot = np.stack([rng.integers(0, t.n_samples, size=t.n_samples) for rng in rngs])
+        boot = rng.integers(0, t.n_samples, size=(cfg.n_trees, t.n_samples))
     else:
         boot = np.broadcast_to(np.arange(t.n_samples), (cfg.n_trees, t.n_samples))
-    nodes, n_nodes, acc = _grow_forest(X, y, boot, rngs, cfg)
+    nodes, n_nodes, acc = _grow_forest(X, y, boot, rng, cfg)
     # added tree by tree, in tree order, so the sum is the same to the bit
     importances = np.cumsum(acc, axis=0)[-1] / cfg.n_trees
     total = importances.sum()
@@ -257,14 +260,7 @@ def forest_to_json(mdl: ForestModel) -> dict:
     return {
         "feature_names": mdl.feature_names,
         "importances": mdl.importances.tolist(),
-        "config": {
-            "n_trees": mdl.config.n_trees,
-            "max_depth": mdl.config.max_depth,
-            "min_samples_leaf": mdl.config.min_samples_leaf,
-            "features_per_split": mdl.config.features_per_split,
-            "bootstrap": mdl.config.bootstrap,
-            "seed": mdl.config.seed,
-        },
+        "config": asdict(mdl.config),
         "trees": [
             {key: getattr(mdl, key)[t, :k].tolist()
              for key in ("feature", "threshold", "left", "right", "p1")}

@@ -26,6 +26,15 @@ _HEADER_DTYPE = "f32le"
 _BLOB_FRACTION = 0.35  # ellipsoid semi-axes as a fraction of the grid
 
 
+def _dims(dims, what: str) -> tuple[int, int, int]:
+    """``dims`` as 3 ints >= 1; a bool or a non-integer is an error, not truncated."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                                 and d >= 1 for d in dims):
+        raise DataValidationError(f"{what} dims must be 3 positive integers, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
 @dataclass
 class Volume:
     """Dense 3D scalar image.
@@ -40,10 +49,8 @@ class Volume:
     voxels: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _dims(self.dims, "volume")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise DataValidationError(f"volume dims must be 3 positive integers, got {self.dims}")
         if len(self.spacing) != 3 or not all(0 < s < float("inf") for s in self.spacing):
             raise DataValidationError(f"spacing must be 3 finite reals > 0, got {self.spacing}")
         self.voxels = np.ascontiguousarray(self.voxels, dtype=np.float32).ravel()
@@ -69,9 +76,7 @@ class RoiMask:
     bits: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise DataValidationError(f"mask dims must be 3 positive integers, got {self.dims}")
+        self.dims = _dims(self.dims, "mask")
         self.bits = np.ascontiguousarray(self.bits, dtype=np.uint8).ravel()
         n = self.dims[0] * self.dims[1] * self.dims[2]
         if self.bits.size != n:
@@ -161,7 +166,7 @@ def save_mask(m: RoiMask, path_base) -> None:
 
 def load_mask(path_base, dims) -> RoiMask:
     """Read a mask written by save_mask; dims come from the paired volume."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims, "mask")
     n = dims[0] * dims[1] * dims[2]
     with open(str(path_base) + ".mask.raw", "rb") as fh:
         blob = fh.read()

@@ -267,8 +267,9 @@ def _best_split_oracle(X, y, candidates, min_leaf):
 def forest_oracle(X, y, feature_names, n_trees, max_depth=None, min_samples_leaf=1,
                   features_per_split="sqrt", bootstrap=True, seed=0):
     """Forest document (the layout of ``forest_to_json``) grown one tree at a
-    time by recursion, each tree drawing its bootstrap and then one candidate
-    set per split-eligible node in preorder from its own spawned stream."""
+    time by recursion. One generator draws the bootstrap rows of all trees,
+    then a key for every (preorder node, tree, feature), up front; node r of
+    tree t takes as candidates the m features with the smallest keys[r, t]."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_samples, n_features = X.shape
@@ -276,12 +277,14 @@ def forest_oracle(X, y, feature_names, n_trees, max_depth=None, min_samples_leaf
         m = max(1, int(np.sqrt(n_features)))
     else:
         m = min(int(features_per_split), n_features)
+    rng = np.random.default_rng(seed)
+    boot = (rng.integers(0, n_samples, size=(n_trees, n_samples)) if bootstrap
+            else np.tile(np.arange(n_samples), (n_trees, 1)))
+    # a tree has at most 2n - 1 nodes; the forest draws only the rounds it grows
+    keys = rng.random((2 * n_samples - 1, n_trees, n_features))
     importances = np.zeros(n_features)
     trees = []
-    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(tree_seed)
-        rows = (rng.integers(0, n_samples, size=n_samples) if bootstrap
-                else np.arange(n_samples))
+    for t, rows in enumerate(boot):
         Xt, yt = X[rows], y[rows]
         acc = np.zeros(n_features)
         nodes = []  # [feature, threshold, left, right, p1]
@@ -295,7 +298,7 @@ def forest_oracle(X, y, feature_names, n_trees, max_depth=None, min_samples_leaf
             split = None
             if (0 < n1 < n and (max_depth is None or depth < max_depth)
                     and n >= 2 * min_samples_leaf):
-                candidates = np.sort(rng.choice(n_features, size=m, replace=False))
+                candidates = np.sort(np.argsort(keys[node_id, t], kind="stable")[:m])
                 split = _best_split_oracle(Xt[idx], ys, candidates, min_samples_leaf)
             if split is None:
                 nodes[node_id][4] = n1 / n

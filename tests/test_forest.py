@@ -70,8 +70,23 @@ def test_same_seed_same_predictions():
     a = predict_proba_matrix(train_forest(t, ForestConfig(n_trees=15, seed=11)), probe)
     b = predict_proba_matrix(train_forest(t, ForestConfig(n_trees=15, seed=11)), probe)
     assert np.array_equal(a, b)
-    c = predict_proba_matrix(train_forest(t, ForestConfig(n_trees=15, seed=12)), probe)
-    assert not np.array_equal(a, c)
+    # a different seed grows a different forest, though its probabilities at
+    # a few probes may coincide by chance
+    trees_11, trees_12 = (forest_to_json(train_forest(t, ForestConfig(n_trees=15, seed=s)))["trees"]
+                          for s in (11, 12))
+    assert trees_11 != trees_12
+
+
+def test_trees_draw_independent_candidate_sets():
+    # every feature is the same perfect separator, so a stump splits on its
+    # one candidate; trees sharing a key row would all pick the same feature
+    x = np.arange(10.0)
+    t = _table(np.tile(x[:, None], 8), (x >= 5).astype(int))
+    mdl = train_forest(t, ForestConfig(n_trees=2000, max_depth=1, features_per_split=1,
+                                       bootstrap=False, seed=0))
+    roots = np.bincount(mdl.feature[:, 0], minlength=8)
+    assert roots.sum() == 2000
+    assert np.all(np.abs(roots - 250) <= 0.25 * 250), roots
 
 
 def test_single_class_rejected():

@@ -203,3 +203,21 @@ def test_volume_invariant_checks():
         Volume(dims=(2, 2, 1), spacing=(1, 1, 1), modality_tag="T1", voxels=np.zeros(3))
     with pytest.raises(DataValidationError):
         RoiMask(dims=(2, 1, 1), bits=np.array([2, 0], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("dims", [(2.9, 2, 2), (2.0, 2, 2), (True, 2, 2), (2, 2, "2")])
+def test_volume_dims_must_be_integers(dims):
+    with pytest.raises(DataValidationError, match="volume dims"):
+        Volume(dims=dims, spacing=(1, 1, 1), modality_tag="T1", voxels=np.zeros(8))
+
+
+@pytest.mark.parametrize("dims", [(True, 2.5, 4), (1, 2.0, 4), (1, 2, False), (1, 2)])
+def test_mask_dims_must_be_integers(dims):
+    with pytest.raises(DataValidationError, match="mask dims"):
+        RoiMask(dims=dims, bits=np.zeros(8, dtype=np.uint8))
+
+
+def test_numpy_integer_dims_accepted():
+    v = Volume(dims=np.array([2, 2, 2]), spacing=(1, 1, 1), modality_tag="T1",
+               voxels=np.zeros(8))
+    assert v.dims == (2, 2, 2) and all(type(d) is int for d in v.dims)
