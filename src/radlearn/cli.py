@@ -168,10 +168,15 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
 
 def _slices_from_manifest(entries):
     images, labels = [], []
-    for _, label, base in entries:
+    for sample_id, label, base in entries:
         volume = load_volume(base)
         mask = load_mask(base, volume.dims)
-        images.append(volume.as_zyx()[roi_slice_index(mask)])
+        image = volume.as_zyx()[roi_slice_index(mask)]
+        if images and image.shape != images[0].shape:
+            raise DataValidationError(
+                f"sample {sample_id}: slice shape {image.shape} differs from "
+                f"{images[0].shape} of sample {entries[0][0]}")
+        images.append(image)
         labels.append(label)
     return np.stack(images), np.array(labels)
 

@@ -9,7 +9,10 @@ Layer names are ``NetConfig.layer_names``: "conv1"..., "fc1"..., and
 "fc_out"; each layer holds a "W" and a "b" array. All parameters live in one
 flat buffer, ``flat``, laid out in checkpoint order (conv1.W, conv1.b, ...,
 fc_out.b); ``params[name][p]`` are reshaped views into it, so they are
-written with ``[...] =`` and never rebound.
+written with ``[...] =`` and never rebound. The gradients live the same way in
+``grad``, a buffer of the same dtype and layout with views ``grads[name][p]``;
+each backward pass overwrites every one of them, and ``slices[name]`` is a
+layer's span in both buffers.
 """
 
 from __future__ import annotations
@@ -68,44 +71,26 @@ class Network:
             in_features = width
 
         self.layer_names = cfg.layer_names
-        self._shapes = [(name, wgt.shape, b.shape)
-                        for name, (wgt, b) in zip(self.layer_names, layers)]
-        flat = np.concatenate([a.ravel() for wgt, b in layers for a in (wgt, b)])
-        self._bind(flat.astype(self.dtype))
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Adopt ``flat`` as the parameter buffer and rebuild the views."""
-        self.flat = flat
+        self.flat = np.concatenate(
+            [a.ravel() for wgt, b in layers for a in (wgt, b)]).astype(self.dtype)
+        self.grad = np.zeros_like(self.flat)
         self.params: dict[str, dict[str, np.ndarray]] = {}
-        self.slices: dict[str, slice] = {}  # layer name -> its W and b in flat
+        self.grads: dict[str, dict[str, np.ndarray]] = {}
+        self.slices: dict[str, slice] = {}  # layer name -> its W and b in flat and grad
         offset = 0
-        for name, w_shape, b_shape in self._shapes:
+        for name, (wgt, b) in zip(self.layer_names, layers):
             start = offset
-            layer = {}
-            for pname, shape in (("W", w_shape), ("b", b_shape)):
-                size = int(np.prod(shape))
-                layer[pname] = flat[offset:offset + size].reshape(shape)
-                offset += size
-            self.params[name] = layer
+            self.params[name], self.grads[name] = {}, {}
+            for pname, shape in (("W", wgt.shape), ("b", b.shape)):
+                span = slice(offset, offset + int(np.prod(shape)))
+                self.params[name][pname] = self.flat[span].reshape(shape)
+                self.grads[name][pname] = self.grad[span].reshape(shape)
+                offset = span.stop
             self.slices[name] = slice(start, offset)
 
     @property
     def n_params(self) -> int:
         return self.flat.size
-
-    def astype(self, dtype) -> "Network":
-        clone = Network.__new__(Network)
-        clone.cfg = self.cfg
-        clone.dtype = np.dtype(dtype)
-        clone.layer_names = list(self.layer_names)
-        clone._shapes = self._shapes
-        clone._bind(self.flat.astype(dtype))
-        return clone
-
-    def flat_grads(self, grads) -> np.ndarray:
-        """Per-layer grads concatenated in the layout of ``flat``."""
-        return np.concatenate([grads[name][p].ravel()
-                               for name in self.layer_names for p in ("W", "b")])
 
     # -- forward / backward -------------------------------------------------
 
@@ -166,8 +151,8 @@ class Network:
         logits, _ = self._forward(self._prepare_input(x))
         return logits
 
-    def _backward(self, caches, dlogits: np.ndarray):
-        grads: dict[str, dict[str, np.ndarray]] = {}
+    def _backward(self, caches, dlogits: np.ndarray) -> None:
+        """Write every parameter gradient into its view of ``grad``."""
         d = dlogits[:, None].astype(self.dtype)
         # the input gradient of the first layer with weights is never used
         first = 0 if self.cfg.conv_blocks else 1
@@ -177,8 +162,9 @@ class Network:
                 name = cache["name"]
                 if cache["relu_mask"] is not None:
                     d = d * cache["relu_mask"]  # relu follows the affine op
-                x = cache["x"]
-                grads[name] = {"W": d.T @ x, "b": d.sum(axis=0)}
+                grad = self.grads[name]
+                grad["W"][...] = d.T @ cache["x"]
+                grad["b"][...] = d.sum(axis=0)
                 if i == first:
                     break
                 d = d @ self.params[name]["W"]
@@ -192,11 +178,10 @@ class Network:
                 dact[cache["pos"]] = d
                 dconv2d = dact.reshape(relu_mask.shape) * relu_mask
                 out_c = dconv2d.shape[1]
-                cols = cache["cols"]
-                grads[name] = {
-                    "W": np.einsum("nop,nfp->of", dconv2d, cols).reshape(wgt.shape),
-                    "b": dconv2d.sum(axis=(0, 2)),
-                }
+                grad = self.grads[name]
+                grad["W"][...] = np.einsum("nop,nfp->of", dconv2d,
+                                           cache["cols"]).reshape(wgt.shape)
+                grad["b"][...] = dconv2d.sum(axis=(0, 2))
                 if i == first:
                     break
                 dcols = np.einsum("of,nop->nfp", wgt.reshape(out_c, -1), dconv2d)
@@ -207,10 +192,12 @@ class Network:
                     for dj in range(3):
                         dxp[:, :, di:di + in_h, dj:dj + in_w] += dcols6[:, :, di, dj]
                 d = dxp[:, :, 1:-1, 1:-1]
-        return grads
 
     def loss_and_grads(self, x, y, loss_name: str):
-        """(mean loss, per-layer grads, logits) on a batch."""
+        """(mean loss, per-layer grads, logits) on a batch.
+
+        The grads are ``self.grads``, views into ``grad``: the next call
+        overwrites them."""
         x = self._prepare_input(x)
         y = np.asarray(y, dtype=self.dtype).ravel()
         if y.size != x.shape[0]:
@@ -219,5 +206,5 @@ class Network:
         loss_vec, dz = LOSSES[loss_name](logits, y)
         # mean reduction: spread the 1/n over per-sample gradients
         dlogits = dz / y.size
-        grads = self._backward(caches, dlogits)
-        return float(loss_vec.mean()), grads, logits
+        self._backward(caches, dlogits)
+        return float(loss_vec.mean()), self.grads, logits

@@ -2,13 +2,15 @@
 
 Training runs in float32 with seeded batch shuffling, so a fixed
 (net seed, train seed, data) triple pins the whole trace bit-exactly. The
-parameters live in one flat float32 buffer in checkpoint order, and each batch
-makes one optimizer step on it with the batch's gradients concatenated in the
-same order. Frozen layers get a zero optimizer gradient: with zero gradient
-and zero optimizer state the Adam and RMSProp step is lr*0/(0+eps) = 0, so
-they stay bit-for-bit unmoved. The trace still records their real gradients.
-The trace snapshot per epoch uses the last batch's gradients, mirroring
-per-epoch histogram plots.
+parameters live in one flat float32 buffer in checkpoint order, ``net.flat``,
+and each backward pass writes the batch's gradients into ``net.grad``, a
+buffer of the same layout; each batch makes one optimizer step of the one on
+the other. Frozen layers' slices of ``net.grad`` are zeroed in place before
+the step: with zero gradient and zero optimizer state the Adam and RMSProp
+step is lr*0/(0+eps) = 0, so they stay bit-for-bit unmoved. The trace still
+records their real gradients, kept aside before the zeroing. The trace
+snapshot per epoch uses the last batch's gradients, mirroring per-epoch
+histogram plots.
 
 gradient_check builds its own float64 copy of the network and compares the
 analytic gradients against central finite differences on sampled parameters;
@@ -82,7 +84,7 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     n = labels.size
     trace = TrainTrace(layer_names=list(net.layer_names))
-    prev = {name: net.flat[net.slices[name]].copy() for name in net.layer_names}
+    prev = net.flat.copy()  # the weights each epoch's delta_l2 is measured from
 
     has_val = val_images is not None and val_labels is not None
     if has_val:
@@ -91,34 +93,32 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
 
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)
-        last_grads = None
         for b, start in enumerate(range(0, n, train_cfg.batch_size)):
             batch = order[start:start + train_cfg.batch_size]
-            loss, grads, _ = net.loss_and_grads(images[batch], labels[batch],
-                                                train_cfg.loss)
+            loss, _, _ = net.loss_and_grads(images[batch], labels[batch],
+                                            train_cfg.loss)
             if not np.isfinite(loss):
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {b}",
                     epoch=epoch, batch=b)
-            step = net.flat_grads(grads)
+            kept = [net.grad[layer].copy() for layer in frozen]
             for layer in frozen:
-                step[layer] = 0.0
-            optimizer.update(net.flat, step)
-            last_grads = grads
+                net.grad[layer] = 0.0
+            optimizer.update(net.flat, net.grad)
+        for layer, real in zip(frozen, kept):
+            net.grad[layer] = real  # the trace records frozen layers' real gradients
 
-        last_flat = net.flat_grads(last_grads)  # frozen layers' real gradients too
         layer_records = {}
-        for name in net.layer_names:
-            weights = net.flat[net.slices[name]].copy()
-            gradient = last_flat[net.slices[name]]
+        for name, span in net.slices.items():
+            weights, gradient = net.flat[span], net.grad[span]
             layer_records[name] = LayerEpochRecord(
                 weight_l2=_l2(weights),
                 grad_l2=_l2(gradient),
-                delta_l2=_l2(weights - prev[name]),
+                delta_l2=_l2(weights - prev[span]),
                 weight_hist=_hist_record(weights),
                 grad_hist=_hist_record(gradient),
             )
-            prev[name] = weights
+        prev = net.flat.copy()
         train_metrics = _metric_record(net, images, labels, train_cfg.loss)
         if has_val:
             val_metrics = _metric_record(net, val_images, val_labels, train_cfg.loss)
@@ -145,8 +145,8 @@ def gradient_check(net_cfg: NetConfig, images, labels, loss: str = "bce_logit",
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels).ravel()
 
-    _, grads, _ = net.loss_and_grads(images, labels, loss)
-    analytic = net.flat_grads(grads)
+    net.loss_and_grads(images, labels, loss)
+    analytic = net.grad.copy()  # each probe below overwrites net.grad
 
     probes = range(net.n_params)
     if net.n_params > n_probe:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .volume import RoiMask, Volume, check_pair
+from .volume import RoiMask, Volume, _dims, check_pair
 
 DEFAULT_BINS = 32
 
@@ -24,8 +24,12 @@ class QuantizedVolume:
     n_bins: int
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _dims(self.dims, "quantized volume")
         self.levels = np.ascontiguousarray(self.levels, dtype=np.int32).ravel()
+        n = self.dims[0] * self.dims[1] * self.dims[2]
+        if self.levels.size != n:
+            raise DataValidationError(
+                f"level count {self.levels.size} does not match dims product {n}")
         if self.n_bins < 1:
             raise DataValidationError("n_bins must be >= 1")
         if self.levels.min() < 0 or self.levels.max() > self.n_bins:

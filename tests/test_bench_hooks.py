@@ -1,6 +1,6 @@
-"""What the benchmark's tracing relies on: every function it wraps in a span
-exists, and ``extract_all`` reaches each texture builder through the names it
-wraps, so the per-family spans measure real work."""
+"""What the benchmark's tracing relies on: every function and method it wraps
+in a span exists, and ``extract_all`` reaches each texture builder through the
+names it wraps, so the per-family spans measure real work."""
 
 import importlib
 import importlib.util
@@ -25,6 +25,13 @@ def test_span_functions_resolve_to_callables():
     for modname, attr, _, _ in _bench_child().SPAN_FUNCTIONS:
         target = getattr(importlib.import_module(modname), attr, None)
         assert callable(target), f"{modname}.{attr} is not a callable"
+
+
+def test_span_methods_resolve_to_callables():
+    for modname, clsname, method, _ in _bench_child().SPAN_METHODS:
+        cls = getattr(importlib.import_module(modname), clsname, None)
+        target = getattr(cls, method, None)
+        assert callable(target), f"{modname}.{clsname}.{method} is not a callable"
 
 
 def test_extract_all_calls_each_texture_builder_once(monkeypatch):

@@ -349,6 +349,26 @@ def test_malformed_volume_header_exits_two(pipeline, tmp_path, capsys, header):
     assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
 
 
+def test_train_on_mixed_slice_shapes_exits_two(pipeline, tmp_path, capsys):
+    phantom = tmp_path / "phantom"
+    shutil.copytree(pipeline / "phantom", phantom)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "phantom": {**CONFIG["phantom"],
+                                                        "dims": [12, 16, 16]}}))
+    assert main(["phantom", "--config", str(config), "--out", str(phantom / "wide")]) == 0
+    rows = (phantom / "wide" / "manifest.csv").read_text().splitlines()[1:]
+    first_wide = rows[0].split(",")[0] + "_wide"
+    with open(phantom / "manifest.csv", "a") as fh:
+        for row in rows:
+            sample_id, label, base, modality = row.split(",")
+            fh.write(f"{sample_id}_wide,{label},wide/{base},{modality}\n")
+    assert main(["train", "--config", str(pipeline / "config.json"),
+                 "--in", str(phantom / "manifest.csv"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: sample " + first_wide + ":")
+    assert err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def abc_rfe(tmp_path_factory):
     """An elimination trace over a table of the features a, b and c, and the

@@ -97,15 +97,6 @@ def test_zero_input_dense_net_input_layer_gradient_zero():
     assert np.any(grads["fc_out"]["b"] != 0.0)  # loss gradient still flows
 
 
-def test_astype_round_trip_preserves_values():
-    cfg = NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=9)
-    net = Network(cfg)
-    as64 = net.astype(np.float64)
-    back = as64.astype(np.float32)
-    for name in net.layer_names:
-        assert np.array_equal(net.params[name]["W"], back.params[name]["W"])
-
-
 def _views_of_flat(net):
     return [np.shares_memory(net.params[name][p], net.flat)
             for name in net.layer_names for p in ("W", "b")]
@@ -117,6 +108,32 @@ def test_params_are_views_in_checkpoint_order():
     assert np.array_equal(net.flat, np.concatenate(
         [net.params[name][p].ravel() for name in net.layer_names for p in ("W", "b")]))
     assert net.n_params == net.flat.size
+
+
+def test_grads_are_views_in_checkpoint_order():
+    net = Network(NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6))
+    assert net.grad.dtype == net.flat.dtype and net.grad.shape == net.flat.shape
+    assert all(np.shares_memory(net.grads[name][p], net.grad)
+               for name in net.layer_names for p in ("W", "b"))
+    net.grad[...] = np.arange(net.grad.size)
+    assert np.array_equal(net.grad, np.concatenate(
+        [net.grads[name][p].ravel() for name in net.layer_names for p in ("W", "b")]))
+    for name in net.layer_names:
+        for p in ("W", "b"):
+            assert net.grads[name][p].shape == net.params[name][p].shape
+
+
+def test_backward_overwrites_every_gradient():
+    cfg = NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6)
+    rng = np.random.default_rng(2)
+    xa, xb = rng.normal(size=(2, 5, 9, 11))
+    ya, yb = np.array([1, 0, 1, 1, 0]), np.array([0, 1, 0, 0, 1])
+    net = Network(cfg)
+    net.loss_and_grads(xa, ya, "bce_logit")
+    net.loss_and_grads(xb, yb, "bce_logit")
+    fresh = Network(cfg)
+    fresh.loss_and_grads(xb, yb, "bce_logit")
+    assert net.grad.tobytes() == fresh.grad.tobytes()
 
 
 def test_apply_checkpoint_writes_into_the_flat_buffer():
@@ -142,16 +159,6 @@ def test_train_from_checkpoint_keeps_params_as_views():
     assert all(_views_of_flat(net))
     assert np.array_equal(net.params["fc1"]["W"], init.layers["fc1"]["W"])
     assert not np.array_equal(net.params["conv1"]["W"], init.layers["conv1"]["W"])
-
-
-def test_astype_returns_an_independent_buffer():
-    net = Network(NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[4], seed=9))
-    as64 = net.astype(np.float64)
-    assert as64.flat.dtype == np.float64 and all(_views_of_flat(as64))
-    assert not np.shares_memory(as64.flat, net.flat)
-    before = net.flat.copy()
-    as64.params["fc_out"]["W"][...] = 7.0
-    assert np.array_equal(net.flat, before)
 
 
 @pytest.mark.parametrize("n_probe", [50, 10_000])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import full_mask, vol_from_values
 
 from radlearn.errors import DataValidationError
-from radlearn.quantize import quantize_fixed_bins
+from radlearn.quantize import QuantizedVolume, quantize_fixed_bins
 from radlearn.volume import RoiMask
 
 
@@ -42,6 +42,18 @@ def test_mask_support_equals_nonzero_levels():
     bits = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
     q = quantize_fixed_bins(v, RoiMask(dims=(2, 2, 2), bits=bits), 4)
     assert np.array_equal(q.levels > 0, bits.astype(bool))
+
+
+@pytest.mark.parametrize("dims", [(2.9, 2, 2), (True, 2, 2), (0, 2, 2), (2, 2)])
+def test_quantized_dims_must_be_positive_integers(dims):
+    with pytest.raises(DataValidationError, match="dims must be 3 positive integers"):
+        QuantizedVolume(dims=dims, levels=np.ones(8, dtype=np.int32), n_bins=4)
+
+
+@pytest.mark.parametrize("n_levels", [0, 5, 28])
+def test_level_count_must_match_dims_product(n_levels):
+    with pytest.raises(DataValidationError, match="does not match dims product 27"):
+        QuantizedVolume(dims=(3, 3, 3), levels=np.ones(n_levels, dtype=np.int32), n_bins=4)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=27),
