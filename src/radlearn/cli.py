@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="pipeline config JSON")
-        p.add_argument("--in", dest="in_paths", nargs="+", default=None,
-                       help="input artifact(s) from previous stages")
+        p.add_argument("--in", dest="in_paths", nargs="+", action="extend", default=None,
+                       help="input artifact(s) from previous stages; may be repeated")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")

@@ -10,6 +10,11 @@ All builders share the same geometric conventions:
 * co-occurrence/run/zone/dependence counts are summed ("merged") over
   directions before any normalization.
 * level 0 marks out-of-mask voxels; in-mask levels are 1..n_bins.
+* accumulators are exact integers of the narrowest safe width, and values
+  become float64 only after accumulation: a voxel has at most 26 neighbors,
+  so NGTDM neighbor counts and GLDM dependence counts are uint8 and NGTDM
+  level sums (of at most 26 levels) are int64; GLCM pair counts are int64.
+  Every matrix is therefore the one float64 accumulation gives, bit for bit.
 
 Matrix layouts:
 
@@ -90,16 +95,14 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
     lvl = q.as_zyx()
     nb = q.n_bins
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
-    counts = np.zeros((nb, nb), dtype=np.float64)
+    # joint codes a * (nb + 1) + b over the whole grid, levels 0..nb; row and
+    # column 0 (pairs with an out-of-mask end) are dropped after the loop
+    counts = np.zeros((nb + 1) ** 2, dtype=np.int64)
+    row = np.multiply(lvl, nb + 1, dtype=np.intp)
     for src, dst, _ in _neighbors(lvl, dirs, distance):
-        a = lvl[src].ravel()
-        b = lvl[dst].ravel()
-        valid = (a > 0) & (b > 0)
-        if not valid.any():
-            continue
-        pair = np.bincount((a[valid] - 1).astype(np.int64) * nb + (b[valid] - 1),
-                           minlength=nb * nb).reshape(nb, nb)
-        counts += pair + pair.T
+        counts += np.bincount(np.add(row[src], lvl[dst]).ravel(), minlength=counts.size)
+    pairs = counts.reshape(nb + 1, nb + 1)[1:, 1:]
+    counts = (pairs + pairs.T).astype(np.float64)
     total = counts.sum()
     if total == 0:
         raise DataValidationError("no co-occurring voxel pairs at the requested distance")
@@ -114,17 +117,24 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
     matrix = np.zeros((nb, max(lvl.shape)), dtype=np.float64)
     flat = lvl.ravel()
+    inside = lvl > 0
+    # per voxel, the number of directions in which it is a run of length 1;
+    # at most len(dirs), so the narrowest type that holds that is exact
+    singles = np.zeros(lvl.shape, dtype=np.min_scalar_type(len(dirs)))
     walked = 0
     for src, dst, stride in _neighbors(lvl, dirs):
         walked += 1
         # cont[p] = run continues from p to p+d
         cont = _same_level(lvl, src, dst)
         # run starts where no same-level in-mask predecessor feeds into p
-        run_start = lvl > 0
+        run_start = inside.copy()
         run_start[dst] &= ~cont[src]
+        singles += run_start & ~cont
+        # walk only the runs that continue past their start
+        run_start &= cont
         cont_flat = cont.ravel()
-        pos = np.flatnonzero(run_start.ravel())
-        length = 1
+        pos = np.flatnonzero(run_start.ravel()) + stride
+        length = 2
         while pos.size:
             advancing = cont_flat[pos]
             done = pos[~advancing]
@@ -134,7 +144,8 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
             length += 1
     if walked < len(dirs):
         # each direction longer than the grid makes every in-mask voxel a run of 1
-        matrix[:, 0] += (len(dirs) - walked) * np.bincount(flat[flat > 0] - 1, minlength=nb)
+        singles[inside] += len(dirs) - walked
+    matrix[:, 0] = np.bincount(flat[inside.ravel()] - 1, weights=singles[inside], minlength=nb)
     last = int(np.max(np.nonzero(matrix.any(axis=0))[0])) if matrix.any() else 0
     return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)
 
@@ -203,23 +214,29 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
     Voxels with no in-mask neighbors keep their count but contribute 0 to s_i.
     """
     _require_mask(q, 1)
-    lvl = q.as_zyx().astype(np.float64)
+    lvl = q.as_zyx()
     nb = q.n_bins
     mask = lvl > 0
-    nsum = np.zeros(lvl.shape, dtype=np.float64)
-    ncnt = np.zeros(lvl.shape, dtype=np.int64)
+    mask_u8 = mask.view(np.uint8)
+    # out-of-mask levels are 0, so masking is implicit; each pair feeds both
+    # ends. A voxel sums at most 26 levels and counts at most 26 neighbors,
+    # so int64 sums and uint8 counts are exact
+    nsum = np.zeros(lvl.shape, dtype=np.int64)
+    ncnt = np.zeros(lvl.shape, dtype=np.uint8)
     for src, dst, _ in _neighbors(lvl):
-        # out-of-mask levels are 0, so masking is implicit; each pair feeds
-        # both ends, and sums of at most 26 integer levels are exact
         nsum[src] += lvl[dst]
         nsum[dst] += lvl[src]
-        ncnt[src] += mask[dst]
-        ncnt[dst] += mask[src]
+        ncnt[src] += mask_u8[dst]
+        ncnt[dst] += mask_u8[src]
     has_nb = mask & (ncnt > 0)
-    deviation = np.zeros(lvl.shape, dtype=np.float64)
-    deviation[has_nb] = np.abs(lvl[has_nb] - nsum[has_nb] / ncnt[has_nb])
-    n_i = np.bincount(q.as_zyx()[mask] - 1, minlength=nb).astype(np.float64)
-    s_i = np.bincount(q.as_zyx()[has_nb] - 1, weights=deviation[has_nb], minlength=nb)
+    level = lvl[has_nb]
+    # the division casts both operands to float64, as if they had been
+    # summed in float64; |mean - level| is |level - mean| to the bit
+    deviation = nsum[has_nb] / ncnt[has_nb]
+    deviation -= level
+    np.abs(deviation, out=deviation)
+    n_i = np.bincount(lvl[mask] - 1, minlength=nb).astype(np.float64)
+    s_i = np.bincount(level - 1, weights=deviation, minlength=nb)
     p_i = n_i / n_i.sum()
     return TextureMatrix(kind="NGTDM", data=np.column_stack([n_i, p_i, s_i]), n_levels=nb)
 
@@ -232,11 +249,17 @@ def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
     lvl = q.as_zyx()
     nb = q.n_bins
     mask = lvl > 0
-    dep = np.zeros(lvl.shape, dtype=np.int64)
+    # a voxel has at most 26 dependent neighbors, so uint8 counts are exact
+    dep = np.zeros(lvl.shape, dtype=np.uint8)
     for src, dst, _ in _neighbors(lvl):
-        ok = mask[src] & mask[dst] & (np.abs(lvl[src].astype(np.int64) - lvl[dst]) <= alpha)
+        a, b = lvl[src], lvl[dst]
+        if alpha == 0:
+            ok = (a > 0) & (a == b)
+        else:
+            # levels lie in 0..nb, so the int32 difference cannot overflow
+            ok = (a > 0) & (b > 0) & (np.abs(a - b) <= min(alpha, nb))
         dep[src] += ok
         dep[dst] += ok
-    matrix = np.zeros((nb, 27), dtype=np.float64)
-    np.add.at(matrix, (lvl[mask] - 1, dep[mask]), 1.0)
+    code = (lvl[mask] - 1).astype(np.intp) * 27 + dep[mask]
+    matrix = np.bincount(code, minlength=nb * 27).reshape(nb, 27).astype(np.float64)
     return TextureMatrix(kind="GLDM", data=matrix, n_levels=nb)

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .features.vector import FeatureVector
 from .jsonio import check
 from .table import FeatureTable
 
@@ -65,16 +64,6 @@ class ForestModel:
     n_nodes: np.ndarray  # (n_trees,)
     importances: np.ndarray  # per feature, sums to 1 unless no split anywhere
     config: ForestConfig
-
-
-def gini_impurity(counts) -> float:
-    """1 - sum((n_c / n)^2) over class counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise DataValidationError("gini impurity of an empty node is undefined")
-    p = counts / total
-    return float(1.0 - np.sum(p ** 2))
 
 
 def _best_splits(X, rows, yb, member, count, n1, cand, min_leaf):
@@ -238,15 +227,6 @@ def predict_proba_matrix(mdl: ForestModel, X: np.ndarray) -> np.ndarray:
                                         mdl.right[trees, node]), node)
     # summed tree by tree, in tree order, so the mean is the same to the bit
     return np.cumsum(mdl.p1[trees, node], axis=1)[:, -1] / trees.size
-
-
-def predict_proba(mdl: ForestModel, row: FeatureVector) -> float:
-    values = row.as_dict()
-    missing = [n for n in mdl.feature_names if n not in values]
-    if missing:
-        raise DataValidationError(f"row is missing model features: {missing}")
-    x = np.array([[values[n] for n in mdl.feature_names]])
-    return float(predict_proba_matrix(mdl, x)[0])
 
 
 def rank_features(mdl: ForestModel) -> list[str]:

@@ -25,15 +25,22 @@ class QuantizedVolume:
 
     def __post_init__(self):
         self.dims = _dims(self.dims, "quantized volume")
-        self.levels = np.ascontiguousarray(self.levels, dtype=np.int32).ravel()
+        # a bool, a non-integer or a non-integral value is an error, not truncated
+        if (not isinstance(self.n_bins, (int, np.integer)) or isinstance(self.n_bins, bool)
+                or self.n_bins < 1):
+            raise DataValidationError(f"n_bins must be an integer >= 1, got {self.n_bins!r}")
+        self.n_bins = int(self.n_bins)
+        levels = np.asarray(self.levels).ravel()
+        if levels.dtype.kind not in "biuf" or (
+                levels.dtype.kind == "f" and not np.array_equal(levels, np.trunc(levels))):
+            raise DataValidationError("levels must be integers")
         n = self.dims[0] * self.dims[1] * self.dims[2]
-        if self.levels.size != n:
-            raise DataValidationError(
-                f"level count {self.levels.size} does not match dims product {n}")
-        if self.n_bins < 1:
-            raise DataValidationError("n_bins must be >= 1")
-        if self.levels.min() < 0 or self.levels.max() > self.n_bins:
-            raise DataValidationError("levels must lie in {0} union [1, n_bins]")
+        if levels.size != n:
+            raise DataValidationError(f"level count {levels.size} does not match dims product {n}")
+        # checked before the cast, so an out-of-range value cannot wrap into range
+        if levels.min() < 0 or levels.max() > min(self.n_bins, np.iinfo(np.int32).max):
+            raise DataValidationError("levels must lie in {0} union [1, n_bins] and fit int32")
+        self.levels = np.ascontiguousarray(levels, dtype=np.int32)
 
     def as_zyx(self) -> np.ndarray:
         nx, ny, nz = self.dims

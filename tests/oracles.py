@@ -3,6 +3,8 @@
 Everything here is deliberately naive: explicit nested loops over voxels,
 neighbors, and assignments, with no code shared with the package. Shapes and
 conventions mirror the documented matrix layouts so results compare exactly.
+The ``*_float_reference`` builders are the exception: earlier vectorized
+builders, kept verbatim so tests can pin their successors byte for byte.
 """
 
 import itertools
@@ -154,6 +156,113 @@ def gldm_oracle(lvl, n_bins, alpha=0):
                             and abs(int(lvl[qz, qy, qx]) - int(v)) <= alpha):
                         dep += 1
                 matrix[v - 1, dep] += 1
+    return matrix
+
+
+# --- float references: the vectorized builders with float64 and int64
+# accumulators, as they were before the narrow integer ones
+
+
+def _axis_slices_ref(n, d):
+    if d >= 0:
+        return slice(0, n - d), slice(d, n)
+    return slice(-d, n), slice(0, n + d)
+
+
+def _neighbors_ref(lvl, directions=DIRS_13, distance=1):
+    nz, ny, nx = lvl.shape
+    for dx, dy, dz in directions:
+        dx, dy, dz = dx * distance, dy * distance, dz * distance
+        if abs(dx) >= nx or abs(dy) >= ny or abs(dz) >= nz:
+            continue
+        sz, tz = _axis_slices_ref(nz, dz)
+        sy, ty = _axis_slices_ref(ny, dy)
+        sx, tx = _axis_slices_ref(nx, dx)
+        yield (sz, sy, sx), (tz, ty, tx), dz * ny * nx + dy * nx + dx
+
+
+def glcm_float_reference(lvl, n_bins, distance=1, directions=None):
+    """Normalized GLCM with float64 counts and a per-direction valid-pair mask;
+    None when no pair co-occurs."""
+    nb = n_bins
+    dirs = DIRS_13 if directions is None else tuple(directions)
+    counts = np.zeros((nb, nb), dtype=np.float64)
+    for src, dst, _ in _neighbors_ref(lvl, dirs, distance):
+        a = lvl[src].ravel()
+        b = lvl[dst].ravel()
+        valid = (a > 0) & (b > 0)
+        if not valid.any():
+            continue
+        pair = np.bincount((a[valid] - 1).astype(np.int64) * nb + (b[valid] - 1),
+                           minlength=nb * nb).reshape(nb, nb)
+        counts += pair + pair.T
+    total = counts.sum()
+    if total == 0:
+        return None
+    return counts / total
+
+
+def glrlm_float_reference(lvl, n_bins, directions=None):
+    """GLRLM walking every run start of every direction, float64 counts."""
+    nb = n_bins
+    dirs = DIRS_13 if directions is None else tuple(directions)
+    matrix = np.zeros((nb, max(lvl.shape)), dtype=np.float64)
+    flat = lvl.ravel()
+    walked = 0
+    for src, dst, stride in _neighbors_ref(lvl, dirs):
+        walked += 1
+        cont = np.zeros(lvl.shape, dtype=bool)
+        cont[src] = (lvl[src] > 0) & (lvl[src] == lvl[dst])
+        run_start = lvl > 0
+        run_start[dst] &= ~cont[src]
+        cont_flat = cont.ravel()
+        pos = np.flatnonzero(run_start.ravel())
+        length = 1
+        while pos.size:
+            advancing = cont_flat[pos]
+            done = pos[~advancing]
+            if done.size:
+                matrix[:, length - 1] += np.bincount(flat[done] - 1, minlength=nb)
+            pos = pos[advancing] + stride
+            length += 1
+    if walked < len(dirs):
+        matrix[:, 0] += (len(dirs) - walked) * np.bincount(flat[flat > 0] - 1, minlength=nb)
+    last = int(np.max(np.nonzero(matrix.any(axis=0))[0])) if matrix.any() else 0
+    return matrix[:, : last + 1]
+
+
+def ngtdm_float_reference(lvl_int, n_bins):
+    """NGTDM with float64 level sums and int64 neighbor counts."""
+    lvl = lvl_int.astype(np.float64)
+    nb = n_bins
+    mask = lvl > 0
+    nsum = np.zeros(lvl.shape, dtype=np.float64)
+    ncnt = np.zeros(lvl.shape, dtype=np.int64)
+    for src, dst, _ in _neighbors_ref(lvl):
+        nsum[src] += lvl[dst]
+        nsum[dst] += lvl[src]
+        ncnt[src] += mask[dst]
+        ncnt[dst] += mask[src]
+    has_nb = mask & (ncnt > 0)
+    deviation = np.zeros(lvl.shape, dtype=np.float64)
+    deviation[has_nb] = np.abs(lvl[has_nb] - nsum[has_nb] / ncnt[has_nb])
+    n_i = np.bincount(lvl_int[mask] - 1, minlength=nb).astype(np.float64)
+    s_i = np.bincount(lvl_int[has_nb] - 1, weights=deviation[has_nb], minlength=nb)
+    p_i = n_i / n_i.sum()
+    return np.column_stack([n_i, p_i, s_i])
+
+
+def gldm_float_reference(lvl, n_bins, alpha=0):
+    """GLDM with int64 dependence counts and float64 ``np.add.at`` binning."""
+    nb = n_bins
+    mask = lvl > 0
+    dep = np.zeros(lvl.shape, dtype=np.int64)
+    for src, dst, _ in _neighbors_ref(lvl):
+        ok = mask[src] & mask[dst] & (np.abs(lvl[src].astype(np.int64) - lvl[dst]) <= alpha)
+        dep[src] += ok
+        dep[dst] += ok
+    matrix = np.zeros((nb, 27), dtype=np.float64)
+    np.add.at(matrix, (lvl[mask] - 1, dep[mask]), 1.0)
     return matrix
 
 

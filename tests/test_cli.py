@@ -205,6 +205,19 @@ def test_rerun_determinism_all_stages(pipeline, tmp_path):
         assert _dirs_byte_identical(pipeline / stage, out), f"{stage} not deterministic"
 
 
+def test_in_given_twice_means_both_inputs(pipeline, tmp_path):
+    cfgp = str(pipeline / "config.json")
+    features = str(pipeline / "extract" / "features.csv")
+    sig = str(pipeline / "filter" / "significance.json")
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(["rfe", "--config", cfgp, "--in", features, sig, "--out", str(once)]) == 0
+    assert main(["rfe", "--config", cfgp, "--in", features, "--in", sig,
+                 "--out", str(twice)]) == 0
+    assert _dirs_byte_identical(once, twice)
+    # differs from the table-only run, so the second input was used
+    assert not _dirs_byte_identical(once, pipeline / "rfe")
+
+
 @pytest.mark.parametrize("forest", [
     {"n_trees": "100"}, {"n_trees": 2.5}, {"features_per_split": -2},
     {"features_per_split": 0}, {"bootstrap": "no"},

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radlearn.errors import DataValidationError
-from radlearn.features.vector import FeatureVector
 from radlearn.forest import (
     ForestConfig,
     forest_to_json,
-    gini_impurity,
-    predict_proba,
     predict_proba_matrix,
     rank_features,
     train_forest,
@@ -36,14 +33,6 @@ def _separable_table(seed=0, n=50):
     x = rng.normal(0, 1, n)
     labels = (x > 0).astype(int)
     return _table(x, labels, names=["x"])
-
-
-def test_gini_values():
-    assert gini_impurity([2, 2]) == pytest.approx(0.5)
-    assert gini_impurity([4, 0]) == 0.0
-    assert gini_impurity([3, 1]) == pytest.approx(0.375)
-    with pytest.raises(DataValidationError):
-        gini_impurity([0, 0])
 
 
 def test_separable_training_accuracy_is_one():
@@ -98,17 +87,7 @@ def test_single_class_rejected():
 def test_predict_proba_leaf_means():
     t = _table([-1.0, -0.5, 0.5, 1.0], [0, 0, 1, 1])
     mdl = train_forest(t, ForestConfig(n_trees=1, bootstrap=False, seed=0))
-    row = FeatureVector(names=["f0"], values=np.array([1.0]))
-    assert predict_proba(mdl, row) == 1.0
-    row0 = FeatureVector(names=["f0"], values=np.array([-1.0]))
-    assert predict_proba(mdl, row0) == 0.0
-
-
-def test_predict_proba_missing_feature():
-    t = _separable_table()
-    mdl = train_forest(t, ForestConfig(n_trees=2, seed=0))
-    with pytest.raises(DataValidationError, match="missing"):
-        predict_proba(mdl, FeatureVector(names=["other"], values=np.array([1.0])))
+    assert predict_proba_matrix(mdl, np.array([[1.0], [-1.0]])).tolist() == [1.0, 0.0]
 
 
 def test_two_tree_mean():

@@ -56,6 +56,34 @@ def test_level_count_must_match_dims_product(n_levels):
         QuantizedVolume(dims=(3, 3, 3), levels=np.ones(n_levels, dtype=np.int32), n_bins=4)
 
 
+@pytest.mark.parametrize("levels", [[2.7, 1.2], [1.0, np.nan], ["1", "2"]])
+def test_non_integral_levels_rejected(levels):
+    with pytest.raises(DataValidationError, match="levels must be integers"):
+        QuantizedVolume(dims=(2, 1, 1), levels=np.array(levels), n_bins=4)
+
+
+def test_integral_float_levels_accepted():
+    q = QuantizedVolume(dims=(2, 1, 1), levels=np.array([2.0, 0.0]), n_bins=4)
+    assert q.levels.dtype == np.int32 and q.levels.tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("level, n_bins", [(2 ** 32 + 1, 4), (2 ** 31, 2 ** 32)])
+def test_out_of_range_levels_do_not_wrap_into_range(level, n_bins):
+    with pytest.raises(DataValidationError, match="levels must lie in"):
+        QuantizedVolume(dims=(2, 1, 1), levels=np.array([level, 1]), n_bins=n_bins)
+
+
+@pytest.mark.parametrize("n_bins", [2.5, 4.0, True, "4", 0])
+def test_n_bins_must_be_a_positive_integer(n_bins):
+    with pytest.raises(DataValidationError, match="n_bins must be an integer >= 1"):
+        QuantizedVolume(dims=(2, 1, 1), levels=np.array([1, 1]), n_bins=n_bins)
+
+
+def test_numpy_integer_n_bins_becomes_int():
+    q = QuantizedVolume(dims=(2, 1, 1), levels=np.array([1, 1]), n_bins=np.int64(4))
+    assert type(q.n_bins) is int and q.n_bins == 4
+
+
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=27),
        st.integers(min_value=1, max_value=16))
 @settings(max_examples=60, deadline=None)

@@ -4,19 +4,29 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import qvol
 from oracles import (
+    DIRS_13,
     glcm_counts_oracle,
+    glcm_float_reference,
+    gldm_float_reference,
     gldm_oracle,
+    glrlm_float_reference,
     glrlm_oracle,
     glszm_oracle,
+    ngtdm_float_reference,
     ngtdm_oracle,
     random_level_grid,
 )
 
 from radlearn.errors import DataValidationError
 from radlearn.features import glcm, gldm, glrlm, glszm, ngtdm
+from radlearn.features.extract import _crop_to_roi
+from radlearn.quantize import quantize_fixed_bins
+from radlearn.volume import PhantomSpec, generate_phantom
 
 N_RANDOM = 40  # the acceptance suite runs the full 200-volume sweep
 
@@ -278,3 +288,86 @@ def test_glszm_memory_grows_with_voxels_not_edges():
         tracemalloc.stop()
     assert m.data.shape == (1, 48 ** 3) and m.data[0, -1] == 1
     assert peak < 12 * 2 ** 20, f"glszm peaked at {peak / 2 ** 20:.1f} MB"
+
+
+# --- byte-for-byte equality with the float reference builders ---
+#
+# The oracle tests above compare NGTDM and GLCM with a tolerance, so they
+# would not see a change of rounding; these compare the bytes.
+
+
+def _assert_same_bytes(got, expected):
+    assert got.data.dtype == expected.dtype
+    assert got.data.shape == expected.shape
+    assert got.data.tobytes() == expected.tobytes()
+
+
+def _assert_pinned(lvl, n_bins, glcm_cases=((1, None),), glrlm_dirs=(None,), alphas=(0,)):
+    q = qvol(lvl, n_bins)
+    for distance, dirs in glcm_cases:
+        expected = glcm_float_reference(lvl, n_bins, distance, dirs)
+        if expected is None:
+            with pytest.raises(DataValidationError):
+                glcm(q, distance=distance, directions=dirs)
+        else:
+            _assert_same_bytes(glcm(q, distance=distance, directions=dirs), expected)
+    for dirs in glrlm_dirs:
+        _assert_same_bytes(glrlm(q, directions=dirs), glrlm_float_reference(lvl, n_bins, dirs))
+    _assert_same_bytes(ngtdm(q), ngtdm_float_reference(lvl, n_bins))
+    for alpha in alphas:
+        _assert_same_bytes(gldm(q, alpha=alpha), gldm_float_reference(lvl, n_bins, alpha))
+
+
+@st.composite
+def _pinned_cases(draw):
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    n_bins = draw(st.sampled_from([1, 2, 5, 32, 255, 256, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a few levels spread over 1..n_bins, so runs and equal neighbors occur
+    # even when n_bins is large
+    palette = rng.choice(np.arange(1, n_bins + 1), size=min(n_bins, draw(st.integers(1, 6))),
+                         replace=False)
+    lvl = palette[rng.integers(palette.size, size=shape)]
+    lvl = np.where(rng.random(shape) < draw(st.floats(0.2, 1.0)), lvl, 0).astype(np.int32)
+    lvl[tuple(rng.integers(n) for n in shape)] = palette[0]
+    subset = draw(st.lists(st.sampled_from(DIRS_13), min_size=1, max_size=4, unique=True))
+    glcm_cases = [(d, None) for d in (1, 2, 3)] + [(draw(st.integers(1, 3)), subset)]
+    return lvl, n_bins, glcm_cases, (None, [draw(st.sampled_from(DIRS_13))])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_pinned_cases())
+def test_builders_match_float_reference_bytes(case):
+    lvl, n_bins, glcm_cases, glrlm_dirs = case
+    _assert_pinned(lvl, n_bins, glcm_cases, glrlm_dirs, alphas=(0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("n_bins", [1, 32, 1000])
+def test_constant_cube_reaches_26_neighbors_bytes(n_bins):
+    # the center voxel sums 26 levels and counts 26 neighbors, all dependent
+    lvl = np.full((3, 3, 3), n_bins, dtype=np.int32)
+    _assert_pinned(lvl, n_bins, alphas=(0, 1))
+    assert gldm(qvol(lvl, n_bins)).data[-1, 26] == 1
+
+
+def test_phantom_roi_box_matches_float_reference_bytes():
+    spec = PhantomSpec(n_samples_per_class=1, dims=(48, 48, 48), seed=7)
+    for v, m, _ in generate_phantom(spec):
+        lvl = _crop_to_roi(quantize_fixed_bins(v, m, 32)).as_zyx()
+        _assert_pinned(lvl, 32, glcm_cases=((1, None), (2, None)), alphas=(0, 1))
+
+
+def test_ngtdm_and_gldm_memory_is_bounded_by_the_grid():
+    # a few narrow per-voxel arrays: int64 level sums, uint8 counts, masks
+    rng = np.random.default_rng(43)
+    lvl = random_level_grid(rng, (64, 64, 64), n_levels=32, mask_prob=0.5)
+    q = qvol(lvl, 32)
+    for builder, bound in ((ngtdm, 32), (gldm, 16)):
+        tracemalloc.start()
+        try:
+            builder(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_voxel = peak / lvl.size
+        assert per_voxel < bound, f"{builder.__name__} peaked at {per_voxel:.1f} B/voxel"
