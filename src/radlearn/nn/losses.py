@@ -9,24 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def loss_bce_logit(z, y):
     """Binary cross-entropy on logits, stable branch form.
 
-    loss = max(z, 0) - z*y + log(1 + exp(-|z|)); gradient = sigmoid(z) - y.
+    loss = max(z, 0) - z*y + log(1 + exp(-|z|)); gradient = sigmoid(z) - y,
+    where sigmoid's two branches share e = exp(-|z|): 1/(1+e) for z >= 0,
+    e/(1+e) below.
     """
     z = np.asarray(z, dtype=np.float64) if np.isscalar(z) else np.asarray(z)
     y = np.asarray(y, dtype=z.dtype)
-    loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    grad = _sigmoid(z) - y
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))  # exp(-|z|), a NaN z keeping its sign bit
+    loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    one_e = 1.0 + e
+    grad = np.where(pos, 1.0 / one_e, e / one_e) - y
     return loss, grad
 
 

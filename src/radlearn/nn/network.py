@@ -12,7 +12,8 @@ fc_out.b); ``params[name][p]`` are reshaped views into it, so they are
 written with ``[...] =`` and never rebound. The gradients live the same way in
 ``grad``, a buffer of the same dtype and layout with views ``grads[name][p]``;
 each backward pass overwrites every one of them, and ``slices[name]`` is a
-layer's span in both buffers.
+layer's span in both buffers. ``forward`` keeps no bookkeeping for a backward
+pass; a training step runs in buffers kept for the last batch shape.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataValidationError
 from .config import NetConfig
@@ -27,26 +29,20 @@ from .losses import LOSSES
 
 
 @lru_cache(maxsize=64)
-def _conv_taps(h: int, w: int) -> np.ndarray:
-    """(9, h*w) flat positions, in an (h+2, w+2) padded plane, of the 3x3
-    taps of each output pixel; taps in (di, dj) row-major order."""
-    y, x = np.divmod(np.arange(h * w), w)
-    taps = np.stack([(y + di) * (w + 2) + x + dj for di in range(3) for dj in range(3)])
-    taps.flags.writeable = False  # cached, so shared by every caller
-    return taps
-
-
-@lru_cache(maxsize=64)
-def _pool_windows(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions, in an h x w plane, of the 4 cells of each 2x2 pool
-    window (windows row-major, cells row-major, an odd edge cropped), and
-    the offset of each window's first cell in that (windows, 4) table."""
+def _pool_index(c: int, h: int, w: int) -> np.ndarray:
+    """(4, c*(h//2)*(w//2)) flat positions, in c planes of h x w, of the cells
+    of each 2x2 pool window (row-major), windows in pooled order."""
     py, px = np.divmod(np.arange((h // 2) * (w // 2)), w // 2)
-    corner = 2 * py * w + 2 * px
-    cells = np.stack([corner, corner + 1, corner + w, corner + w + 1], axis=1)
-    first = 4 * np.arange(corner.size)
-    cells.flags.writeable = first.flags.writeable = False  # cached, so shared
-    return cells, first
+    corner = (np.arange(c)[:, None] * (h * w) + 2 * py * w + 2 * px).ravel()
+    idx = np.stack([corner, corner + 1, corner + w, corner + w + 1])
+    idx.flags.writeable = False  # cached, so shared by every caller
+    return idx
+
+
+def _replaces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where y, scanned after x, takes the maximum from it as in argmax: ties
+    and -0.0 == 0.0 keep x, and the first NaN wins."""
+    return ~(y <= x) & (x == x)
 
 
 class Network:
@@ -87,6 +83,7 @@ class Network:
                 self.grads[name][pname] = self.grad[span].reshape(shape)
                 offset = span.stop
             self.slices[name] = slice(start, offset)
+        self._workspaces: dict[tuple, list] = {}  # the last batch shape -> step buffers
 
     @property
     def n_params(self) -> int:
@@ -104,94 +101,115 @@ class Network:
                 f"{self.cfg.input_dims[1]}), got {x.shape}")
         return x
 
-    def _forward(self, x: np.ndarray):
-        caches = []
+    def _buffers(self, shape: tuple, train: bool) -> list:
+        """Scratch buffers for a batch of this (n, 1, h, w) shape. Training
+        keeps the last shape's as the step workspace: each step overwrites
+        them, no caller sees them, and the padded inputs' zero borders
+        persist. Inference makes fresh ones, kept by nothing."""
+        ws = self._workspaces.get(shape) if train else None
+        if ws is None:
+            n, c, h, w = shape
+            ws = []
+            for o in self.cfg.conv_blocks:
+                xp = np.zeros((n, c, h + 2, w + 2), self.dtype)  # padded input
+                # its 3x3 taps, (n, c, 3, 3, h, w), read as im2col's columns
+                taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+                # flat positions in the activations of the pool cells, (4, n, windows)
+                at = (np.arange(n)[:, None] * (o * h * w) + _pool_index(o, h, w)[:, None]
+                      if train else None)
+                ws.append((xp, taps, np.empty((n, c * 9, h * w), self.dtype),  # im2col
+                           np.empty((n, o, h * w), self.dtype),  # conv, then relu
+                           np.empty((n, o, h * w), bool), at))  # relu mask
+                c, h, w = o, h // 2, w // 2
+            if train:
+                self._workspaces = {shape: ws}  # a tail batch costs one rebuild an epoch
+        return ws
+
+    def _forward(self, x: np.ndarray, train: bool = False):
+        """(logits, tape) of a prepared batch. Only ``train`` fills the tape
+        ``_backward`` reads: per conv block (input shape, cols, relu mask,
+        activations, argmax positions), per dense layer (input, relu mask)."""
+        conv_tape, dense_tape = [], []
         out = x
-        for i in range(1, len(self.cfg.conv_blocks) + 1):
-            name = f"conv{i}"
-            wgt, b = self.params[name]["W"], self.params[name]["b"]
-            n, in_c, hh, ww = out.shape
-            out_c = wgt.shape[0]
-            xp = np.zeros((n, in_c, hh + 2, ww + 2), dtype=self.dtype)
+        for i, (xp, taps, cols, act, mask, at) in enumerate(self._buffers(x.shape, train), 1):
+            wgt, b = self.params[f"conv{i}"]["W"], self.params[f"conv{i}"]["b"]
+            n, c, h, w = out.shape
             xp[:, :, 1:-1, 1:-1] = out
-            # np.take keeps cols C-contiguous; c_einsum's float32 sums depend on it
-            cols = np.take(xp.reshape(n, in_c, -1), _conv_taps(hh, ww),
-                           axis=2).reshape(n, in_c * 9, hh * ww)
-            conv = np.einsum("of,nfp->nop", wgt.reshape(out_c, -1), cols) + b[None, :, None]
-            relu_mask = conv > 0
-            act = conv * relu_mask
-            # 2x2 max pool, stride 2, odd edge cropped; first max wins ties
-            cells, first = _pool_windows(hh, ww)
-            planes = act.reshape(n * out_c, hh * ww)
-            amax = np.take(planes, cells, axis=1).argmax(axis=-1)
-            pos = np.take(cells, amax + first)  # argmax positions within each plane
-            pos += (np.arange(n * out_c) * (hh * ww))[:, None]
-            pos = pos.reshape(n, out_c, hh // 2, ww // 2)
-            caches.append({"name": name, "kind": "conv", "cols": cols,
-                           "in_shape": out.shape, "relu_mask": relu_mask, "pos": pos})
-            out = planes.ravel()[pos]
-        flat_shape = out.shape
+            # cols stays C-contiguous; c_einsum's float32 sums depend on it
+            np.copyto(cols.reshape(taps.shape), taps)
+            np.einsum("of,nfp->nop", wgt.reshape(b.size, -1), cols, out=act)
+            act += b[:, None]
+            np.greater(act, 0, out=mask)
+            act *= mask
+            # 2x2 max pool, stride 2, odd edge cropped, with argmax's values and
+            # cells: np.maximum keeps the first NaN, and relu leaves nothing
+            # below zero but -0.0, so a window whose max is 0 holds only zeros,
+            # of which argmax keeps the first, sign and all
+            if train:
+                c0, c1, c2, c3 = act.reshape(-1).take(at, mode="clip")
+            else:
+                c0, c1, c2, c3 = act.reshape(n, -1).take(_pool_index(b.size, h, w),
+                                                         axis=1).transpose(1, 0, 2)
+            top01, top23 = np.maximum(c0, c1), np.maximum(c2, c3)
+            top = np.maximum(top01, top23)
+            out = np.where(top == 0, c0, top)
+            if train:
+                pos = np.where(_replaces(top01, top23), at[2] + _replaces(c2, c3),
+                               at[0] + _replaces(c0, c1))
+                conv_tape.append(((n, c, h, w), cols, mask, act, pos))
+            out = out.reshape(n, b.size, h // 2, w // 2)
         out = out.reshape(out.shape[0], -1)
-        caches.append({"kind": "flatten", "shape": flat_shape})
         for i in range(1, len(self.cfg.hidden_dense) + 1):
-            name = f"fc{i}"
-            wgt, b = self.params[name]["W"], self.params[name]["b"]
+            wgt, b = self.params[f"fc{i}"]["W"], self.params[f"fc{i}"]["b"]
             z = out @ wgt.T + b
-            relu_mask = z > 0
-            caches.append({"name": name, "kind": "dense", "x": out,
-                           "relu_mask": relu_mask})
-            out = z * relu_mask
+            mask = z > 0
+            dense_tape.append((out, mask))
+            out = z * mask
         wgt, b = self.params["fc_out"]["W"], self.params["fc_out"]["b"]
-        caches.append({"name": "fc_out", "kind": "dense", "x": out, "relu_mask": None})
+        dense_tape.append((out, None))
         logits = (out @ wgt.T + b)[:, 0]
-        return logits, caches
+        return logits, (conv_tape, dense_tape)
 
     def forward(self, x) -> np.ndarray:
         """Logits for a batch of images."""
         logits, _ = self._forward(self._prepare_input(x))
         return logits
 
-    def _backward(self, caches, dlogits: np.ndarray) -> None:
+    def _backward(self, tape, dlogits: np.ndarray) -> None:
         """Write every parameter gradient into its view of ``grad``."""
-        d = dlogits[:, None].astype(self.dtype)
-        # the input gradient of the first layer with weights is never used
-        first = 0 if self.cfg.conv_blocks else 1
-        for i in range(len(caches) - 1, -1, -1):
-            cache = caches[i]
-            if cache["kind"] == "dense":
-                name = cache["name"]
-                if cache["relu_mask"] is not None:
-                    d = d * cache["relu_mask"]  # relu follows the affine op
-                grad = self.grads[name]
-                grad["W"][...] = d.T @ cache["x"]
-                grad["b"][...] = d.sum(axis=0)
-                if i == first:
+        conv_tape, dense_tape = tape
+        d = np.asarray(dlogits, dtype=self.dtype)[:, None]
+        # walk the layers back to the first, whose input gradient is never used
+        for i in range(len(self.layer_names) - 1, -1, -1):
+            name = self.layer_names[i]
+            wgt, grad = self.params[name]["W"], self.grads[name]
+            if i >= len(conv_tape):
+                x, mask = dense_tape[i - len(conv_tape)]
+                if mask is not None:
+                    d *= mask  # relu follows the affine op
+                np.matmul(d.T, x, out=grad["W"])
+                np.add.reduce(d, axis=0, out=grad["b"])
+                if i == 0:
                     break
-                d = d @ self.params[name]["W"]
-            elif cache["kind"] == "flatten":
-                d = d.reshape(cache["shape"])
-            else:  # conv block: unpool -> relu -> conv
-                name = cache["name"]
-                wgt = self.params[name]["W"]
-                relu_mask = cache["relu_mask"]
-                dact = np.zeros(relu_mask.size, dtype=self.dtype)
-                dact[cache["pos"]] = d
-                dconv2d = dact.reshape(relu_mask.shape) * relu_mask
-                out_c = dconv2d.shape[1]
-                grad = self.grads[name]
-                grad["W"][...] = np.einsum("nop,nfp->of", dconv2d,
-                                           cache["cols"]).reshape(wgt.shape)
-                grad["b"][...] = dconv2d.sum(axis=(0, 2))
-                if i == first:
-                    break
-                dcols = np.einsum("of,nop->nfp", wgt.reshape(out_c, -1), dconv2d)
-                in_n, in_c, in_h, in_w = cache["in_shape"]
-                dxp = np.zeros((in_n, in_c, in_h + 2, in_w + 2), dtype=self.dtype)
-                dcols6 = dcols.reshape(in_n, in_c, 3, 3, in_h, in_w)
-                for di in range(3):
-                    for dj in range(3):
-                        dxp[:, :, di:di + in_h, dj:dj + in_w] += dcols6[:, :, di, dj]
-                d = dxp[:, :, 1:-1, 1:-1]
+                d = d @ wgt
+                continue
+            # conv block: unpool -> relu -> conv, in the activations' buffer
+            in_shape, cols, mask, dconv, pos = conv_tape[i]
+            dconv.fill(0)
+            dconv.reshape(-1)[pos] = d.reshape(pos.shape)
+            dconv *= mask
+            np.einsum("nop,nfp->of", dconv, cols, out=grad["W"].reshape(dconv.shape[1], -1))
+            np.add.reduce(dconv, axis=(0, 2), out=grad["b"])
+            if i == 0:
+                break
+            dcols = np.einsum("of,nop->nfp", wgt.reshape(dconv.shape[1], -1), dconv)
+            in_n, in_c, in_h, in_w = in_shape
+            dxp = np.zeros((in_n, in_c, in_h + 2, in_w + 2), dtype=self.dtype)
+            dcols6 = dcols.reshape(in_n, in_c, 3, 3, in_h, in_w)
+            for di in range(3):
+                for dj in range(3):
+                    dxp[:, :, di:di + in_h, dj:dj + in_w] += dcols6[:, :, di, dj]
+            d = dxp[:, :, 1:-1, 1:-1]
 
     def loss_and_grads(self, x, y, loss_name: str):
         """(mean loss, per-layer grads, logits) on a batch.
@@ -202,9 +220,8 @@ class Network:
         y = np.asarray(y, dtype=self.dtype).ravel()
         if y.size != x.shape[0]:
             raise DataValidationError("images and labels must align")
-        logits, caches = self._forward(x)
+        logits, tape = self._forward(x, train=True)
         loss_vec, dz = LOSSES[loss_name](logits, y)
         # mean reduction: spread the 1/n over per-sample gradients
-        dlogits = dz / y.size
-        self._backward(caches, dlogits)
+        self._backward(tape, dz / y.size)
         return float(loss_vec.mean()), self.grads, logits

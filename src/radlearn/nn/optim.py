@@ -1,8 +1,9 @@
 """Adam and RMSProp parameter updates.
 
-The step functions are pure array transforms; the optimizer classes step one
-flat parameter vector in place and keep its state as flat arrays of the same
-layout, plus the step count for Adam's bias correction.
+Each rule is one routine that steps theta and its state in place, with two
+scratch arrays. The optimizer classes run it on one flat parameter vector and
+keep the state and scratch as flat arrays of the same layout, plus the step
+count for Adam's bias correction; step_adam and step_rmsprop run it on copies.
 """
 
 from __future__ import annotations
@@ -10,23 +11,40 @@ from __future__ import annotations
 import numpy as np
 
 
+def _adam(theta, grad, m, v, s1, s2, t, lr, beta1, beta2, eps):
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=s1)
+    v *= beta2
+    v += np.multiply(np.square(grad, out=s1), 1.0 - beta2, out=s1)
+    np.divide(m, 1.0 - beta1 ** t, out=s1)  # m_hat
+    np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=s2), out=s2)  # sqrt(v_hat)
+    s2 += eps
+    s1 *= lr
+    theta -= np.divide(s1, s2, out=s1)
+
+
+def _rmsprop(theta, grad, v, s1, s2, lr, decay, eps):
+    v *= decay
+    v += np.multiply(np.square(grad, out=s1), 1.0 - decay, out=s1)
+    np.sqrt(v, out=s2)
+    s2 += eps
+    theta -= np.divide(np.multiply(grad, lr, out=s1), s2, out=s1)
+
+
 def step_adam(theta, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected Adam step; t is the 1-based step count.
 
     Returns (theta', m', v') without mutating the inputs.
     """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad ** 2
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    theta, m, v = (np.array(a, dtype=np.result_type(a, 0.0)) for a in (theta, m, v))
+    _adam(theta, grad, m, v, np.empty_like(theta), np.empty_like(theta), t, lr, beta1, beta2, eps)
     return theta, m, v
 
 
 def step_rmsprop(theta, grad, v, lr, decay=0.9, eps=1e-8):
     """v <- decay*v + (1-decay)*g^2; theta <- theta - lr*g/(sqrt(v)+eps)."""
-    v = decay * v + (1.0 - decay) * grad ** 2
-    theta = theta - lr * grad / (np.sqrt(v) + eps)
+    theta, v = (np.array(a, dtype=np.result_type(a, 0.0)) for a in (theta, v))
+    _rmsprop(theta, grad, v, np.empty_like(theta), np.empty_like(theta), lr, decay, eps)
     return theta, v
 
 
@@ -36,18 +54,15 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = None
-        self._v = None
+        self._state = None  # m, v and two scratch arrays
         self._t = 0
 
     def update(self, theta, grad):
         """One step of theta in place; the state starts at zero on the first call."""
-        if self._m is None:
-            self._m, self._v = np.zeros_like(theta), np.zeros_like(theta)
+        if self._state is None:
+            self._state = [np.zeros_like(theta) for _ in range(4)]
         self._t += 1
-        theta[...], self._m, self._v = step_adam(
-            theta, grad, self._m, self._v, self._t, self.lr, self.beta1, self.beta2,
-            self.eps)
+        _adam(theta, grad, *self._state, self._t, self.lr, self.beta1, self.beta2, self.eps)
         return theta
 
 
@@ -56,14 +71,13 @@ class RmsPropOptimizer:
         self.lr = lr
         self.decay = decay
         self.eps = eps
-        self._v = None
+        self._state = None  # v and two scratch arrays
 
     def update(self, theta, grad):
         """One step of theta in place; the state starts at zero on the first call."""
-        if self._v is None:
-            self._v = np.zeros_like(theta)
-        theta[...], self._v = step_rmsprop(theta, grad, self._v, self.lr, self.decay,
-                                           self.eps)
+        if self._state is None:
+            self._state = [np.zeros_like(theta) for _ in range(3)]
+        _rmsprop(theta, grad, *self._state, self.lr, self.decay, self.eps)
         return theta
 
 

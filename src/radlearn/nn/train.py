@@ -19,6 +19,8 @@ it exists so every gradient-flow diagnosis downstream rests on verified math.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DataValidationError, NumericFailure
@@ -58,6 +60,20 @@ def _metric_record(net: Network, images, labels, loss_name) -> MetricRecord:
                         sensitivity=m["sensitivity"], specificity=m["specificity"])
 
 
+def _checked(images, labels, which: str):
+    """(float32 images, int64 labels) of a data set, or DataValidationError."""
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, reported below
+        images = np.asarray(images, dtype=np.float32)
+    labels = np.asarray(labels).ravel()
+    if images.ndim != 3 or images.shape[0] != labels.size:
+        raise DataValidationError(f"expected (n, h, w) {which}images aligned with labels")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise DataValidationError(f"{which}labels must each be 0 or 1")
+    if not np.isfinite(images).all():
+        raise DataValidationError(f"{which}images must be finite as float32")
+    return images, labels.astype(np.int64)
+
+
 def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
           init: Checkpoint | None = None, val_images=None, val_labels=None):
     """Train a network and return (network, trace).
@@ -65,12 +81,12 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     images: (n, h, w) array; labels: (n,) of 0/1. When no validation set is
     given the validation metric rows duplicate the training rows.
     """
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels).ravel().astype(np.int64)
-    if images.ndim != 3 or images.shape[0] != labels.size:
-        raise DataValidationError("expected (n, h, w) images aligned with labels")
+    images, labels = _checked(images, labels, "")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise DataValidationError("training needs at least 1 sample of each class")
+    has_val = val_images is not None and val_labels is not None
+    if has_val:
+        val_images, val_labels = _checked(val_images, val_labels, "validation ")
 
     net = Network(net_cfg, dtype=np.float32)
     if init is not None:
@@ -86,22 +102,18 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     trace = TrainTrace(layer_names=list(net.layer_names))
     prev = net.flat.copy()  # the weights each epoch's delta_l2 is measured from
 
-    has_val = val_images is not None and val_labels is not None
-    if has_val:
-        val_images = np.asarray(val_images, dtype=np.float32)
-        val_labels = np.asarray(val_labels).ravel().astype(np.int64)
-
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)
         for b, start in enumerate(range(0, n, train_cfg.batch_size)):
             batch = order[start:start + train_cfg.batch_size]
             loss, _, _ = net.loss_and_grads(images[batch], labels[batch],
                                             train_cfg.loss)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {b}",
                     epoch=epoch, batch=b)
-            kept = [net.grad[layer].copy() for layer in frozen]
+            if start + train_cfg.batch_size >= n:  # the batch whose gradients the trace records
+                kept = [net.grad[layer].copy() for layer in frozen]
             for layer in frozen:
                 net.grad[layer] = 0.0
             optimizer.update(net.flat, net.grad)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from radlearn.nn import loss_bce_logit, loss_hinge, step_adam, step_rmsprop
+from radlearn.nn import (
+    AdamOptimizer,
+    RmsPropOptimizer,
+    loss_bce_logit,
+    loss_hinge,
+    step_adam,
+    step_rmsprop,
+)
 
 
 def test_bce_at_zero_logit():
@@ -102,6 +109,25 @@ def test_steps_do_not_mutate_inputs():
     assert theta[0] == 1.0 and m[0] == 0.1 and v[0] == 0.2
     step_rmsprop(theta, grad, v, lr=0.01)
     assert theta[0] == 1.0 and v[0] == 0.2
+
+
+@pytest.mark.parametrize("lr", [0.0, 1e-3, 0.1])
+def test_optimizer_classes_chain_the_pure_steps(lr):
+    rng = np.random.default_rng(9)
+    theta0 = rng.normal(size=37).astype(np.float32)
+    grads = rng.normal(size=(50, 37)).astype(np.float32)
+    grads[::7, :5] = 0.0
+    adam, rms = AdamOptimizer(lr), RmsPropOptimizer(lr)
+    in_adam, in_rms = theta0.copy(), theta0.copy()
+    theta, m, v = theta0, np.zeros_like(theta0), np.zeros_like(theta0)
+    theta_r, v_r = theta0, np.zeros_like(theta0)
+    for t, g in enumerate(grads, start=1):
+        adam.update(in_adam, g)
+        rms.update(in_rms, g)
+        theta, m, v = step_adam(theta, g, m, v, t, lr)
+        theta_r, v_r = step_rmsprop(theta_r, g, v_r, lr)
+        assert in_adam.tobytes() == theta.tobytes()
+        assert in_rms.tobytes() == theta_r.tobytes()
 
 
 @pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf"), 1e39])

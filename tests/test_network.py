@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from radlearn.nn import (
 )
 from radlearn.nn.checkpoint import apply_checkpoint
 
-from oracles import gradient_check_oracle
+from oracles import NetworkOracle, gradient_check_oracle
 
 
 def test_same_seed_identical_weights():
@@ -169,3 +170,88 @@ def test_gradient_check_equals_per_slot_oracle(n_probe):
     y = np.array([1, 0, 1])
     assert gradient_check(cfg, x, y, n_probe=n_probe, probe_seed=5) == \
         gradient_check_oracle(cfg, x, y, n_probe=n_probe, probe_seed=5)
+
+
+def _pass_through_net(dims):
+    """A one-block net, and its oracle twin, whose conv passes each pixel
+    through, so relu leaves x > 0 as x, x < 0 as -0.0 and x == 0 as 0.0."""
+    cfg = NetConfig(input_dims=dims, conv_blocks=[1], hidden_dense=[3], seed=4)
+    net, oracle = Network(cfg), NetworkOracle(cfg)
+    net.params["conv1"]["W"][...] = 0.0
+    net.params["conv1"]["W"][0, 0, 1, 1] = 1.0
+    for name in net.layer_names:
+        for p in ("W", "b"):
+            oracle.params[name][p] = net.params[name][p].copy()
+    return net, oracle
+
+
+def _every_window(values):
+    """A square image whose 2x2 windows hold every arrangement of values."""
+    cells = np.array(list(itertools.product(values, repeat=4)))
+    side = int(round(np.sqrt(len(cells))))
+    return cells.reshape(side, side, 2, 2).transpose(0, 2, 1, 3).reshape(2 * side, 2 * side)
+
+
+def _assert_pool_is_argmax(net, oracle, x):
+    """Pooled values and the cells gradients route to, bit for bit, against
+    the oracle's argmax over each window."""
+    _, (conv_tape, dense_tape) = net._forward(net._prepare_input(x), train=True)
+    _, caches = oracle._forward(np.asarray(x, dtype=np.float32)[:, None])
+    assert dense_tape[0][0].tobytes() == caches[2]["x"].tobytes()  # fc1's input
+    amax = caches[0]["amax"]  # (n, 1, h//2, w//2) cell index in each window
+    n, _, qh, qw = amax.shape
+    h, w = x.shape[1:]
+    wy, wx = np.meshgrid(np.arange(qh), np.arange(qw), indexing="ij")
+    routed = np.arange(n)[:, None, None, None] * (h * w) + \
+        (2 * wy + amax // 2) * w + 2 * wx + amax % 2
+    assert np.array_equal(conv_tape[0][-1].reshape(routed.shape), routed)
+
+
+def test_pool_first_maximum_as_argmax_on_every_window():
+    # 256 windows of -0.0, 0.0, 1 and 2: all equal (relu zeros included),
+    # 0.0 against -0.0 either way round, and a maximum repeated at any cells
+    image = _every_window([-1.0, 0.0, 1.0, 2.0])
+    x = np.stack([image, image[::-1, ::-1], -image])
+    net, oracle = _pass_through_net(image.shape)
+    _assert_pool_is_argmax(net, oracle, x)
+    y = np.array([1, 0, 1])
+    _, grads, logits = net.loss_and_grads(x, y, "bce_logit")
+    _, oracle_grads, oracle_logits = oracle.loss_and_grads(x, y, "bce_logit")
+    assert logits.tobytes() == oracle_logits.tobytes()
+    for name in net.layer_names:
+        for p in ("W", "b"):
+            assert grads[name][p].tobytes() == oracle_grads[name][p].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pool_first_nan_wins_as_argmax():
+    image = _every_window([0.0, 1.0, np.nan])
+    net, oracle = _pass_through_net(image.shape)
+    _assert_pool_is_argmax(net, oracle, np.stack([image, image.T]))
+
+
+def test_pool_odd_dims_two_blocks_match_oracle():
+    cfg = NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6)
+    net, oracle = Network(cfg), NetworkOracle(cfg)
+    rng = np.random.default_rng(5)
+    x = rng.integers(-1, 2, size=(5, 9, 11)).astype(float)  # ties and relu zeros
+    y = np.array([0, 1, 1, 0, 1])
+    for loss in ("bce_logit", "hinge"):
+        _, grads, logits = net.loss_and_grads(x, y, loss)
+        _, oracle_grads, oracle_logits = oracle.loss_and_grads(x, y, loss)
+        assert logits.tobytes() == oracle_logits.tobytes()
+        for name in net.layer_names:
+            for p in ("W", "b"):
+                assert grads[name][p].tobytes() == oracle_grads[name][p].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_forward_equals_training_logits(n):
+    rng = np.random.default_rng(n)
+    net, _ = _pass_through_net((32, 32))
+    x = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(n, 32, 32))
+    y = rng.integers(0, 2, n)
+    assert net.forward(x).tobytes() == net.loss_and_grads(x, y, "bce_logit")[2].tobytes()
+    two = Network(NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6))
+    x = rng.normal(size=(n, 9, 11))
+    assert two.forward(x).tobytes() == two.loss_and_grads(x, y, "hinge")[2].tobytes()

@@ -133,6 +133,33 @@ def test_single_class_rejected():
         train(images, np.zeros(len(images), dtype=int), NET, TrainConfig(epochs=1, seed=0))
 
 
+def test_labels_other_than_0_and_1_rejected():
+    images, labels = _phantom_images(4)
+    labels = labels.astype(float)
+    labels[2] = 0.7  # neither class
+    with pytest.raises(DataValidationError, match="labels must each be 0 or 1"):
+        train(images, labels, NET, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e39])  # 1e39 overflows float32
+def test_non_finite_images_rejected(value):
+    images, labels = _phantom_images(4)
+    images = images.astype(np.float64)
+    images[1, 3, 3] = value
+    with pytest.raises(DataValidationError, match="images must be finite"):
+        train(images, labels, NET, TrainConfig(epochs=1, seed=0))
+
+
+def test_bad_validation_set_rejected():
+    images, labels = _phantom_images(4)
+    with pytest.raises(DataValidationError, match="validation images aligned"):
+        train(images, labels, NET, TrainConfig(epochs=1, seed=0),
+              val_images=images, val_labels=labels[:-1])
+    with pytest.raises(DataValidationError, match="validation labels"):
+        train(images, labels, NET, TrainConfig(epochs=1, seed=0),
+              val_images=images, val_labels=labels + 1)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_loss_aborts_with_location():
