@@ -51,6 +51,14 @@ def correlation_distance_matrix(t: FeatureTable, names=None) -> np.ndarray:
 
 
 def agglomerate(d: np.ndarray, leaf_names) -> Dendrogram:
+    """Average-linkage merges of the leaves, with distances from the upper
+    triangle of ``d``.
+
+    Distances live in one n x n matrix: a merge writes the new cluster's
+    Lance-Williams row into the slot of its first member and retires the
+    other slot. The tie rule compares representatives by their rank in the
+    sorted names, which orders them as the names do.
+    """
     d = np.asarray(d, dtype=np.float64)
     leaf_names = list(leaf_names)
     n = len(leaf_names)
@@ -58,42 +66,31 @@ def agglomerate(d: np.ndarray, leaf_names) -> Dendrogram:
         raise DataValidationError("distance matrix shape must match leaf count")
     if not np.allclose(d, d.T):
         raise DataValidationError("distance matrix must be symmetric")
+    if len(set(leaf_names)) != n:
+        raise DataValidationError("leaf names must be distinct")
 
-    # active cluster id -> (size, representative name); distances in a dict
-    active: dict[int, tuple[int, str]] = {i: (1, leaf_names[i]) for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(d[i, j])
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    dist = np.where(upper, d, d.T)
+    live = upper | upper.T  # pairs of distinct active slots
+    rep = np.empty(n, dtype=np.int64)  # per slot, its representative's rank among the names
+    rep[sorted(range(n), key=leaf_names.__getitem__)] = np.arange(n)
+    node = list(range(n))  # per slot, the id of the cluster it holds
+    size = [1] * n
 
     merges: list[tuple[int, int, float]] = []
-    next_id = n
-    while len(active) > 1:
-        best_pair = None
-        best_d = None
-        best_reps = None
-        for (a, b), value in dist.items():
-            reps = tuple(sorted((active[a][1], active[b][1])))
-            if best_d is None or value < best_d or (value == best_d and reps < best_reps):
-                best_pair, best_d, best_reps = (a, b), value, reps
-        a, b = best_pair
-        size_a, rep_a = active[a]
-        size_b, rep_b = active[b]
-        merged = (next_id, size_a + size_b, min(rep_a, rep_b))
-        merges.append((a, b, best_d))
+    for next_id in range(n, 2 * n - 1):
+        best = dist[live].min()
+        i, j = np.nonzero(live & (dist == best))
+        # the lexicographically smallest (representative, representative) pair
+        k = np.argmin(np.minimum(rep[i], rep[j]) * n + np.maximum(rep[i], rep[j]))
+        a, b = sorted((int(i[k]), int(j[k])), key=node.__getitem__)
+        merges.append((node[a], node[b], float(best)))
         # Lance-Williams update for average linkage
-        for other in list(active):
-            if other in (a, b):
-                continue
-            da = dist.pop((min(a, other), max(a, other)))
-            db = dist.pop((min(b, other), max(b, other)))
-            new = (size_a * da + size_b * db) / (size_a + size_b)
-            dist[(min(next_id, other), max(next_id, other))] = new
-        del dist[(a, b)]
-        del active[a]
-        del active[b]
-        active[next_id] = (merged[1], merged[2])
-        next_id += 1
+        row = (size[a] * dist[a] + size[b] * dist[b]) / (size[a] + size[b])
+        dist[a] = dist[:, a] = row
+        live[b] = live[:, b] = False
+        rep[a] = min(rep[a], rep[b])
+        node[a], size[a] = next_id, size[a] + size[b]
     return Dendrogram(merges=merges, leaf_names=leaf_names)
 
 

@@ -1,13 +1,22 @@
 """Random-forest classifier with Gini importances, built for determinism.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds between
-consecutive distinct sorted values. A forest draws from one generator,
-``default_rng(seed)``, in a fixed order: first the bootstrap rows of all trees
-as one ``(n_trees, n)`` integer block (no draw without bootstrap), then one
-``(n_trees, n_features)`` block of uniform keys per round. All trees grow in
-lockstep: round r handles the r-th preorder node of every tree that has one,
-with one batched split search, and draws its key block whether or not any
-node splits. The candidates of node r of tree t are the m features with the
+consecutive distinct sorted values. The split search sorts nothing per node:
+each feature column is sorted once per forest, and a node is described by how
+many of its bootstrap rows are each table row, so running sums in a column's
+order count the rows left of every threshold. Gini terms come from a
+per-forest table over (rows, class-1 rows) when its (n + 1)^2 cells are no
+more than the root round's search array, and are computed otherwise; both are
+the same float expression, so the table changes no bit.
+
+A forest draws from one generator, ``default_rng(seed)``, in a fixed order:
+first the bootstrap rows of all trees as one ``(n_trees, n)`` integer block
+(no draw without bootstrap), then one ``(n_trees, n_features)`` block of
+uniform keys per round. All trees grow in lockstep: round r handles the r-th
+preorder node of every tree that has one, with one batched split search, and
+its key block is the r-th of the stream whether or not any node splits
+(blocks are drawn when a round searches, so rounds after the last search draw
+none). The candidates of node r of tree t are the m features with the
 smallest keys in row t, in ascending feature order. A fixed seed therefore
 pins the whole ensemble. Importance is mean impurity decrease across trees,
 normalized to sum 1 when any split occurred; ranking ties break by ascending
@@ -66,45 +75,58 @@ class ForestModel:
     config: ForestConfig
 
 
-def _best_splits(X, rows, yb, member, count, n1, cand, min_leaf):
+def _side_mass(packed, side: int, min_leaf: int):
+    """Gini impurity times row count of the split sides ``packed`` as
+    ``a + side * b`` (a rows, b of them class 1); +inf for a side of fewer
+    than ``min_leaf`` rows, so that a split leaving one scores -inf."""
+    a, b = np.divmod(packed, side)[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a >= min_leaf, a * (1.0 - ((b / a) ** 2 + ((a - b) / a) ** 2)), np.inf)
+
+
+def _best_splits(columns, v, count, n1, cand, side, min_leaf, table):
     """Best (feature, threshold, gain) of each node, searched over all nodes
-    and all their candidate features at once.
+    and all their candidate features at once, with no sort.
 
-    Node e holds the bootstrap rows ``rows[e]`` where ``member[e]`` is set;
-    ``cand[e]`` lists its candidate features in ascending order. A node's
-    gain is -inf when no candidate has a split that leaves ``min_leaf`` rows
-    on each side; among equal gains the lowest threshold of the first
-    candidate wins.
+    ``columns`` is ``(order, values, gap)``: per feature, the table rows in
+    ascending value order, those values, and whether each is below the next.
+    ``v[e, i]`` packs node e's multiplicity of table row i with its class-1
+    part (see ``_side_mass``), so running sums of ``v`` in a column's order
+    give both sides of every boundary. A boundary between equal values reads
+    as an empty left side. One after a value absent from the node repeats the
+    previous boundary's counts and gain, and the first of equal gains wins,
+    so the split is the one just after a present value. Side masses are read
+    from ``table`` (``_side_mass`` of every packed pair) when there is one.
+    ``cand[e]`` lists node e's candidate features in ascending order. A
+    node's gain is -inf when no candidate has a split that leaves
+    ``min_leaf`` rows on each side; among equal gains the lowest threshold of
+    the first candidate wins.
     """
-    # (node, candidate, row) values; non-members sort last, which is exact
-    # because feature tables are finite. Only positions between distinct
-    # values are split points, and the counts there do not depend on how
-    # tied values are ordered, so the sort need not be stable.
-    vals = np.where(member[:, None, :], X[rows[:, None, :], cand[:, :, None]], np.inf)
-    e = np.arange(rows.shape[0])
-    vs = np.sort(vals, axis=2)
-    cum1 = np.cumsum(yb[e[:, None, None], np.argsort(vals, axis=2)], axis=2)
-
-    n = count[:, None, None]
-    nl = np.arange(1, rows.shape[1])  # a split after sorted position i sends i + 1 rows left
-    nr = n - nl
-    l1 = cum1[:, :, :-1]
-    r1 = n1[:, None, None] - l1
-    ok = (vs[:, :, :-1] < vs[:, :, 1:]) & (nl >= min_leaf) & (nr >= min_leaf)
+    order, values, gap = columns
+    n_nodes, n = v.shape
+    at = order[:, :-1].take(cand, axis=0)
+    at += (np.arange(n_nodes) * n)[:, None, None]
+    lhs = v.take(at)
+    np.cumsum(lhs, axis=2, out=lhs)  # packed counts left of each boundary
+    rhs = np.subtract((count + side * n1)[:, None, None], lhs, out=at)  # at is spent
+    lhs *= gap.take(cand, axis=0)
+    if table is not None:
+        mass = table.take(lhs)
+        mass += table.take(rhs)
+    else:
+        mass = _side_mass(lhs, side, min_leaf) + _side_mass(rhs, side, min_leaf)
     parent = np.array([1.0 - ((c1 / c) ** 2 + ((c - c1) / c) ** 2)
                        for c, c1 in zip(count.tolist(), n1.tolist())])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_l = 1.0 - ((l1 / nl) ** 2 + ((nl - l1) / nl) ** 2)
-        gini_r = 1.0 - ((r1 / nr) ** 2 + ((nr - r1) / nr) ** 2)
-        gain = parent[:, None, None] - (nl * gini_l + nr * gini_r) / n
-    gain = np.where(ok, gain, -np.inf)
+    mass /= count[:, None, None]
+    gain = np.subtract(parent[:, None, None], mass, out=mass).reshape(n_nodes, -1)
 
-    pos = np.argmax(gain, axis=2)  # first (lowest threshold) among equal gains
-    col_gain = np.take_along_axis(gain, pos[:, :, None], axis=2)[:, :, 0]
-    best = np.argmax(col_gain, axis=1)  # first candidate among equal gains
-    p = pos[e, best]
-    threshold = (vs[e, best, p] + vs[e, best, p + 1]) / 2.0
-    return cand[e, best], threshold, col_gain[e, best]
+    e = np.arange(n_nodes)
+    flat = np.argmax(gain, axis=1)  # row-major first: first candidate, lowest threshold
+    best, p = np.divmod(flat, n - 1)
+    f = cand[e, best]
+    later = (v[e[:, None], order[f]] > 0) & (np.arange(n) > p[:, None])
+    q = np.argmax(later, axis=1)  # the next value present in the node
+    return f, (values[f, p] + values[f, q]) / 2.0, gain[e, flat]
 
 
 def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
@@ -125,6 +147,16 @@ def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
     else:
         m = min(int(cfg.features_per_split), n_features)
     yb = y[boot]
+    order = np.argsort(X, axis=0).T.copy()  # (n_features, n)
+    values = np.take_along_axis(X.T, order, axis=1)
+    columns = (order, values, values[:, :-1] < values[:, 1:])
+    side = n + 1  # a node's counts pack as rows + side * class-1 rows
+    pack = 1 + side * y
+    # a Gini table only when its side^2 floats are no more than the root
+    # round's search array holds, so memory never grows as the rows squared
+    table = None
+    if side ** 2 <= n_trees * m * n:
+        table = _side_mass(np.arange(side ** 2), side, cfg.min_samples_leaf)
     # leaves hold >= 1 row, so a tree has <= 2n - 1 nodes, each a leaf until split
     shape = (n_trees, 2 * n - 1)
     feature, left, right = (np.full(shape, -1, dtype=np.int64) for _ in range(3))
@@ -139,11 +171,11 @@ def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
 
     n_nodes = np.zeros(n_trees, dtype=np.int64)
     r = 0
+    undrawn = 0  # key blocks of rounds that searched no node, drawn when one searches
     while True:
         trees = np.flatnonzero(top >= 0)
         if trees.size == 0:
             break
-        keys = rng.random((n_trees, n_features))
         n_nodes[trees] += 1
         s = top[trees]
         member = slot[trees] == s[:, None]
@@ -160,9 +192,15 @@ def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
         split = np.zeros(trees.size, dtype=bool)
         e = np.flatnonzero(eligible)
         if e.size:
+            for _ in range(undrawn + 1):
+                keys = rng.random((n_trees, n_features))
+            undrawn = 0
             cand = np.sort(np.argpartition(keys[trees[e]], m - 1, axis=1)[:, :m], axis=1)
-            f, thr, gain = _best_splits(X, boot[trees[e]], yb[trees[e]], member[e],
-                                        count[e], n1[e], cand, cfg.min_samples_leaf)
+            # how many of node e[k]'s bootstrap rows are table row i, packed
+            at = boot[trees[e]] + (np.arange(e.size) * n)[:, None]
+            w = np.bincount(at[member[e]], minlength=e.size * n).reshape(e.size, n)
+            f, thr, gain = _best_splits(columns, w * pack, count[e], n1[e], cand, side,
+                                        cfg.min_samples_leaf, table)
             found = gain > _MIN_GAIN
             e, f, thr, gain = e[found], f[found], thr[found], gain[found]
             split[e] = True
@@ -178,6 +216,8 @@ def _grow_forest(X, y, boot, rng, cfg: ForestConfig):
             waiting[ts, se] = r
             waiting[ts, se + 1] = -1
             top[ts] = se + 1
+        else:
+            undrawn += 1
 
         leaf = ~split
         tl = trees[leaf]

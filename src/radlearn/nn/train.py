@@ -78,13 +78,16 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
           init: Checkpoint | None = None, val_images=None, val_labels=None):
     """Train a network and return (network, trace).
 
-    images: (n, h, w) array; labels: (n,) of 0/1. When no validation set is
-    given the validation metric rows duplicate the training rows.
+    images: (n, h, w) array; labels: (n,) of 0/1. A validation set is given
+    as both ``val_images`` and ``val_labels`` or not at all; without one the
+    validation metric rows duplicate the training rows.
     """
     images, labels = _checked(images, labels, "")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise DataValidationError("training needs at least 1 sample of each class")
-    has_val = val_images is not None and val_labels is not None
+    has_val = val_images is not None
+    if has_val != (val_labels is not None):
+        raise DataValidationError("a validation set needs both val_images and val_labels")
     if has_val:
         val_images, val_labels = _checked(val_images, val_labels, "validation ")
 

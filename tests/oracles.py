@@ -330,6 +330,38 @@ def pearson_oracle(a, b):
     return cov / math.sqrt(va * vb)
 
 
+def agglomerate_oracle(d, leaf_names):
+    """Average-linkage merges (node_a, node_b, height) by a scan over a dict
+    of every pair per merge; among minimum-distance pairs the one with the
+    lexicographically smallest sorted (representative, representative)
+    names wins, a cluster's representative being its smallest member name."""
+    n = len(leaf_names)
+    active = {i: (1, leaf_names[i]) for i in range(n)}  # id -> (size, representative)
+    dist = {(i, j): float(d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        best_pair = best_d = best_reps = None
+        for (a, b), value in dist.items():
+            reps = tuple(sorted((active[a][1], active[b][1])))
+            if best_d is None or value < best_d or (value == best_d and reps < best_reps):
+                best_pair, best_d, best_reps = (a, b), value, reps
+        a, b = best_pair
+        size_a, rep_a = active[a]
+        size_b, rep_b = active[b]
+        merges.append((a, b, best_d))
+        for other in list(active):
+            if other in (a, b):
+                continue
+            da = dist.pop((min(a, other), max(a, other)))
+            db = dist.pop((min(b, other), max(b, other)))
+            dist[(other, next_id)] = (size_a * da + size_b * db) / (size_a + size_b)
+        del dist[(a, b)], active[a], active[b]
+        active[next_id] = (size_a + size_b, min(rep_a, rep_b))
+        next_id += 1
+    return merges
+
+
 def random_level_grid(rng, shape=(4, 4, 4), n_levels=5, mask_prob=0.85):
     """Random quantized grid with a random (always nonempty) mask."""
     lvl = rng.integers(1, n_levels + 1, size=shape)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pearson_oracle
+from oracles import agglomerate_oracle, pearson_oracle
 
 from radlearn.cluster import (
     agglomerate,
@@ -159,3 +159,55 @@ def test_asymmetric_matrix_rejected():
     d = np.array([[0.0, 0.5], [0.4, 0.0]])
     with pytest.raises(DataValidationError):
         agglomerate(d, ["a", "b"])
+
+
+@st.composite
+def _linkage_cases(draw):
+    n = draw(st.integers(2, 12))
+    # few levels give many exactly equal distances, and so many ties
+    levels = draw(st.sampled_from([[0.5], [0.0, 1.0], [0.1, 0.2, 0.3, 1.0]])
+                  | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = draw(st.sampled_from(levels))
+    # zero-variance features sit at distance 1.0 from everything
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        d[i] = d[:, i] = 1.0
+        d[i, i] = 0.0
+    names = [f"f{i:02d}" for i in range(n)]
+    order = draw(st.sampled_from(["ascending", "reversed", "shuffled"]))
+    if order == "reversed":
+        names.reverse()
+    elif order == "shuffled":
+        names = draw(st.permutations(names))
+    return d, names
+
+
+def _bits(merges):
+    return [(a, b, float(h).hex()) for a, b, h in merges]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_linkage_cases())
+def test_agglomerate_matches_pairwise_scan_oracle(case):
+    d, names = case
+    assert _bits(agglomerate(d, names).merges) == _bits(agglomerate_oracle(d, names))
+
+
+def test_agglomerate_matches_oracle_on_correlation_distances():
+    rng = np.random.default_rng(23)
+    base = rng.normal(size=(12, 5))
+    columns = {f"g{i:02d}": base[:, i % 5] * (-1) ** i + (i // 5) * rng.normal(0, 0.1, 12)
+               for i in range(20)}
+    columns["flat_a"] = np.full(12, 3.0)
+    columns["flat_b"] = np.zeros(12)
+    names = sorted(columns, reverse=True)
+    d = correlation_distance_matrix(_table(columns), names)
+    assert _bits(agglomerate(d, names).merges) == _bits(agglomerate_oracle(d, names))
+
+
+def test_duplicate_leaf_names_rejected():
+    d = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(DataValidationError, match="distinct"):
+        agglomerate(d, ["a", "b", "a"])

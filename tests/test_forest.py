@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,3 +211,53 @@ def test_lockstep_forest_matches_recursive_oracle(case):
     probe = np.vstack([values, values[::-1] + 0.5 * values.std()])
     got = predict_proba_matrix(mdl, probe)
     assert got.tobytes() == forest_predict_oracle(expected, probe).tobytes()
+
+
+def _crafted_tables():
+    """Small tables whose split search meets signed zeros, negative values, a
+    constant column and duplicated rows."""
+    rng = np.random.default_rng(31)
+    n = 14
+    signed = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    negative = -rng.integers(1, 6, size=n) * 0.75
+    constant = np.full(n, -2.5)
+    fine = rng.normal(size=n)
+    base = np.column_stack([signed, negative, constant, fine])
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = 0, 1
+    dup = rng.integers(0, 5, size=n)  # only 5 distinct rows
+    return [(base, labels), (base[dup], np.r_[0, 1, labels[dup][2:]]),
+            (base[:, [2, 0]], labels), (-base, labels)]
+
+
+# (n + 1)^2 = 225 table cells: one tree with one candidate searches 14 cells a
+# round and computes the Gini masses; twelve with three search 504 and read a table
+@pytest.mark.parametrize("shape", [dict(n_trees=1, features_per_split=1),
+                                   dict(n_trees=12, features_per_split=3)])
+def test_split_search_matches_oracle_on_crafted_tables(shape):
+    for values, labels in _crafted_tables():
+        t = _table(values, labels)
+        for seed, leaf, bootstrap in [(0, 1, True), (5, 2, True), (9, 1, False), (13, 3, True)]:
+            cfg = dict(shape, min_samples_leaf=leaf, bootstrap=bootstrap, seed=seed)
+            mdl = train_forest(t, ForestConfig(**cfg))
+            expected = forest_oracle(values, labels, t.feature_names, **cfg)
+            assert (json.dumps(forest_to_json(mdl), sort_keys=True)
+                    == json.dumps(expected, sort_keys=True))
+            got = predict_proba_matrix(mdl, values)
+            assert got.tobytes() == forest_predict_oracle(expected, values).tobytes()
+
+
+def test_split_search_memory_is_not_quadratic_in_rows():
+    # a Gini table for 3,000 rows would take 3001^2 floats, about 72 MB
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(3000, 2))
+    labels = (x[:, 0] > 0).astype(int)
+    labels[:30] ^= 1
+    t = _table(x, labels)
+    tracemalloc.start()
+    try:
+        train_forest(t, ForestConfig(n_trees=1, features_per_split=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak

@@ -160,6 +160,13 @@ def test_bad_validation_set_rejected():
               val_images=images, val_labels=labels + 1)
 
 
+def test_half_a_validation_set_rejected():
+    images, labels = _phantom_images(4)
+    for half in ({"val_images": images}, {"val_labels": labels}):
+        with pytest.raises(DataValidationError, match="needs both val_images and val_labels"):
+            train(images, labels, NET, TrainConfig(epochs=1, seed=0), **half)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_loss_aborts_with_location():
