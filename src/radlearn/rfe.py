@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import DataValidationError
-from .forest import ForestConfig, predict_proba_matrix, rank_features, train_forest
+from .forest import (ForestConfig, predict_proba_matrix, rank_features, train_forest,
+                     train_forests)
 from .jsonio import from_json, read_json, write_csv, write_json
 from .metrics import FoldSplit, stratified_kfold
 from .table import FeatureTable
@@ -50,7 +51,8 @@ def cv_predictions(t: FeatureTable, names, forest_cfg: ForestConfig,
     """Pooled out-of-fold class-1 probabilities and 0/1 predictions of fresh
     forests on the given feature subset.
 
-    The forest for fold f is seeded from (seed, tag, f). With no features,
+    The forest for fold f is seeded from (seed, tag, f); the k fold forests
+    grow together in one batch over the subset table. With no features,
     every probability is 0.5 and every prediction is the majority class
     (class 1 on a tie).
     """
@@ -60,17 +62,13 @@ def cv_predictions(t: FeatureTable, names, forest_cfg: ForestConfig,
         majority = int(labels.sum() * 2 >= labels.size)
         return np.full(t.n_samples, 0.5), np.full(t.n_samples, majority, dtype=int)
     sub = t.select(names)
+    folds = range(split.k)
+    models = train_forests(sub, forest_cfg,
+                           [np.flatnonzero(split.fold_assignments != fold) for fold in folds],
+                           [_derived_seed(seed, tag, fold) for fold in folds])
     proba = np.empty(t.n_samples)
-    for fold in range(split.k):
+    for fold, mdl in enumerate(models):
         test_idx = split.fold_indices(fold)
-        train_idx = np.flatnonzero(split.fold_assignments != fold)
-        fold_table = FeatureTable(
-            sample_ids=[sub.sample_ids[i] for i in train_idx],
-            feature_names=sub.feature_names,
-            values=sub.values[train_idx],
-            labels=labels[train_idx],
-        )
-        mdl = train_forest(fold_table, replace(forest_cfg, seed=_derived_seed(seed, tag, fold)))
         proba[test_idx] = predict_proba_matrix(mdl, sub.values[test_idx])
     return proba, (proba >= 0.5).astype(int)
 

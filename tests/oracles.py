@@ -485,6 +485,39 @@ def forest_predict_oracle(doc, X):
     return out / len(doc["trees"])
 
 
+def cv_predictions_oracle(t, names, forest_cfg, split, seed, tag):
+    """``rfe.cv_predictions`` as a per-fold loop: fold f's forest is
+    ``train_forest`` on a table of the fold's training rows alone, seeded
+    from (seed, tag, f). Returns (probabilities, predictions, fold models)."""
+    from dataclasses import replace
+
+    from radlearn.forest import predict_proba_matrix, train_forest
+    from radlearn.rfe import _derived_seed
+    from radlearn.table import FeatureTable
+
+    names = list(names)
+    labels = t.labels
+    if not names:
+        majority = int(labels.sum() * 2 >= labels.size)
+        return np.full(t.n_samples, 0.5), np.full(t.n_samples, majority, dtype=int), []
+    sub = t.select(names)
+    proba = np.empty(t.n_samples)
+    models = []
+    for fold in range(split.k):
+        test_idx = split.fold_indices(fold)
+        train_idx = np.flatnonzero(split.fold_assignments != fold)
+        fold_table = FeatureTable(
+            sample_ids=[sub.sample_ids[i] for i in train_idx],
+            feature_names=sub.feature_names,
+            values=sub.values[train_idx],
+            labels=labels[train_idx],
+        )
+        mdl = train_forest(fold_table, replace(forest_cfg, seed=_derived_seed(seed, tag, fold)))
+        models.append(mdl)
+        proba[test_idx] = predict_proba_matrix(mdl, sub.values[test_idx])
+    return proba, (proba >= 0.5).astype(int), models
+
+
 # -- reference trainer: one array per parameter, one optimizer call per array --
 # The network, optimizers, training loop and gradient check below are the
 # per-parameter design the flat-buffer trainer replaced. The losses, metrics,

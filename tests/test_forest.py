@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from radlearn.forest import (
     predict_proba_matrix,
     rank_features,
     train_forest,
+    train_forests,
 )
 from radlearn.table import FeatureTable
 
@@ -261,3 +263,33 @@ def test_split_search_memory_is_not_quadratic_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_batch_reuses_search_buffers_for_smaller_rounds_and_blocks():
+    # 41 table rows; the widest forest holds 33 of them, so a search block
+    # fits 12 * 32 // 40 = 9 nodes: the root round's up to 48 nodes take
+    # several blocks, the last one short, and deeper rounds search fewer
+    # nodes than a block holds, through the same buffers. The last forest
+    # has 3 rows, so most of its slots are padding.
+    rng = np.random.default_rng(8)
+    n = 41
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = 0, 1
+    values = np.column_stack([rng.normal(size=n) + 0.5 * labels, rng.normal(size=n),
+                              rng.integers(0, 4, size=n) * 0.5, rng.normal(size=n)])
+    t = _table(values, labels)
+    order = rng.permutation(n)
+    three = np.r_[np.flatnonzero(labels == 1)[:1], np.flatnonzero(labels == 0)[:2]]
+    rows = [np.sort(order[:33]), order[8:40], np.sort(order[20:]), three]
+    cfg = ForestConfig(n_trees=12, features_per_split=2)
+    seeds = [4, 5, 6, 7]
+    models = train_forests(t, cfg, rows, seeds)
+    assert max(int(mdl.n_nodes.max()) for mdl in models[:3]) >= 9  # deep trees
+    for mdl, idx, seed in zip(models, rows, seeds, strict=True):
+        alone = train_forest(_table(values[idx], labels[idx]), replace(cfg, seed=seed))
+        assert (json.dumps(forest_to_json(mdl), sort_keys=True)
+                == json.dumps(forest_to_json(alone), sort_keys=True))
+        assert [x.hex() for x in mdl.importances.tolist()] == \
+            [x.hex() for x in alone.importances.tolist()]
+        assert (predict_proba_matrix(mdl, values).tobytes()
+                == predict_proba_matrix(alone, values).tobytes())

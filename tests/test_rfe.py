@@ -1,11 +1,24 @@
+import json
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from radlearn import rfe as rfe_mod
 from radlearn.errors import DataValidationError
-from radlearn.forest import ForestConfig
+from radlearn.forest import (
+    ForestConfig,
+    forest_to_json,
+    predict_proba_matrix,
+    train_forests,
+)
+from radlearn.metrics import stratified_kfold
 from radlearn.rfe import (
     RfeStep,
     RfeTrace,
+    _derived_seed,
+    cv_predictions,
     load_trace,
     rfe_cv,
     save_trace,
@@ -15,6 +28,8 @@ from radlearn.rfe import (
     write_accuracy_curve,
 )
 from radlearn.table import FeatureTable
+
+from oracles import cv_predictions_oracle, forest_oracle
 
 
 def _table(values, labels, names=None):
@@ -164,3 +179,107 @@ def test_accuracy_curve_rows(tmp_path):
 def test_malformed_trace_rejected():
     with pytest.raises(DataValidationError):
         trace_from_json({"steps": [{"subset": ["a"]}]})
+
+
+def _bits(mdl):
+    """A forest to the bit: its document, with thresholds and importances
+    also as ``float.hex``."""
+    doc = forest_to_json(mdl)
+    doc["threshold_hex"] = [[float(x).hex() for x in tree["threshold"]] for tree in doc["trees"]]
+    doc["importance_hex"] = [float(x).hex() for x in mdl.importances]
+    return json.dumps(doc, sort_keys=True)
+
+
+def _fold_table():
+    """41 rows, so 5 folds hold 9, 8, 8, 8 and 8 rows and the fold forests
+    have unequal row counts. Columns: two normal, two of few levels (in
+    "level0" every held-out value ties a training value), signed zeros, and
+    a constant."""
+    rng = np.random.default_rng(41)
+    n = 41
+    labels = rng.integers(0, 2, size=n)
+    labels[:10] = [0, 1] * 5
+    values = np.column_stack([
+        rng.normal(size=n) + labels,
+        rng.normal(size=n),
+        rng.integers(0, 3, size=n) * 0.5,
+        rng.integers(0, 3, size=n) - labels * 0.5,
+        rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
+        np.full(n, -2.5),
+    ])
+    names = ["normal0", "normal1", "level0", "level1", "signed", "constant"]
+    return _table(values, labels, names=names)
+
+
+FOLD_CASES = {
+    "default_sqrt": (None, dict(n_trees=12)),
+    "no_bootstrap": (None, dict(n_trees=6, bootstrap=False)),
+    "depth1_leaf2": (None, dict(n_trees=12, max_depth=1, min_samples_leaf=2)),
+    "depth2_leaf3": (None, dict(n_trees=12, max_depth=2, min_samples_leaf=3)),
+    "m1": (None, dict(n_trees=12, features_per_split=1)),
+    "ties_zeros_constant": (["level0", "signed", "constant"], dict(n_trees=12, features_per_split=2)),
+    "one_feature": (["level1"], dict(n_trees=12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_batched_fold_forests_match_per_fold_forests(case):
+    names, cfg = FOLD_CASES[case]
+    t = _fold_table()
+    names = names or t.feature_names
+    cfg = ForestConfig(**cfg, seed=99)
+    split = stratified_kfold(t.labels, 5, seed=3)
+    rows = [np.flatnonzero(split.fold_assignments != fold) for fold in range(5)]
+    assert sorted(r.size for r in rows) == [32, 33, 33, 33, 33]
+    level = t.column("level0")  # every held-out value ties a training value
+    assert np.isin(level[split.fold_indices(0)], level[rows[0]]).all()
+
+    proba, preds = cv_predictions(t, names, cfg, split, seed=17, tag=4)
+    want_proba, want_preds, want_models = cv_predictions_oracle(t, names, cfg, split, 17, 4)
+    assert proba.tobytes() == want_proba.tobytes()
+    assert np.array_equal(preds, want_preds)
+
+    sub = t.select(names)
+    models = train_forests(sub, cfg, rows, [_derived_seed(17, 4, fold) for fold in range(5)])
+    for fold, (got, want) in enumerate(zip(models, want_models, strict=True)):
+        assert _bits(got) == _bits(want)
+        assert (predict_proba_matrix(got, sub.values).tobytes()
+                == predict_proba_matrix(want, sub.values).tobytes())
+        # and the recursive oracle grown on the fold's rows alone
+        fold_rows = rows[fold]
+        doc = forest_oracle(sub.values[fold_rows], t.labels[fold_rows], names,
+                            **asdict(got.config))
+        assert (json.dumps(forest_to_json(got), sort_keys=True)
+                == json.dumps(doc, sort_keys=True))
+
+
+@pytest.mark.parametrize("rerank", [False, True])
+def test_rfe_trace_matches_per_fold_oracle(monkeypatch, rerank):
+    t = _fold_table()
+    cfg = ForestConfig(n_trees=8, seed=5)
+    got = rfe_cv(t, cfg, k_folds=5, seed=23, rerank=rerank)
+    monkeypatch.setattr(rfe_mod, "cv_predictions",
+                        lambda *args, **kw: cv_predictions_oracle(*args, **kw)[:2])
+    want = rfe_cv(t, cfg, k_folds=5, seed=23, rerank=rerank)
+    assert json.dumps(trace_to_json(got)) == json.dumps(trace_to_json(want))
+
+
+# the per-fold grow path this batch replaced peaked at 1.87 MB here (tracemalloc,
+# numpy 2.4); the batch keeps a step's search buffers and all k forests' state
+RFE_PEAK_BOUND = 1.25 * 1.87 * 2 ** 20
+
+
+def test_rfe_cv_memory_peak_is_bounded():
+    rng = np.random.default_rng(94)
+    n = 40
+    labels = np.array([0, 1] * (n // 2))
+    values = rng.normal(size=(n, 94))
+    values[:, :10] += labels[:, None]
+    t = _table(values, labels, names=[f"f{j:02d}" for j in range(94)])
+    tracemalloc.start()
+    try:
+        rfe_cv(t, ForestConfig(seed=1), k_folds=5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RFE_PEAK_BOUND, peak
