@@ -41,11 +41,10 @@ def correlation_distance_matrix(t: FeatureTable, names=None) -> np.ndarray:
     k = len(names)
     dist = np.ones((k, k), dtype=np.float64)
     nonzero = norms > 0
-    if nonzero.any():
-        sub = centered[nonzero] / norms[nonzero, None]
-        corr = np.abs(sub @ sub.T)
-        block = np.clip(1.0 - corr, 0.0, None)
-        dist[np.ix_(nonzero, nonzero)] = block
+    sub = centered[nonzero] / norms[nonzero, None]
+    corr = np.abs(sub @ sub.T)
+    block = np.clip(1.0 - corr, 0.0, None)
+    dist[np.ix_(nonzero, nonzero)] = block
     np.fill_diagonal(dist, 0.0)
     return dist
 

@@ -4,9 +4,9 @@ All builders share the same geometric conventions:
 
 * 13 unique 3D direction offsets at Chebyshev distance 1 (26-connectivity up
   to sign); GLCM scales them by its distance parameter.
-* one neighbor walk, ``_neighbors``, visits each direction that fits the
-  grid once; NGTDM and GLDM walk the 26-neighborhood as these 13
-  directions, each neighbor pair feeding both of its ends.
+* one neighbor walk, ``_neighbors``, visits every direction, one that does not
+  fit the grid as empty slices; NGTDM and GLDM walk the 26-neighborhood as
+  these 13 directions, each neighbor pair feeding both of its ends.
 * co-occurrence/run/zone/dependence counts are summed ("merged") over
   directions before any normalization.
 * level 0 marks out-of-mask voxels; in-mask levels are 1..n_bins.
@@ -54,20 +54,19 @@ class TextureMatrix:
 
 
 def _axis_slices(n: int, d: int):
+    """(src, dst) slices with dst = src + d; both are empty when |d| >= n."""
     if d >= 0:
-        return slice(0, n - d), slice(d, n)
-    return slice(-d, n), slice(0, n + d)
+        return slice(0, max(n - d, 0)), slice(d, n)
+    return slice(-d, n), slice(0, max(n + d, 0))
 
 
 def _neighbors(lvl: np.ndarray, directions=DIRECTIONS_13, distance: int = 1):
-    """(src, dst, stride) for each (dx, dy, dz) direction that fits the
-    (nz, ny, nx) grid: index tuples with dst = src + distance * direction,
-    both in-grid, and the flat index offset from src to dst."""
+    """(src, dst, stride) for each (dx, dy, dz) direction: index tuples on the
+    (nz, ny, nx) grid with dst = src + distance * direction, both in-grid and
+    empty when the direction does not fit, and the flat offset from src to dst."""
     nz, ny, nx = lvl.shape
     for dx, dy, dz in directions:
         dx, dy, dz = dx * distance, dy * distance, dz * distance
-        if abs(dx) >= nx or abs(dy) >= ny or abs(dz) >= nz:
-            continue
         sz, tz = _axis_slices(nz, dz)
         sy, ty = _axis_slices(ny, dy)
         sx, tx = _axis_slices(nx, dx)
@@ -121,9 +120,7 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     # per voxel, the number of directions in which it is a run of length 1;
     # at most len(dirs), so the narrowest type that holds that is exact
     singles = np.zeros(lvl.shape, dtype=np.min_scalar_type(len(dirs)))
-    walked = 0
     for src, dst, stride in _neighbors(lvl, dirs):
-        walked += 1
         # cont[p] = run continues from p to p+d
         cont = _same_level(lvl, src, dst)
         # run starts where no same-level in-mask predecessor feeds into p
@@ -142,9 +139,6 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
                 matrix[:, length - 1] += np.bincount(flat[done] - 1, minlength=nb)
             pos = pos[advancing] + stride
             length += 1
-    if walked < len(dirs):
-        # each direction longer than the grid makes every in-mask voxel a run of 1
-        singles[inside] += len(dirs) - walked
     matrix[:, 0] = np.bincount(flat[inside.ravel()] - 1, weights=singles[inside], minlength=nb)
     last = int(np.max(np.nonzero(matrix.any(axis=0))[0])) if matrix.any() else 0
     return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)

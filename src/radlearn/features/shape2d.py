@@ -78,8 +78,8 @@ def shape_2d(m: RoiMask, spacing=(1.0, 1.0, 1.0)) -> FeatureVector:
     surface = n * pixel_area
     perimeter = _perimeter(slice_mask, sx, sy)
     sphericity = 2.0 * math.sqrt(math.pi * surface) / perimeter
-    cov = np.cov(centers.T, ddof=0) if n > 1 else np.zeros((2, 2))
-    eigs = np.sort(np.maximum(np.linalg.eigvalsh(np.atleast_2d(cov)), 0.0))
+    cov = np.cov(centers.T, ddof=0)  # all zeros for a single pixel
+    eigs = np.sort(np.maximum(np.linalg.eigvalsh(cov), 0.0))
     lam_minor, lam_major = float(eigs[0]), float(eigs[-1])
     major = 4.0 * math.sqrt(lam_major)
     minor = 4.0 * math.sqrt(lam_minor)

@@ -30,12 +30,6 @@ class FeatureVector:
     def __len__(self) -> int:
         return len(self.names)
 
-    def entries(self):
-        return list(zip(self.names, self.values.tolist()))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries())
-
     def __getitem__(self, name: str) -> float:
         try:
             return float(self.values[self.names.index(name)])

@@ -13,20 +13,18 @@ def histogram(values, n_bins: int = 32) -> np.ndarray:
     A constant input puts all mass in the first bin, so downstream entropy
     and trace plots stay defined for degenerate data.
     """
+    return histogram_with_range(values, n_bins)[0]
+
+
+def histogram_with_range(values, n_bins: int = 32):
+    """(counts, lo, hi) of ``histogram``, for when the range must be recorded."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise DataValidationError("cannot histogram an empty list")
     lo, hi = float(values.min()), float(values.max())
-    counts = np.zeros(n_bins, dtype=np.int64)
     if lo == hi:
+        counts = np.zeros(n_bins, dtype=np.int64)
         counts[0] = values.size
-        return counts
-    counts, _ = np.histogram(values, bins=n_bins, range=(lo, hi))
-    return counts.astype(np.int64)
-
-
-def histogram_with_range(values, n_bins: int = 32):
-    """(counts, lo, hi) variant used when the range must be recorded."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    counts = histogram(values, n_bins)
-    return counts, float(values.min()), float(values.max())
+    else:
+        counts = np.histogram(values, bins=n_bins, range=(lo, hi))[0].astype(np.int64)
+    return counts, lo, hi

@@ -78,17 +78,13 @@ def metrics(c: ConfusionCounts) -> dict[str, float]:
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank range."""
+    """1-based ranks; tied values share the mean of their rank range; NaN ties nothing."""
     order = np.argsort(values, kind="mergesort")
+    s = values[order]
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    size = np.diff(start, append=values.size)
     ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(start + (size + 1) / 2.0, size)
     return ranks
 
 

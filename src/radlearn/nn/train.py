@@ -105,42 +105,46 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     trace = TrainTrace(layer_names=list(net.layer_names))
     prev = net.flat.copy()  # the weights each epoch's delta_l2 is measured from
 
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(n)
-        for b, start in enumerate(range(0, n, train_cfg.batch_size)):
-            batch = order[start:start + train_cfg.batch_size]
-            loss, _, _ = net.loss_and_grads(images[batch], labels[batch],
-                                            train_cfg.loss)
-            if not math.isfinite(loss):
-                raise NumericFailure(
-                    f"non-finite loss at epoch {epoch}, batch {b}",
-                    epoch=epoch, batch=b)
-            if start + train_cfg.batch_size >= n:  # the batch whose gradients the trace records
-                kept = [net.grad[layer].copy() for layer in frozen]
-            for layer in frozen:
-                net.grad[layer] = 0.0
-            optimizer.update(net.flat, net.grad)
-        for layer, real in zip(frozen, kept):
-            net.grad[layer] = real  # the trace records frozen layers' real gradients
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report divergence
+        for epoch in range(train_cfg.epochs):
+            order = rng.permutation(n)
+            for b, start in enumerate(range(0, n, train_cfg.batch_size)):
+                batch = order[start:start + train_cfg.batch_size]
+                loss, _, _ = net.loss_and_grads(images[batch], labels[batch],
+                                                train_cfg.loss)
+                if not math.isfinite(loss):
+                    raise NumericFailure(
+                        f"non-finite loss at epoch {epoch}, batch {b}",
+                        epoch=epoch, batch=b)
+                if start + train_cfg.batch_size >= n:  # the batch whose gradients the trace records
+                    kept = [net.grad[layer].copy() for layer in frozen]
+                for layer in frozen:
+                    net.grad[layer] = 0.0
+                optimizer.update(net.flat, net.grad)
+            for layer, real in zip(frozen, kept):
+                net.grad[layer] = real  # the trace records frozen layers' real gradients
 
-        layer_records = {}
-        for name, span in net.slices.items():
-            weights, gradient = net.flat[span], net.grad[span]
-            layer_records[name] = LayerEpochRecord(
-                weight_l2=_l2(weights),
-                grad_l2=_l2(gradient),
-                delta_l2=_l2(weights - prev[span]),
-                weight_hist=_hist_record(weights),
-                grad_hist=_hist_record(gradient),
-            )
-        prev = net.flat.copy()
-        train_metrics = _metric_record(net, images, labels, train_cfg.loss)
-        if has_val:
-            val_metrics = _metric_record(net, val_images, val_labels, train_cfg.loss)
-        else:
-            val_metrics = MetricRecord(**vars(train_metrics))
-        trace.epochs.append(EpochRecord(layers=layer_records, train=train_metrics,
-                                        validation=val_metrics))
+            layer_records = {}
+            for name, span in net.slices.items():
+                weights, gradient = net.flat[span], net.grad[span]
+                layer_records[name] = LayerEpochRecord(
+                    weight_l2=_l2(weights),
+                    grad_l2=_l2(gradient),
+                    delta_l2=_l2(weights - prev[span]),
+                    weight_hist=_hist_record(weights),
+                    grad_hist=_hist_record(gradient),
+                )
+            prev = net.flat.copy()
+            train_metrics = _metric_record(net, images, labels, train_cfg.loss)
+            if has_val:
+                val_metrics = _metric_record(net, val_images, val_labels, train_cfg.loss)
+            else:
+                val_metrics = MetricRecord(**vars(train_metrics))
+            for which, record in (("train", train_metrics), ("validation", val_metrics)):
+                if not math.isfinite(record.loss):
+                    raise NumericFailure(f"non-finite {which} loss at epoch {epoch}", epoch=epoch)
+            trace.epochs.append(EpochRecord(layers=layer_records, train=train_metrics,
+                                            validation=val_metrics))
     return net, trace
 
 

@@ -318,6 +318,22 @@ def auroc_by_pair_counting(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def midranks_oracle(values):
+    """1-based midranks by a nested loop over the mergesort order: a tie run
+    extends while the next sorted value equals the run's first value."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def pearson_oracle(a, b):
     n = len(a)
     ma = sum(a) / n

@@ -382,6 +382,27 @@ def test_train_on_mixed_slice_shapes_exits_two(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_diverging_train_exits_three_with_one_line(tmp_path, epochs):
+    # with one epoch only the epoch-end metric pass sees the non-finite loss;
+    # a subprocess, so numpy warnings would reach its stderr
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 1},
+                                  "train": {"learning_rate": 3e38, "epochs": epochs}}))
+    assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    out = tmp_path / "t"
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run([sys.executable, "-m", "radlearn", "train", "--config", str(config),
+                          "--in", str(tmp_path / "p" / "manifest.csv"), "--out", str(out)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3
+    assert run.stderr.startswith("radlearn: numeric failure: non-finite")
+    assert run.stderr.count("\n") == 1
+    trace = out / "train_trace.json"
+    assert not trace.exists() or not any(
+        token in trace.read_text() for token in ("NaN", "Infinity"))
+
+
 @pytest.fixture(scope="module")
 def abc_rfe(tmp_path_factory):
     """An elimination trace over a table of the features a, b and c, and the

@@ -49,6 +49,12 @@ def test_zero_variance_feature_distance_one():
     assert d[1, 1] == 0.0
 
 
+def test_all_zero_variance_features_distance_one():
+    t = _table({"flat": [5.0, 5.0, 5.0], "flat2": [-1.0, -1.0, -1.0]})
+    d = correlation_distance_matrix(t)
+    assert d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_distance_needs_two_samples_and_two_features():
     t1 = _table({"f": [1.0], "g": [2.0]})
     with pytest.raises(DataValidationError):

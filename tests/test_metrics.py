@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import auroc_by_pair_counting
+from oracles import auroc_by_pair_counting, midranks_oracle
 
 from radlearn.errors import DataValidationError
-from radlearn.metrics import ConfusionCounts, auroc, confusion, metrics, stratified_kfold
+from radlearn.metrics import (
+    ConfusionCounts,
+    auroc,
+    confusion,
+    metrics,
+    midranks,
+    stratified_kfold,
+)
 
 
 def test_confusion_all_positive_predictions():
@@ -130,3 +137,23 @@ def test_stratified_kfold_cohort_sizes():
 def test_stratified_kfold_class_too_small():
     with pytest.raises(DataValidationError):
         stratified_kfold([0, 0, 0, 1, 1], k=3, seed=0)
+
+
+
+# ties, both zeros, both infinities and NaN, which equals nothing
+_RANK_VALUES = [-np.inf, -2.5, -1.0, -0.0, 0.0, 1.0, 1.0 + 2 ** -52, 3.0, np.inf, np.nan]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_RANK_VALUES), min_size=0, max_size=40))
+@example([])
+@example([np.nan])
+@example([-0.0])
+@example([0.0, -0.0, 0.0])
+@example([np.nan] * 3)
+@example([np.inf, np.nan, -np.inf, np.inf, np.nan])
+def test_midranks_match_nested_loop_bytes(values):
+    values = np.array(values, dtype=np.float64)
+    got = midranks(values)
+    assert got.dtype == np.float64 and got.shape == values.shape
+    assert got.tobytes() == midranks_oracle(values).tobytes()

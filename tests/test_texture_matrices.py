@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import qvol
@@ -335,8 +335,27 @@ def _pinned_cases(draw):
     return lvl, n_bins, glcm_cases, (None, [draw(st.sampled_from(DIRS_13))])
 
 
+def _short_axis_case(shape, seed):
+    """GLCM at distance 5 on a grid with one axis of extent 3 or 4: the
+    directions along that axis do not fit, although their unclamped slices
+    would not be empty, and along that axis alone no pair co-occurs."""
+    rng = np.random.default_rng(seed)
+    lvl = rng.integers(0, 4, size=shape).astype(np.int32)
+    lvl[0, 0, 0] = 1
+    short = shape.index(min(shape))  # (z, y, x) axis; directions are (dx, dy, dz)
+    along = tuple(int(i == 2 - short) for i in range(3))
+    glcm_cases = [(5, None), (5, [(1, 1, 1), (1, -1, -1)]), (5, [along]), (1, None)]
+    return lvl, 3, glcm_cases, (None,)
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(_pinned_cases())
+@example(_short_axis_case((4, 9, 9), 0))
+@example(_short_axis_case((9, 4, 9), 1))
+@example(_short_axis_case((9, 9, 4), 2))
+@example(_short_axis_case((3, 9, 9), 3))
+@example(_short_axis_case((9, 3, 9), 4))
+@example(_short_axis_case((9, 9, 3), 5))
 def test_builders_match_float_reference_bytes(case):
     lvl, n_bins, glcm_cases, glrlm_dirs = case
     _assert_pinned(lvl, n_bins, glcm_cases, glrlm_dirs, alphas=(0, 1, 2, 3))
