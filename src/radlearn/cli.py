@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except (DataValidationError, OSError) as exc:
         print(f"radlearn: data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"radlearn: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

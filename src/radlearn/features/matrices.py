@@ -12,8 +12,11 @@ All builders share the same geometric conventions:
 * level 0 marks out-of-mask voxels; in-mask levels are 1..n_bins.
 * accumulators are exact integers of the narrowest safe width, and values
   become float64 only after accumulation: a voxel has at most 26 neighbors,
-  so NGTDM neighbor counts and GLDM dependence counts are uint8 and NGTDM
-  level sums (of at most 26 levels) are int64; GLCM pair counts are int64.
+  so NGTDM neighbor counts and GLDM dependence counts are uint8, NGTDM level
+  sums (of at most 26 levels) take the narrowest signed type that holds
+  26 * n_bins, GLCM joint codes the one that holds (n_bins + 1)^2, and GLCM
+  pair counts are int64. All but GLSZM walk the levels in the narrowest
+  unsigned type that holds n_bins.
   Every matrix is therefore the one float64 accumulation gives, bit for bit.
 
 Matrix layouts:
@@ -80,6 +83,12 @@ def _same_level(lvl: np.ndarray, src, dst) -> np.ndarray:
     return same
 
 
+def _narrow(q: QuantizedVolume) -> np.ndarray:
+    """A copy of the (nz, ny, nx) level grid in the narrowest unsigned type that
+    holds n_bins; levels fit int32, so that type is at most uint32."""
+    return q.as_zyx().astype(np.min_scalar_type(min(q.n_bins, np.iinfo(np.int32).max)))
+
+
 def _require_mask(q: QuantizedVolume, minimum: int = 1) -> None:
     n = q.mask_count()
     if n < minimum:
@@ -91,13 +100,14 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
     _require_mask(q, 2)
     if distance < 1:
         raise DataValidationError("co-occurrence distance must be >= 1")
-    lvl = q.as_zyx()
+    lvl = _narrow(q)
     nb = q.n_bins
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
-    # joint codes a * (nb + 1) + b over the whole grid, levels 0..nb; row and
-    # column 0 (pairs with an out-of-mask end) are dropped after the loop
+    # joint codes a * (nb + 1) + b over the whole grid, levels 0..nb, in the
+    # narrowest signed type that holds them (np.bincount takes no uint64); row
+    # and column 0 (pairs with an out-of-mask end) are dropped after the loop
     counts = np.zeros((nb + 1) ** 2, dtype=np.int64)
-    row = np.multiply(lvl, nb + 1, dtype=np.intp)
+    row = np.multiply(lvl, nb + 1, dtype=np.min_scalar_type(-counts.size))
     for src, dst, _ in _neighbors(lvl, dirs, distance):
         counts += np.bincount(np.add(row[src], lvl[dst]).ravel(), minlength=counts.size)
     pairs = counts.reshape(nb + 1, nb + 1)[1:, 1:]
@@ -111,7 +121,7 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
 def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     """Run-length counts R(level, run length), runs truncated at the mask edge."""
     _require_mask(q, 1)
-    lvl = q.as_zyx()
+    lvl = _narrow(q)
     nb = q.n_bins
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
     matrix = np.zeros((nb, max(lvl.shape)), dtype=np.float64)
@@ -208,14 +218,14 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
     Voxels with no in-mask neighbors keep their count but contribute 0 to s_i.
     """
     _require_mask(q, 1)
-    lvl = q.as_zyx()
+    lvl = _narrow(q)
     nb = q.n_bins
     mask = lvl > 0
     mask_u8 = mask.view(np.uint8)
     # out-of-mask levels are 0, so masking is implicit; each pair feeds both
-    # ends. A voxel sums at most 26 levels and counts at most 26 neighbors,
-    # so int64 sums and uint8 counts are exact
-    nsum = np.zeros(lvl.shape, dtype=np.int64)
+    # ends. A voxel sums at most 26 levels and counts at most 26 neighbors, so
+    # sums in the narrowest signed type that holds 26 * nb and uint8 counts are exact
+    nsum = np.zeros(lvl.shape, dtype=np.min_scalar_type(-26 * nb))
     ncnt = np.zeros(lvl.shape, dtype=np.uint8)
     for src, dst, _ in _neighbors(lvl):
         nsum[src] += lvl[dst]
@@ -240,7 +250,7 @@ def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
     _require_mask(q, 1)
     if alpha < 0:
         raise DataValidationError("gldm alpha must be >= 0")
-    lvl = q.as_zyx()
+    lvl = _narrow(q)
     nb = q.n_bins
     mask = lvl > 0
     # a voxel has at most 26 dependent neighbors, so uint8 counts are exact
@@ -250,8 +260,9 @@ def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
         if alpha == 0:
             ok = (a > 0) & (a == b)
         else:
-            # levels lie in 0..nb, so the int32 difference cannot overflow
-            ok = (a > 0) & (b > 0) & (np.abs(a - b) <= min(alpha, nb))
+            # levels lie in 0..nb: taken in a wider signed type, a - b cannot wrap
+            wide = np.subtract(a, b, dtype=np.promote_types(lvl.dtype, np.int8))
+            ok = (a > 0) & (b > 0) & (np.abs(wide) <= min(alpha, nb))
         dep[src] += ok
         dep[dst] += ok
     code = (lvl[mask] - 1).astype(np.intp) * 27 + dep[mask]

@@ -191,7 +191,7 @@ def _blob_field(dims):
     0 outside; support is the boolean ROI.
     """
     nx, ny, nz = dims
-    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    z, y, x = np.ogrid[:nz, :ny, :nx]
     cx, cy, cz = (nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0
     ax, ay, az = _BLOB_FRACTION * nx, _BLOB_FRACTION * ny, _BLOB_FRACTION * nz
     r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
@@ -202,33 +202,35 @@ def _blob_field(dims):
 
 def _checkerboard(dims):
     nx, ny, nz = dims
-    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    return np.where((x + y + z) % 2 == 0, 1.0, -1.0)
+    z, y, x = np.ogrid[:nz, :ny, :nx]
+    # x + y + z is even where x + y and z have the same parity
+    return np.where((x + y) % 2 == z % 2, 1.0, -1.0)
 
 
 def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
-    """Deterministic paired two-class phantom set.
+    """Deterministic paired two-class phantom set: all of class 0, then all of class 1.
 
-    Sample i of class 0 and sample i of class 1 share the same noise
-    sub-seed, so at texture_amplitude 0 the two classes are voxel-identical.
-    Class 1 differs only by the checkerboard term inside the ROI.
+    Sample i of class 0 and sample i of class 1 share one noise draw, so at
+    texture_amplitude 0 the two classes are voxel-identical. Class 1 differs
+    only by the checkerboard term inside the ROI.
     """
     profile, support = _blob_field(spec.dims)
-    checker = _checkerboard(spec.dims) * support
+    shift = _checkerboard(spec.dims) * support * spec.texture_amplitude
     mask = RoiMask(dims=spec.dims, bits=np.ascontiguousarray(support, dtype=np.uint8).ravel())
 
-    out: list[tuple[Volume, RoiMask, int]] = []
-    for label in (0, 1):
-        for i in range(spec.n_samples_per_class):
-            # noise stream keyed by sample index only, shared across classes
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
-            noise = rng.normal(0.0, spec.noise_sigma, size=spec.dims[::-1]) if spec.noise_sigma > 0 \
-                else np.zeros(spec.dims[::-1])
-            field3d = profile + noise
-            if label == 1:
-                field3d = field3d + spec.texture_amplitude * checker
-            vol = Volume(dims=spec.dims, spacing=(1.0, 1.0, 1.0),
-                         modality_tag=spec.modality,
-                         voxels=field3d.astype(np.float32).ravel())
-            out.append((vol, mask, label))
+    def volume(field3d):
+        return Volume(dims=spec.dims, spacing=(1.0, 1.0, 1.0), modality_tag=spec.modality,
+                      voxels=field3d.astype(np.float32).ravel())
+
+    n = spec.n_samples_per_class
+    out: list[tuple[Volume, RoiMask, int]] = [None] * (2 * n)
+    for i in range(n):
+        # one noise draw per sample index, keyed by it alone and shared by both classes
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
+        field3d = rng.normal(0.0, spec.noise_sigma, size=spec.dims[::-1]) if spec.noise_sigma > 0 \
+            else np.zeros(spec.dims[::-1])
+        field3d += profile
+        out[i] = (volume(field3d), mask, 0)
+        field3d += shift
+        out[n + i] = (volume(field3d), mask, 1)
     return out

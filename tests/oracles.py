@@ -266,6 +266,32 @@ def gldm_float_reference(lvl, n_bins, alpha=0):
     return matrix
 
 
+def phantom_reference(dims, n_samples_per_class, texture_amplitude, noise_sigma, seed):
+    """The phantom generator as it was before the one-draw-per-pair version:
+    meshgrid cubes and one noise draw per (label, sample). A list of
+    (float32 voxels, uint8 mask bits, label), all of class 0 first."""
+    nx, ny, nz = dims
+    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    cx, cy, cz = (nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0
+    ax, ay, az = 0.35 * nx, 0.35 * ny, 0.35 * nz
+    r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
+    support = r2 <= 1.0
+    profile = np.where(support, 1.0 - r2, 0.0)
+    checker = np.where((x + y + z) % 2 == 0, 1.0, -1.0) * support
+    bits = np.ascontiguousarray(support, dtype=np.uint8).ravel()
+    out = []
+    for label in (0, 1):
+        for i in range(n_samples_per_class):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            noise = rng.normal(0.0, noise_sigma, size=dims[::-1]) if noise_sigma > 0 \
+                else np.zeros(dims[::-1])
+            field3d = profile + noise
+            if label == 1:
+                field3d = field3d + texture_amplitude * checker
+            out.append((field3d.astype(np.float32).ravel(), bits, label))
+    return out
+
+
 def max_diameter_oracle(centers):
     """Largest distance over all pairs of (n, 2) pixel centers (0 below 2)."""
     if centers.shape[0] < 2:

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -401,6 +402,30 @@ def test_diverging_train_exits_three_with_one_line(tmp_path, epochs):
     trace = out / "train_trace.json"
     assert not trace.exists() or not any(
         token in trace.read_text() for token in ("NaN", "Infinity"))
+
+
+@pytest.mark.parametrize("stage, section", [
+    ("extract", {"phantom": {"n_samples_per_class": 1, "dims": [8, 8, 8]},
+                 "extraction": {"n_bins": 100000}}),  # a (n_bins + 1)^2 GLCM code table
+    ("phantom", {"phantom": {"dims": [2000, 2000, 2000]}}),  # 64 GB per float64 field
+])
+def test_out_of_memory_exits_two_with_one_line(tmp_path, stage, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section))
+    argv = [stage, "--config", str(config), "--out", str(tmp_path / "out")]
+    if stage == "extract":
+        assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+        argv += ["--in", str(tmp_path / "p" / "manifest.csv")]
+    # a 3 GiB address space, so the allocation fails on any host
+    limit = 3 * 2 ** 30
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "radlearn", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 2
+    assert run.stderr.startswith("radlearn: out of memory: ")
+    assert run.stderr.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

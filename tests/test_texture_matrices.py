@@ -369,6 +369,21 @@ def test_constant_cube_reaches_26_neighbors_bytes(n_bins):
     assert gldm(qvol(lvl, n_bins)).data[-1, 26] == 1
 
 
+# the n_bins values at which a narrow type changes: GLCM codes leave int16
+# above 180, the level grid leaves uint8 above 255 and uint16 above 65535, and
+# NGTDM level sums leave int16 above 1260
+@pytest.mark.parametrize("n_bins", [180, 181, 182, 255, 256, 1260, 1261, 65535, 65536])
+def test_narrow_type_boundaries_match_float_reference_bytes(n_bins):
+    # the float GLCM reference holds n_bins^2 doubles, 32 GB at 65535
+    glcm_cases = ((1, None),) if n_bins < 2000 else ()
+    # the center voxel of a constant cube sums 26 levels of n_bins
+    _assert_pinned(np.full((3, 3, 3), n_bins, dtype=np.int32), n_bins, glcm_cases,
+                   alphas=(0, 1, 2, 3))
+    # levels 1 and n_bins side by side, where an unsigned 1 - n_bins would wrap
+    lvl = np.where(np.indices((3, 3, 3)).sum(axis=0) % 2 == 0, 1, n_bins).astype(np.int32)
+    _assert_pinned(lvl, n_bins, glcm_cases, alphas=(0, 1, 2, 3))
+
+
 def test_phantom_roi_box_matches_float_reference_bytes():
     spec = PhantomSpec(n_samples_per_class=1, dims=(48, 48, 48), seed=7)
     for v, m, _ in generate_phantom(spec):

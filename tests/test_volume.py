@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mask_from_zyx, vol_from_values
-from oracles import glcm_counts_oracle
+from oracles import glcm_counts_oracle, phantom_reference
 
 from radlearn.errors import ConfigError, DataValidationError
 from radlearn.quantize import quantize_fixed_bins
@@ -186,6 +187,43 @@ def test_phantom_output_shape_and_labels():
     for v, m, _ in samples:
         assert v.dims == (8, 8, 8)
         assert m.dims == v.dims
+
+
+@pytest.mark.parametrize("dims, n, amplitude, sigma", [
+    ((16, 16, 16), 2, 2.0, 0.0),
+    ((16, 16, 16), 3, 0.0, 0.1),
+    ((17, 13, 11), 1, 2.0, 0.1),
+    ((17, 13, 11), 2, 0.7, 0.0),
+    ((17, 13, 11), 3, 1.5, 0.3),
+    ((8, 9, 10), 3, 0.0, 0.0),
+])
+def test_phantom_matches_reference_bytes(dims, n, amplitude, sigma):
+    spec = PhantomSpec(n_samples_per_class=n, dims=dims, texture_amplitude=amplitude,
+                       noise_sigma=sigma, seed=11)
+    got = generate_phantom(spec)
+    expected = phantom_reference(dims, n, amplitude, sigma, 11)
+    assert [label for _, _, label in got] == [0] * n + [1] * n
+    assert len(got) == len(expected)
+    for (v, m, label), (voxels, bits, ref_label) in zip(got, expected):
+        assert label == ref_label and v.dims == m.dims == dims
+        assert v.voxels.dtype == voxels.dtype and v.voxels.tobytes() == voxels.tobytes()
+        assert m.bits.tobytes() == bits.tobytes()
+
+
+def test_phantom_peaks_below_reference():
+    spec = PhantomSpec(n_samples_per_class=2, dims=(64, 64, 64), seed=5)
+    peaks = []
+    for generate in (lambda: phantom_reference(spec.dims, 2, spec.texture_amplitude,
+                                               spec.noise_sigma, spec.seed),
+                     lambda: generate_phantom(spec)):
+        tracemalloc.start()
+        try:
+            generate()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, peak = peaks
+    assert peak < reference, f"phantom peaked at {peak / 2 ** 20:.1f} MB"
 
 
 def test_roi_slice_index_prefers_largest_then_lowest():
