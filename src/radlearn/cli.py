@@ -4,16 +4,18 @@ Every subcommand is a deterministic function of (config, input files); file
 outputs are byte-stable across reruns with fixed seeds. Exit codes: 0 ok,
 1 usage/config error, 2 data/validation error, 3 numeric failure.
 
-Stages and their artifacts:
+Each stage reads the ``--in`` files shown, in that order (``[x]`` is
+optional; a missing or surplus file exits 1), and writes its artifacts:
 
-    phantom   volume/mask files + manifest.csv
-    extract   features.csv
-    filter    significance.json
-    rfe       rfe_trace.json + rfe_curve.csv
-    cluster   dendrogram.json
-    train     model checkpoint + train_trace.json + train_metrics.csv
-    diagnose  diagnosis.json
-    report    report.json + report.csv (all vs top features)
+    phantom   (none)                            volume/mask files, manifest.csv
+    extract   manifest.csv                      features.csv
+    filter    features.csv                      significance.json
+    rfe       features.csv [significance.json]  rfe_trace.json, rfe_curve.csv
+    cluster   features.csv [rfe_trace.json]     dendrogram.json, clusters.json
+    train     manifest.csv                      model checkpoint, train_trace.json,
+                                                train_metrics.csv
+    diagnose  train_trace.json                  diagnosis.json, gradient_flow.csv
+    report    features.csv rfe_trace.json       report.json, report.csv
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -47,12 +49,7 @@ from .volume import (
     save_volume,
 )
 
-REPORT_ROWS = ["Accuracy", "F1-Score", "AUROC", "Precision", "Recall"]
-
-
-def _require_inputs(paths, count, usage):
-    if paths is None or len(paths) < count:
-        raise ConfigError(f"this subcommand needs {usage} via --in")
+MANIFEST_HEADER = ["sample_id", "label", "path_base", "modality"]
 
 
 # --- subcommands -----------------------------------------------------------
@@ -61,7 +58,7 @@ def _require_inputs(paths, count, usage):
 def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
     spec = replace(cfg.phantom, seed=cfg.seeds.phantom)
     samples = generate_phantom(spec)
-    rows = [["sample_id", "label", "path_base", "modality"]]
+    rows = [MANIFEST_HEADER]
     per_class = {0: 0, 1: 0}
     for volume, mask, label in samples:
         sample_id = f"{spec.modality}_c{label}_s{per_class[label]:03d}"
@@ -79,10 +76,10 @@ def _read_manifest(path):
     entries = []
     lines = read_csv(path)
     header = lines[0] if lines else None
-    if header != ["sample_id", "label", "path_base", "modality"]:
+    if header != MANIFEST_HEADER:
         raise DataValidationError(f"{path}: bad manifest header {header}")
     for lineno, row in enumerate(lines[1:], start=2):
-        if len(row) != 4:
+        if len(row) != len(MANIFEST_HEADER):
             raise DataValidationError(f"{path}:{lineno}: ragged manifest row")
         if row[1] not in ("0", "1"):
             raise DataValidationError(f"{path}:{lineno}: label must be 0 or 1")
@@ -92,13 +89,16 @@ def _read_manifest(path):
     return entries
 
 
-def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a manifest.csv")
-    entries = _read_manifest(in_paths[0])
-    ids, labels, vectors = [], [], []
-    for sample_id, label, base in entries:
+def _samples(path):
+    """(sample_id, label, volume, mask) for each row of a manifest, loaded in turn."""
+    for sample_id, label, base in _read_manifest(path):
         volume = load_volume(base)
-        mask = load_mask(base, volume.dims)
+        yield sample_id, label, volume, load_mask(base, volume.dims)
+
+
+def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
+    ids, labels, vectors = [], [], []
+    for sample_id, label, volume, mask in _samples(in_paths[0]):
         vectors.append(extract_all(
             volume, mask,
             n_bins=cfg.extraction.n_bins,
@@ -112,7 +112,6 @@ def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
 
 
 def cmd_filter(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a features.csv")
     table = table_mod.read_feature_table(in_paths[0])
     report = stats.filter_significant(table, alpha=cfg.filter.alpha)
     write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
@@ -133,7 +132,6 @@ def _significant_names(path) -> list[str]:
 
 
 def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a features.csv (optionally + significance.json)")
     table = table_mod.read_feature_table(in_paths[0])
     if len(in_paths) > 1:
         keep = _significant_names(in_paths[1])
@@ -148,7 +146,6 @@ def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
 
 
 def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a features.csv (optionally + rfe_trace.json)")
     table = table_mod.read_feature_table(in_paths[0])
     if len(in_paths) > 1:
         trace = rfe_mod.load_trace(in_paths[1])
@@ -166,31 +163,28 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
                os.path.join(out_dir, "clusters.json"))
 
 
-def _slices_from_manifest(entries):
-    images, labels = [], []
-    for sample_id, label, base in entries:
-        volume = load_volume(base)
-        mask = load_mask(base, volume.dims)
+def _slices_from_manifest(path):
+    ids, images, labels = [], [], []
+    for sample_id, label, volume, mask in _samples(path):
         image = volume.as_zyx()[roi_slice_index(mask)]
         if images and image.shape != images[0].shape:
             raise DataValidationError(
                 f"sample {sample_id}: slice shape {image.shape} differs from "
-                f"{images[0].shape} of sample {entries[0][0]}")
+                f"{images[0].shape} of sample {ids[0]}")
+        ids.append(sample_id)
         images.append(image)
         labels.append(label)
     return np.stack(images), np.array(labels)
 
 
 def cmd_train(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a manifest.csv")
-    entries = _read_manifest(in_paths[0])
-    images, labels = _slices_from_manifest(entries)
+    images, labels = _slices_from_manifest(in_paths[0])
     # the train section is both configs; each takes its own seed
     network, trace = train(images, labels, replace(cfg.train, seed=cfg.seeds.net),
                            replace(cfg.train, seed=cfg.seeds.train))
     save_checkpoint(checkpoint_from_network(network), os.path.join(out_dir, "model"))
     nn_trace.save_trace(trace, os.path.join(out_dir, "train_trace.json"))
-    cols = ("loss", "accuracy", "sensitivity", "specificity")
+    cols = [f.name for f in fields(nn_trace.MetricRecord)]
     write_csv(os.path.join(out_dir, "train_metrics.csv"),
               [["epoch", *("train_" + c for c in cols), *("val_" + c for c in cols)]]
               + [[i, *(repr(getattr(m, c)) for m in (e.train, e.validation) for c in cols)]
@@ -198,7 +192,6 @@ def cmd_train(cfg: PipelineConfig, in_paths, out_dir) -> None:
 
 
 def cmd_diagnose(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 1, "a train_trace.json")
     trace = nn_trace.load_trace(in_paths[0])
     report = diagnostics.diagnose(trace, cfg.diagnose)
     diagnostics.save_report(report, os.path.join(out_dir, "diagnosis.json"))
@@ -224,7 +217,6 @@ def _metric_rows(table, probas, preds) -> dict[str, float]:
 
 
 def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
-    _require_inputs(in_paths, 2, "features.csv and rfe_trace.json")
     table = table_mod.read_feature_table(in_paths[0])
     trace = rfe_mod.load_trace(in_paths[1])
     top_names, top_cv_accuracy = rfe_mod.select_best(trace)
@@ -240,7 +232,7 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
         table, top_names, forest_cfg, split, cfg.seeds.forest, tag=1))
 
     doc = {
-        "rows": REPORT_ROWS,
+        "rows": list(all_scores),
         "all_features": {"names": all_names, "metrics": all_scores},
         "top_features": {"names": list(top_names), "metrics": top_scores,
                          "rfe_cv_accuracy": top_cv_accuracy},
@@ -248,19 +240,25 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
     write_json(doc, os.path.join(out_dir, "report.json"))
     write_csv(os.path.join(out_dir, "report.csv"),
               [["metric", "all_features", "top_features"]]
-              + [[row, repr(all_scores[row]), repr(top_scores[row])] for row in REPORT_ROWS])
+              + [[row, repr(all_scores[row]), repr(top_scores[row])] for row in all_scores])
 
 
+# stage -> (function, the --in files it requires, an optional trailing one or None)
 _COMMANDS = {
-    "phantom": cmd_phantom,
-    "extract": cmd_extract,
-    "filter": cmd_filter,
-    "rfe": cmd_rfe,
-    "cluster": cmd_cluster,
-    "train": cmd_train,
-    "diagnose": cmd_diagnose,
-    "report": cmd_report,
+    "phantom": (cmd_phantom, [], None),
+    "extract": (cmd_extract, ["manifest.csv"], None),
+    "filter": (cmd_filter, ["features.csv"], None),
+    "rfe": (cmd_rfe, ["features.csv"], "significance.json"),
+    "cluster": (cmd_cluster, ["features.csv"], "rfe_trace.json"),
+    "train": (cmd_train, ["manifest.csv"], None),
+    "diagnose": (cmd_diagnose, ["train_trace.json"], None),
+    "report": (cmd_report, ["features.csv", "rfe_trace.json"], None),
 }
+
+
+def _inputs_usage(stage) -> str:
+    _, required, optional = _COMMANDS[stage]
+    return " ".join(required + ([f"[{optional}]"] if optional else [])) or "no files"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="pipeline config JSON")
         p.add_argument("--in", dest="in_paths", nargs="+", action="extend", default=None,
-                       help="input artifact(s) from previous stages; may be repeated")
+                       help=f"{_inputs_usage(name)} from earlier stages; may be repeated")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
@@ -296,8 +294,13 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be a nonnegative integer")
             cfg.override_seeds(args.seed)
+        run, required, optional = _COMMANDS[args.command]
+        got = len(args.in_paths or ())
+        if not len(required) <= got <= len(required) + bool(optional):
+            raise ConfigError(f"{args.command} takes {_inputs_usage(args.command)} via --in, "
+                              f"got {got} file(s)")
         os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command](cfg, args.in_paths, args.out)
+        run(cfg, args.in_paths, args.out)
         return 0
     except ConfigError as exc:
         print(f"radlearn: config error: {exc}", file=sys.stderr)

@@ -88,7 +88,8 @@ def pearson(a, b) -> float:
     return float(np.sum(va * vb) / norm)
 
 
-def detect_static_layers(tr: TrainTrace, rel_tol: float = 1e-4) -> dict[str, bool]:
+def detect_static_layers(tr: TrainTrace,
+                         rel_tol: float = DiagnosticThresholds.static_rel_tol) -> dict[str, bool]:
     """Layer is static when every epoch's weight delta is negligible
     relative to the weight norm."""
     if tr.n_epochs < 2 or not tr.layer_names:
@@ -101,8 +102,9 @@ def detect_static_layers(tr: TrainTrace, rel_tol: float = 1e-4) -> dict[str, boo
     return flags
 
 
-def detect_dead_gradients(tr: TrainTrace, abs_tol: float = 1e-10,
-                          epoch_quorum: float = 0.9) -> dict[str, bool]:
+def detect_dead_gradients(tr: TrainTrace, abs_tol: float = DiagnosticThresholds.dead_abs_tol,
+                          epoch_quorum: float = DiagnosticThresholds.dead_epoch_quorum,
+                          ) -> dict[str, bool]:
     """Layer is dead when its gradient L2 is ~0 for >= 90% of epochs."""
     if tr.n_epochs < 1:
         raise DataValidationError("dead-gradient detection needs at least 1 epoch")
@@ -113,8 +115,10 @@ def detect_dead_gradients(tr: TrainTrace, abs_tol: float = 1e-10,
     return flags
 
 
-def detect_class_flipping(sens, spec, corr_thresh: float = -0.5,
-                          amp_thresh: float = 0.3) -> tuple[bool, float]:
+def detect_class_flipping(sens, spec,
+                          corr_thresh: float = DiagnosticThresholds.flip_corr_thresh,
+                          amp_thresh: float = DiagnosticThresholds.flip_amp_thresh,
+                          ) -> tuple[bool, float]:
     """Flag strongly anti-correlated, high-amplitude sens/spec series.
 
     A stuck predictor (both series constant) is NOT flipping; its

@@ -152,11 +152,11 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
     return _vector("glcm", GLCM_FEATURES, [values[n] for n in GLCM_FEATURES])
 
 
-def _run_style_features(counts: np.ndarray, percentage_total: float):
+def _run_style_features(counts: np.ndarray):
     """Shared math for GLRLM (runs), GLSZM (zones) and GLDM (dependences).
 
-    counts is (n_levels, max_j); percentage_total is the denominator of the
-    percentage feature (voxels*directions for runs, voxels for zones).
+    counts is (n_levels, max_j). The percentage denominator sum(count * j) is
+    voxels*directions for runs and voxels for zones; GLDM has no percentage.
     """
     n = float(counts.sum())
     iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
@@ -171,7 +171,7 @@ def _run_style_features(counts: np.ndarray, percentage_total: float):
         "glnn": float(np.sum(counts.sum(axis=1) ** 2) / n ** 2),
         "jn": float(np.sum(counts.sum(axis=0) ** 2) / n),
         "jnn": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
-        "percentage": float(n / percentage_total),
+        "percentage": float(n / float(np.sum(counts * jv))),
         "glv": float(np.sum((iv - mu_i) ** 2 * p)),
         "jv": float(np.sum((jv - mu_j) ** 2 * p)),
         "entropy": _entropy_bits(p.ravel()),
@@ -189,20 +189,18 @@ _RUN_KEY_ORDER = ["short", "long", "gln", "glnn", "jn", "jnn", "percentage",
                   "short_hgl", "long_lgl", "long_hgl"]
 
 
+def _run_family(m: TextureMatrix, kind: str, names, keys=_RUN_KEY_ORDER) -> FeatureVector:
+    _check_kind(m, kind)
+    stats = _run_style_features(m.data)
+    return _vector(kind.lower(), names, [stats[k] for k in keys])
+
+
 def glrlm_features(m: TextureMatrix) -> FeatureVector:
-    _check_kind(m, "GLRLM")
-    jv = np.arange(1, m.data.shape[1] + 1, dtype=np.float64)[None, :]
-    voxels_times_dirs = float(np.sum(m.data * jv))  # runs partition voxels per direction
-    stats = _run_style_features(m.data, voxels_times_dirs)
-    return _vector("glrlm", GLRLM_FEATURES, [stats[k] for k in _RUN_KEY_ORDER])
+    return _run_family(m, "GLRLM", GLRLM_FEATURES)
 
 
 def glszm_features(m: TextureMatrix) -> FeatureVector:
-    _check_kind(m, "GLSZM")
-    sv = np.arange(1, m.data.shape[1] + 1, dtype=np.float64)[None, :]
-    voxel_count = float(np.sum(m.data * sv))  # zones partition voxels
-    stats = _run_style_features(m.data, voxel_count)
-    return _vector("glszm", GLSZM_FEATURES, [stats[k] for k in _RUN_KEY_ORDER])
+    return _run_family(m, "GLSZM", GLSZM_FEATURES)
 
 
 def ngtdm_features(m: TextureMatrix) -> FeatureVector:
@@ -243,7 +241,4 @@ _GLDM_KEY_ORDER = ["short", "long", "gln", "jn", "jnn", "glv", "jv", "entropy",
 
 
 def gldm_features(m: TextureMatrix) -> FeatureVector:
-    _check_kind(m, "GLDM")
-    # GLDM has no percentage feature, so its denominator is immaterial
-    stats = _run_style_features(m.data, 1.0)
-    return _vector("gldm", GLDM_FEATURES, [stats[k] for k in _GLDM_KEY_ORDER])
+    return _run_family(m, "GLDM", GLDM_FEATURES, _GLDM_KEY_ORDER)

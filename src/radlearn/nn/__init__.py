@@ -2,7 +2,7 @@
 
 from .config import NetConfig, TrainConfig
 from .losses import LOSSES, loss_bce_logit, loss_hinge
-from .optim import AdamOptimizer, RmsPropOptimizer, step_adam, step_rmsprop
+from .optim import OPTIMIZERS, AdamOptimizer, RmsPropOptimizer, step_adam, step_rmsprop
 from .network import Network
 from .checkpoint import (
     Checkpoint,
@@ -16,7 +16,7 @@ from .train import gradient_check, train
 __all__ = [
     "NetConfig",
     "TrainConfig",
-    "LOSSES",
+    "LOSSES", "OPTIMIZERS",
     "loss_bce_logit",
     "loss_hinge",
     "step_adam",

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..jsonio import check
+from .optim import OPTIMIZERS
+from .losses import LOSSES
 
-LOSS_NAMES = ("bce_logit", "hinge")
-OPTIMIZER_NAMES = ("adam", "rmsprop")
 _FLOAT32_MAX = 3.4028234663852886e38
 
 
@@ -59,8 +59,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check("train", self, [
-            ("loss", lambda v: v in LOSS_NAMES, f"one of {list(LOSS_NAMES)}"),
-            ("optimizer", lambda v: v in OPTIMIZER_NAMES, f"one of {list(OPTIMIZER_NAMES)}"),
+            ("loss", lambda v: v in LOSSES, f"one of {list(LOSSES)}"),
+            ("optimizer", lambda v: v in OPTIMIZERS, f"one of {list(OPTIMIZERS)}"),
             ("learning_rate", lambda v: 0 <= v <= _FLOAT32_MAX, "in [0, float32 max]"),
             ("batch_size", lambda b: b >= 1, ">= 1"),
             ("epochs", lambda e: e >= 1, ">= 1"),

@@ -81,7 +81,4 @@ class RmsPropOptimizer:
         return theta
 
 
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return AdamOptimizer(lr)
-    return RmsPropOptimizer(lr)
+OPTIMIZERS = {"adam": AdamOptimizer, "rmsprop": RmsPropOptimizer}

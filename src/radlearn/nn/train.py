@@ -30,7 +30,7 @@ from .checkpoint import Checkpoint, apply_checkpoint
 from .config import NetConfig, TrainConfig
 from .losses import LOSSES
 from .network import Network
-from .optim import make_optimizer
+from .optim import OPTIMIZERS
 from .trace import (
     EpochRecord,
     HistogramRecord,
@@ -99,7 +99,7 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
         raise DataValidationError(f"freeze_layers name unknown layers: {unknown}")
     frozen = [net.slices[name] for name in train_cfg.freeze_layers]
 
-    optimizer = make_optimizer(train_cfg.optimizer, train_cfg.learning_rate)
+    optimizer = OPTIMIZERS[train_cfg.optimizer](train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
     n = labels.size
     trace = TrainTrace(layer_names=list(net.layer_names))
