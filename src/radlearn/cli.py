@@ -41,7 +41,7 @@ from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import checkpoint_from_network, save_checkpoint, train
 from .nn import trace as nn_trace
 from .volume import (
-    generate_phantom,
+    iter_phantom,
     load_mask,
     load_volume,
     roi_slice_index,
@@ -56,19 +56,17 @@ MANIFEST_HEADER = ["sample_id", "label", "path_base", "modality"]
 
 
 def cmd_phantom(cfg: PipelineConfig, in_paths, out_dir) -> None:
+    # each sample is written as it is drawn, so the stage holds one, not the cohort
     spec = replace(cfg.phantom, seed=cfg.seeds.phantom)
-    samples = generate_phantom(spec)
-    rows = [MANIFEST_HEADER]
-    per_class = {0: 0, 1: 0}
-    for volume, mask, label in samples:
-        sample_id = f"{spec.modality}_c{label}_s{per_class[label]:03d}"
-        per_class[label] += 1
+    rows = {0: [], 1: []}
+    for index, label, volume, mask in iter_phantom(spec):
+        sample_id = f"{spec.modality}_c{label}_s{index:03d}"
         base = os.path.join(out_dir, sample_id)
         save_volume(volume, base)
         save_mask(mask, base)
         # manifest paths are relative to the manifest itself
-        rows.append([sample_id, label, sample_id, spec.modality])
-    write_csv(os.path.join(out_dir, "manifest.csv"), rows)
+        rows[label].append([sample_id, label, sample_id, spec.modality])
+    write_csv(os.path.join(out_dir, "manifest.csv"), [MANIFEST_HEADER, *rows[0], *rows[1]])
 
 
 def _read_manifest(path):
@@ -90,10 +88,13 @@ def _read_manifest(path):
 
 
 def _samples(path):
-    """(sample_id, label, volume, mask) for each row of a manifest, loaded in turn."""
+    """(sample_id, label, volume, mask) for each row of a manifest, loaded in turn.
+    The next row loads after this drops the last one, so a caller that drops it
+    too holds one sample at a time."""
     for sample_id, label, base in _read_manifest(path):
         volume = load_volume(base)
         yield sample_id, label, volume, load_mask(base, volume.dims)
+        del volume
 
 
 def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
@@ -166,7 +167,9 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
 def _slices_from_manifest(path):
     ids, images, labels = [], [], []
     for sample_id, label, volume, mask in _samples(path):
-        image = volume.as_zyx()[roi_slice_index(mask)]
+        # a copy, not a view, so that no volume but the next is alive while it loads
+        image = volume.as_zyx()[roi_slice_index(mask)].copy()
+        del volume, mask
         if images and image.shape != images[0].shape:
             raise DataValidationError(
                 f"sample {sample_id}: slice shape {image.shape} differs from "

@@ -15,6 +15,7 @@ of the toolkit studies.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class RoiMask:
         n = self.dims[0] * self.dims[1] * self.dims[2]
         if self.bits.size != n:
             raise DataValidationError(f"mask length {self.bits.size} does not match dims product {n}")
-        if not np.all((self.bits == 0) | (self.bits == 1)):
+        if self.bits.max() > 1:  # unsigned and non-empty, so this is "all 0 or 1"
             raise DataValidationError("mask entries must be 0 or 1")
 
     def as_zyx(self) -> np.ndarray:
@@ -130,6 +131,24 @@ class _Header:
     modality: str
 
 
+def _read_raw(path, dtype, n, what, dims) -> np.ndarray:
+    """The n items of ``dtype`` that fill the file at ``path``, read into one array.
+
+    The file size is checked before the array exists, so a header that names a
+    huge grid beside a short file fails on its length, not on memory.
+    """
+    expected = n * np.dtype(dtype).itemsize
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            out = np.empty(n, dtype)
+            size = fh.readinto(out)  # short if the file shrank since the check
+    if size != expected:
+        raise DataValidationError(
+            f"{what} file length {size} does not match dims {dims} (expected {expected})")
+    return out
+
+
 def save_volume(v: Volume, path_base) -> None:
     """Write ``<path_base>.json`` + ``<path_base>.raw``."""
     path_base = str(path_base)
@@ -138,7 +157,7 @@ def save_volume(v: Volume, path_base) -> None:
     write_json(_Header(dims=list(v.dims), spacing=list(v.spacing), dtype=_HEADER_DTYPE,
                        modality=v.modality_tag), path_base + ".json")
     with open(path_base + ".raw", "wb") as fh:
-        fh.write(v.voxels.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(v.voxels, "<f4").data)
 
 
 def load_volume(path_base) -> Volume:
@@ -148,12 +167,7 @@ def load_volume(path_base) -> Volume:
     if header.dtype != _HEADER_DTYPE:
         raise DataValidationError(f"unsupported dtype {header.dtype!r}")
     n = math.prod(header.dims)  # Volume checks dims and spacing
-    with open(path_base + ".raw", "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 4 * n:
-        raise DataValidationError(
-            f"raw file length {len(blob)} does not match dims {header.dims} (expected {4 * n})")
-    voxels = np.frombuffer(blob, dtype="<f4").copy()
+    voxels = _read_raw(path_base + ".raw", "<f4", n, "raw", header.dims)
     return Volume(dims=header.dims, spacing=header.spacing, modality_tag=header.modality,
                   voxels=voxels)
 
@@ -167,14 +181,7 @@ def save_mask(m: RoiMask, path_base) -> None:
 def load_mask(path_base, dims) -> RoiMask:
     """Read a mask written by save_mask; dims come from the paired volume."""
     dims = _dims(dims, "mask")
-    n = dims[0] * dims[1] * dims[2]
-    with open(str(path_base) + ".mask.raw", "rb") as fh:
-        blob = fh.read()
-    if len(blob) != n:
-        raise DataValidationError(
-            f"mask file length {len(blob)} does not match dims {dims} (expected {n})"
-        )
-    bits = np.frombuffer(blob, dtype=np.uint8).copy()
+    bits = _read_raw(str(path_base) + ".mask.raw", np.uint8, math.prod(dims), "mask", dims)
     return RoiMask(dims=dims, bits=bits)
 
 
@@ -188,7 +195,7 @@ def _blob_field(dims):
     """Quadratic-falloff ellipsoid centered in the grid.
 
     Returns (profile, support): profile = 1 - r^2 inside the ellipsoid,
-    0 outside; support is the boolean ROI.
+    0 outside, built in r^2's own buffer; support is the boolean ROI.
     """
     nx, ny, nz = dims
     z, y, x = np.ogrid[:nz, :ny, :nx]
@@ -196,41 +203,67 @@ def _blob_field(dims):
     ax, ay, az = _BLOB_FRACTION * nx, _BLOB_FRACTION * ny, _BLOB_FRACTION * nz
     r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
     support = r2 <= 1.0
-    profile = np.where(support, 1.0 - r2, 0.0)
+    profile = np.subtract(1.0, r2, out=r2)
+    profile[~support] = 0.0
     return profile, support
 
 
-def _checkerboard(dims):
+def _checkerboard_signs(dims, support):
+    """+1.0 or -1.0 at each ROI voxel, in x-fastest order: +1 where x + y + z is even."""
     nx, ny, nz = dims
     z, y, x = np.ogrid[:nz, :ny, :nx]
     # x + y + z is even where x + y and z have the same parity
-    return np.where((x + y) % 2 == z % 2, 1.0, -1.0)
+    return np.where(((x + y) % 2 == z % 2)[support], 1.0, -1.0)
 
 
-def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
-    """Deterministic paired two-class phantom set: all of class 0, then all of class 1.
+def iter_phantom(spec: PhantomSpec):
+    """The phantom set one sample at a time: ``(index, label, volume, mask)`` for
+    index 0's class-0 volume, then its class-1 volume, then index 1's, and so on.
 
-    Sample i of class 0 and sample i of class 1 share one noise draw, so at
-    texture_amplitude 0 the two classes are voxel-identical. Class 1 differs
-    only by the checkerboard term inside the ROI.
+    Each volume is a fresh float32 array, so a caller that writes and drops it
+    holds one sample, not the cohort. Index i draws its noise from a generator
+    keyed by i alone into one float64 buffer that every index reuses, and both
+    classes share that draw. Class 1 adds +-texture_amplitude at ROI voxels only:
+    outside the ROI a full-grid checkerboard term would be +-0.0, which changes
+    no voxel, since after adding the profile no voxel is -0.0.
     """
     profile, support = _blob_field(spec.dims)
-    shift = _checkerboard(spec.dims) * support * spec.texture_amplitude
+    shift = _checkerboard_signs(spec.dims, support) * spec.texture_amplitude
     mask = RoiMask(dims=spec.dims, bits=np.ascontiguousarray(support, dtype=np.uint8).ravel())
+    field3d = np.empty(spec.dims[::-1])
 
-    def volume(field3d):
+    def volume():
         return Volume(dims=spec.dims, spacing=(1.0, 1.0, 1.0), modality_tag=spec.modality,
                       voxels=field3d.astype(np.float32).ravel())
 
+    for i in range(spec.n_samples_per_class):
+        if spec.noise_sigma > 0:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
+                                                               spawn_key=(i,)))
+            # normal(0, sigma) draws 0.0 + sigma * z; that 0.0 only turns a -0.0 into
+            # 0.0, which the profile added next does too
+            rng.standard_normal(out=field3d)
+            field3d *= spec.noise_sigma
+        else:
+            field3d.fill(0.0)
+        field3d += profile
+        yield i, 0, volume(), mask
+        field3d[support] += shift
+        yield i, 1, volume(), mask
+
+
+def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
+    """Deterministic paired two-class phantom set as one list of
+    ``(volume, mask, label)``: all of class 0, then all of class 1, sharing one mask.
+
+    ``iter_phantom`` draws index 0's class-0 and class-1 volumes, then index 1's,
+    and so on; this puts each in its place. Sample i of both classes shares one
+    noise draw, so at texture_amplitude 0 they are voxel-identical. Class 1 adds
+    the checkerboard term at ROI voxels only: outside the ROI it is +-0.0, and
+    after adding the profile no voxel is -0.0, so leaving it out changes no bit.
+    """
     n = spec.n_samples_per_class
     out: list[tuple[Volume, RoiMask, int]] = [None] * (2 * n)
-    for i in range(n):
-        # one noise draw per sample index, keyed by it alone and shared by both classes
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
-        field3d = rng.normal(0.0, spec.noise_sigma, size=spec.dims[::-1]) if spec.noise_sigma > 0 \
-            else np.zeros(spec.dims[::-1])
-        field3d += profile
-        out[i] = (volume(field3d), mask, 0)
-        field3d += shift
-        out[n + i] = (volume(field3d), mask, 1)
+    for i, label, volume, mask in iter_phantom(spec):
+        out[label * n + i] = (volume, mask, label)
     return out

@@ -5,12 +5,13 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import radlearn
 from radlearn import rfe
-from radlearn.cli import main
+from radlearn.cli import _slices_from_manifest, main
 
 CONFIG = {
     "phantom": {"n_samples_per_class": 8, "dims": [12, 12, 12],
@@ -426,6 +427,60 @@ def test_out_of_memory_exits_two_with_one_line(tmp_path, stage, section):
     assert run.returncode == 2
     assert run.stderr.startswith("radlearn: out of memory: ")
     assert run.stderr.count("\n") == 1
+
+
+def test_huge_header_beside_a_short_raw_exits_two_on_its_length(tmp_path):
+    # the .raw size is checked before the 32 GB array would be allocated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 1, "dims": [8, 8, 8]}}))
+    assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    base = tmp_path / "p" / "SYN_c0_s000"
+    header = json.loads(base.with_suffix(".json").read_text())
+    base.with_suffix(".json").write_text(json.dumps({**header, "dims": [2000, 2000, 2000]}))
+    base.with_suffix(".raw").write_bytes(b"\x00" * 64)
+    limit = 3 * 2 ** 30
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "radlearn", "extract", "--config", str(config),
+         "--in", str(tmp_path / "p" / "manifest.csv"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 2
+    assert run.stderr == ("radlearn: data error: raw file length 64 does not match dims "
+                          "[2000, 2000, 2000] (expected 32000000000)\n")
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _phantom_48(tmp_path, n_per_class):
+    """Runs the phantom stage on 48^3 volumes; returns its traced peak and manifest."""
+    config = tmp_path / f"config{n_per_class}.json"
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": n_per_class,
+                                              "dims": [48, 48, 48]}}))
+    out = tmp_path / f"p{n_per_class}"
+    peak = _traced_peak(main, ["phantom", "--config", str(config), "--out", str(out)])
+    assert (out / "manifest.csv").exists()
+    return peak, out / "manifest.csv"
+
+
+def test_phantom_stage_memory_does_not_grow_with_the_cohort(tmp_path):
+    (one, _), (six, _) = _phantom_48(tmp_path, 1), _phantom_48(tmp_path, 6)
+    assert abs(six - one) <= 0.1 * one, f"1 per class: {one} B, 6 per class: {six} B"
+
+
+@pytest.mark.parametrize("n_samples", [2, 8])
+def test_train_slices_hold_one_volume_at_a_time(tmp_path, n_samples):
+    _, manifest = _phantom_48(tmp_path, n_samples // 2)
+    peak = _traced_peak(_slices_from_manifest, manifest)
+    assert peak < 2 * 4 * 48 ** 3, f"{n_samples} samples: slices peaked at {peak} B"
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 """Deterministic fuzzing of the CLI with malformed configs and input artifacts.
 
 Whatever the document, ``main`` must return exit code 1 (config) or 2 (data)
-with exactly one line on stderr, and no exception may escape. Every stage
-but ``phantom`` is pointed at missing inputs, so a config that happens to be
-valid stops at exit 2 before any work is done. The trace fuzz instead swaps
-one leaf or container of a real training or elimination trace, which may
+with exactly one line on stderr, and no exception may escape. Every stage is
+given as many ``--in`` files as ``cli._COMMANDS`` says it requires, all
+missing, so a config that happens to be valid passes the file count and stops
+at exit 2 on the first missing file before any work is done (``phantom``
+requires none and is only given configs that fail). The trace fuzz instead
+swaps one leaf or container of a real training or elimination trace, which may
 leave it valid (exit 0) but must never let an exception escape.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radlearn.cli import main
+from radlearn.cli import _COMMANDS, main
 from radlearn.config import default_config
 from radlearn.nn import NetConfig, TrainConfig, save_trace, train
 
@@ -69,8 +71,8 @@ def _run(argv):
 def _run_with_config(workdir, stage, content: bytes):
     config = workdir / "config.json"
     config.write_bytes(content)
-    return _run([stage, "--config", str(config),
-                 "--in", str(workdir / "missing.csv"), str(workdir / "missing.json"),
+    missing = [str(workdir / "missing" / name) for name in _COMMANDS[stage][1]]
+    return _run([stage, "--config", str(config), *(["--in", *missing] if missing else []),
                  "--out", str(workdir / "out")])
 
 

@@ -392,7 +392,7 @@ def test_phantom_roi_box_matches_float_reference_bytes():
 
 
 def test_ngtdm_and_gldm_memory_is_bounded_by_the_grid():
-    # a few narrow per-voxel arrays: int64 level sums, uint8 counts, masks
+    # a few narrow per-voxel arrays: narrow signed level sums, uint8 counts, masks
     rng = np.random.default_rng(43)
     lvl = random_level_grid(rng, (64, 64, 64), n_levels=32, mask_prob=0.5)
     q = qvol(lvl, 32)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from radlearn.volume import (
     RoiMask,
     Volume,
     generate_phantom,
+    iter_phantom,
     load_mask,
     load_volume,
     roi_slice_index,
@@ -64,6 +67,39 @@ def test_truncated_raw_detected(tmp_path):
     (tmp_path / "v.raw").write_bytes(raw[:-4])
     with pytest.raises(DataValidationError, match="length"):
         load_volume(tmp_path / "v")
+
+
+@pytest.mark.parametrize("cut", [-4, -1, 1, 4])
+def test_raw_length_mismatch_keeps_its_message(tmp_path, cut):
+    save_volume(vol_from_values([1, 2, 3, 4], dims=(2, 2, 1)), tmp_path / "v")
+    raw = (tmp_path / "v.raw").read_bytes()
+    (tmp_path / "v.raw").write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+    message = f"raw file length {16 + cut} does not match dims [2, 2, 1] (expected 16)"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_volume(tmp_path / "v")
+
+
+@pytest.mark.parametrize("cut", [-8, -1, 1])
+def test_mask_length_mismatch_keeps_its_message(tmp_path, cut):
+    (tmp_path / "v.mask.raw").write_bytes(b"\x01" * (8 + cut))
+    message = f"mask file length {8 + cut} does not match dims (2, 2, 2) (expected 8)"
+    with pytest.raises(DataValidationError, match=re.escape(message)):
+        load_mask(tmp_path / "v", (2, 2, 2))
+
+
+def test_load_volume_peaks_near_its_voxel_bytes(tmp_path):
+    # one array read in place, plus the finiteness check's bool mask
+    dims = (40, 40, 40)
+    voxels = np.random.default_rng(2).normal(size=math.prod(dims)).astype(np.float32)
+    save_volume(vol_from_values(voxels, dims=dims), tmp_path / "v")
+    del voxels
+    tracemalloc.start()
+    try:
+        load_volume(tmp_path / "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 4 * math.prod(dims), f"load_volume peaked at {peak} B"
 
 
 def test_zero_dim_header_rejected(tmp_path):
@@ -208,6 +244,21 @@ def test_phantom_matches_reference_bytes(dims, n, amplitude, sigma):
         assert label == ref_label and v.dims == m.dims == dims
         assert v.voxels.dtype == voxels.dtype and v.voxels.tobytes() == voxels.tobytes()
         assert m.bits.tobytes() == bits.tobytes()
+
+
+def test_iter_phantom_yields_generate_phantoms_volumes_in_draw_order():
+    n = 3
+    spec = PhantomSpec(n_samples_per_class=n, dims=(11, 9, 8), texture_amplitude=0.37,
+                       noise_sigma=0.3, seed=4)
+    listed = generate_phantom(spec)
+    drawn = list(iter_phantom(spec))
+    assert [(i, label) for i, label, _, _ in drawn] == [(i, label) for i in range(n)
+                                                        for label in (0, 1)]
+    for i, label, v, m in drawn:
+        lv, lm, llabel = listed[label * n + i]
+        assert llabel == label and v.dims == lv.dims
+        assert v.voxels.tobytes() == lv.voxels.tobytes()
+        assert m.bits.tobytes() == lm.bits.tobytes()
 
 
 def test_phantom_peaks_below_reference():
