@@ -7,10 +7,15 @@ import numpy as np
 from ..quantize import QuantizedVolume, quantize_fixed_bins
 from ..volume import RoiMask, Volume, check_pair
 from . import vector
-from .firstorder import first_order
+from .firstorder import FIRST_ORDER_FEATURES, first_order
 from .matrices import glcm, gldm, glrlm, glszm, ngtdm
-from .shape2d import shape_2d
+from .shape2d import SHAPE_2D_FEATURES, shape_2d
 from .texture_features import (
+    GLCM_FEATURES,
+    GLDM_FEATURES,
+    GLRLM_FEATURES,
+    GLSZM_FEATURES,
+    NGTDM_FEATURES,
     gldm_features,
     glcm_features,
     glrlm_features,
@@ -18,15 +23,10 @@ from .texture_features import (
     ngtdm_features,
 )
 
-FAMILY_COUNTS = {
-    "firstorder": 9,
-    "shape2d": 10,
-    "glcm": 24,
-    "glrlm": 16,
-    "glszm": 16,
-    "ngtdm": 5,
-    "gldm": 14,
-}
+FAMILY_COUNTS = {family: len(names) for family, names in (
+    ("firstorder", FIRST_ORDER_FEATURES), ("shape2d", SHAPE_2D_FEATURES),
+    ("glcm", GLCM_FEATURES), ("glrlm", GLRLM_FEATURES), ("glszm", GLSZM_FEATURES),
+    ("ngtdm", NGTDM_FEATURES), ("gldm", GLDM_FEATURES))}
 TOTAL_FEATURES = sum(FAMILY_COUNTS.values())
 
 

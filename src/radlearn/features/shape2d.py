@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import DataValidationError
 from ..volume import RoiMask, roi_slice_index
-from .vector import FeatureVector
+from .vector import FeatureVector, family_vector
 
 SHAPE_2D_FEATURES = [
     "PixelSurface",
@@ -97,7 +97,4 @@ def shape_2d(m: RoiMask, spacing=(1.0, 1.0, 1.0)) -> FeatureVector:
         "Elongation": elongation,
         "MeshSurface": surface,  # equals PixelSurface under the pixel-grid convention
     }
-    return FeatureVector(
-        names=[f"shape2d.{name}" for name in SHAPE_2D_FEATURES],
-        values=np.array([values[name] for name in SHAPE_2D_FEATURES]),
-    )
+    return family_vector("shape2d", SHAPE_2D_FEATURES, [values[n] for n in SHAPE_2D_FEATURES])

@@ -2,7 +2,7 @@
 
 The formulas follow the widely used reference definitions for each family;
 every name below is the contract, and the math is implemented exactly as
-documented in the README feature table. Degenerate single-level regions take
+documented in docs/features.md. Degenerate single-level regions take
 fixed conventional values (Correlation/MCC 1, Imc1/Imc2 0, NGTDM Coarseness
 capped at 1e6, ...) so the pipeline never emits a non-finite number.
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataValidationError
+from ..histogram import entropy_bits
 from .matrices import TextureMatrix
-from .vector import FeatureVector
+from .vector import FeatureVector, family_vector
 
 NGTDM_COARSENESS_CAP = 1e6
 
@@ -66,16 +67,6 @@ def _check_kind(m: TextureMatrix, kind: str) -> None:
         raise DataValidationError(f"expected a {kind} matrix, got {m.kind}")
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
-
-
-def _vector(family: str, names, values) -> FeatureVector:
-    return FeatureVector(names=[f"{family}.{n}" for n in names],
-                         values=np.array(values, dtype=np.float64))
-
-
 def glcm_features(m: TextureMatrix) -> FeatureVector:
     _check_kind(m, "GLCM")
     if abs(float(m.data.sum()) - 1.0) > 1e-9:
@@ -103,13 +94,12 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
     cluster_arg = i_mat + j_mat - 2.0 * mu
     contrast = float(np.sum((i_mat - j_mat) ** 2 * p))
     diff_avg = float(np.sum(kminus * p_minus))
-    joint_entropy = _entropy_bits(p.ravel())
-    hx = _entropy_bits(px)
+    joint_entropy = entropy_bits(p)
+    hx = entropy_bits(px)
     pxpy = px[:, None] * px[None, :]
     pos = p > 0
     hxy1 = float(-np.sum(p[pos] * np.log2(pxpy[pos])))
-    pos_m = pxpy > 0
-    hxy2 = float(-np.sum(pxpy[pos_m] * np.log2(pxpy[pos_m])))
+    hxy2 = entropy_bits(pxpy)
     ng = float(iv.max())
 
     if degenerate:
@@ -132,7 +122,7 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
         "Contrast": contrast,
         "Correlation": correlation,
         "DifferenceAverage": diff_avg,
-        "DifferenceEntropy": _entropy_bits(p_minus),
+        "DifferenceEntropy": entropy_bits(p_minus),
         "DifferenceVariance": float(np.sum((kminus - diff_avg) ** 2 * p_minus)),
         "JointEnergy": float(np.sum(p ** 2)),
         "JointEntropy": joint_entropy,
@@ -145,11 +135,11 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
         "InverseVariance": float(np.sum(p_minus[1:] / kminus[1:] ** 2)) if p_minus.size > 1 else 0.0,
         "MaximumProbability": float(p.max()),
         "SumAverage": float(np.sum(kplus * p_plus)),
-        "SumEntropy": _entropy_bits(p_plus),
+        "SumEntropy": entropy_bits(p_plus),
         "SumSquares": float(np.sum((i_mat - mu) ** 2 * p)),
         "MCC": mcc,
     }
-    return _vector("glcm", GLCM_FEATURES, [values[n] for n in GLCM_FEATURES])
+    return family_vector("glcm", GLCM_FEATURES, [values[n] for n in GLCM_FEATURES])
 
 
 def _run_style_features(counts: np.ndarray):
@@ -174,7 +164,7 @@ def _run_style_features(counts: np.ndarray):
         "percentage": float(n / float(np.sum(counts * jv))),
         "glv": float(np.sum((iv - mu_i) ** 2 * p)),
         "jv": float(np.sum((jv - mu_j) ** 2 * p)),
-        "entropy": _entropy_bits(p.ravel()),
+        "entropy": entropy_bits(p),
         "lgl": float(np.sum(counts / iv ** 2) / n),
         "hgl": float(np.sum(counts * iv ** 2) / n),
         "short_lgl": float(np.sum(counts / (iv ** 2 * jv ** 2)) / n),
@@ -184,15 +174,11 @@ def _run_style_features(counts: np.ndarray):
     }
 
 
-_RUN_KEY_ORDER = ["short", "long", "gln", "glnn", "jn", "jnn", "percentage",
-                  "glv", "jv", "entropy", "lgl", "hgl", "short_lgl",
-                  "short_hgl", "long_lgl", "long_hgl"]
-
-
-def _run_family(m: TextureMatrix, kind: str, names, keys=_RUN_KEY_ORDER) -> FeatureVector:
+def _run_family(m: TextureMatrix, kind: str, names, keys=None) -> FeatureVector:
+    """``names`` in the key order of _run_style_features, or of ``keys``."""
     _check_kind(m, kind)
     stats = _run_style_features(m.data)
-    return _vector(kind.lower(), names, [stats[k] for k in keys])
+    return family_vector(kind.lower(), names, [stats[k] for k in keys or stats])
 
 
 def glrlm_features(m: TextureMatrix) -> FeatureVector:
@@ -231,7 +217,7 @@ def ngtdm_features(m: TextureMatrix) -> FeatureVector:
         strength = 0.0 if s_total == 0 else float(np.sum((pv[:, None] + pv[None, :]) * di ** 2) / s_total)
 
     values = [coarseness, contrast, busyness, complexity, strength]
-    return _vector("ngtdm", NGTDM_FEATURES, values)
+    return family_vector("ngtdm", NGTDM_FEATURES, values)
 
 
 # GLDM_FEATURES in order, as quantities of _run_style_features with the

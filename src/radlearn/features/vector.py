@@ -37,6 +37,11 @@ class FeatureVector:
             raise KeyError(name) from None
 
 
+def family_vector(family: str, names, values) -> FeatureVector:
+    """One family's vector: ``names[i]`` becomes ``family.names[i]`` with ``values[i]``."""
+    return FeatureVector(names=[f"{family}.{n}" for n in names], values=values)
+
+
 def concat(vectors) -> FeatureVector:
     names: list[str] = []
     parts = []

@@ -1,4 +1,5 @@
-"""Equal-width histogram shared by first-order entropy and the training trace."""
+"""Equal-width histogram shared by first-order entropy and the training trace,
+and the Shannon entropy in bits that first-order and texture features share."""
 
 from __future__ import annotations
 
@@ -28,3 +29,9 @@ def histogram_with_range(values, n_bins: int = 32):
     else:
         counts = np.histogram(values, bins=n_bins, range=(lo, hi))[0].astype(np.int64)
     return counts, lo, hi
+
+
+def entropy_bits(p) -> float:
+    """``-sum(p * log2(p))`` over the entries of ``p`` above 0 (0*log0 = 0)."""
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))

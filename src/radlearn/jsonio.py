@@ -1,4 +1,4 @@
-"""The one JSON writer, JSON reader, typed decoder, config checker, CSV reader and CSV writer.
+"""The one JSON writer and reader, typed decoder, config checker, CSV reader and writer, raw reader.
 
 ``write_json`` sorts keys and indents by two spaces, so a rerun writes the same
 bytes; it writes dataclasses as objects and tuples as arrays. ``from_json``
@@ -15,10 +15,13 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import sys
 import types
 import typing
 from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DataValidationError
 
@@ -204,3 +207,21 @@ def write_csv(path, rows) -> None:
     """Write ``rows``, the header first, as UTF-8 CSV."""
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def read_raw(path, dtype, n, mismatch) -> np.ndarray:
+    """The n items of ``dtype`` that fill the file at ``path``, read into one array;
+    ``DataValidationError(mismatch(size, expected))`` for a file of another length.
+
+    The size is checked before the array exists, so a header that names a huge
+    array beside a short file fails on its length, not on memory.
+    """
+    expected = n * np.dtype(dtype).itemsize
+    with open(str(path), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            out = np.empty(n, dtype)
+            size = fh.readinto(out)  # short if the file shrank since the check
+    if size != expected:
+        raise DataValidationError(mismatch(size, expected))
+    return out

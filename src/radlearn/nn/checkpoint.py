@@ -8,12 +8,13 @@ training dtype is float32, so the round trip is bit-exact.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DataValidationError
-from ..jsonio import from_json, read_json, write_json
+from ..jsonio import from_json, read_json, read_raw, write_json
 from .network import Network
 
 
@@ -76,7 +77,7 @@ def save_checkpoint(ckpt: Checkpoint, path_base) -> None:
     with open(path_base + ".ckpt.raw", "wb") as fh:
         for name in ckpt.layer_order:
             for pname in ("W", "b"):
-                fh.write(ckpt.layers[name][pname].astype("<f4").tobytes())
+                fh.write(np.ascontiguousarray(ckpt.layers[name][pname], "<f4").data)
 
 
 def load_checkpoint(path_base) -> Checkpoint:
@@ -84,21 +85,20 @@ def load_checkpoint(path_base) -> Checkpoint:
     header = from_json(_Header, read_json(path_base + ".ckpt.json"), "checkpoint header")
     if header.dtype != "f32le":
         raise DataValidationError(f"unsupported checkpoint dtype {header.dtype!r}")
-    with open(path_base + ".ckpt.raw", "rb") as fh:
-        blob = fh.read()
+    limit = os.path.getsize(path_base + ".ckpt.raw") // 4
+    for layer in header.layers:
+        for param in layer.params:
+            if not all(0 <= n <= limit for n in param.shape):
+                raise DataValidationError(f"malformed checkpoint header: {layer.name}."
+                                          f"{param.name}.shape {param.shape} is out of range")
+    total = sum(math.prod(param.shape) for layer in header.layers for param in layer.params)
+    flat = read_raw(path_base + ".ckpt.raw", "<f4", total, lambda size, expected: (
+        f"checkpoint blob {'shorter' if size < expected else 'longer'} than header describes"))
     layers: dict[str, dict[str, np.ndarray]] = {layer.name: {} for layer in header.layers}
     offset = 0
     for layer in header.layers:
-        for param in layer.params:
-            if not all(0 <= n <= len(blob) // 4 for n in param.shape):
-                raise DataValidationError(f"malformed checkpoint header: {layer.name}."
-                                          f"{param.name}.shape {param.shape} is out of range")
-            nbytes = 4 * math.prod(param.shape)
-            if offset + nbytes > len(blob):
-                raise DataValidationError("checkpoint blob shorter than header describes")
-            arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(param.shape)
-            layers[layer.name][param.name] = arr.copy()
-            offset += nbytes
-    if offset != len(blob):
-        raise DataValidationError("checkpoint blob longer than header describes")
+        for param in layer.params:  # views of the one array
+            n = math.prod(param.shape)
+            layers[layer.name][param.name] = flat[offset:offset + n].reshape(param.shape)
+            offset += n
     return Checkpoint(layers=layers, layer_order=[layer.name for layer in header.layers])

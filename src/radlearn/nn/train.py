@@ -47,7 +47,7 @@ def _l2(arr: np.ndarray) -> float:
 
 
 def _hist_record(values: np.ndarray, n_bins: int = 32) -> HistogramRecord:
-    counts, lo, hi = histogram_with_range(values.astype(np.float64), n_bins)
+    counts, lo, hi = histogram_with_range(values, n_bins)
     return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
 
 

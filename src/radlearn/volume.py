@@ -15,13 +15,12 @@ of the toolkit studies.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import check, from_json, read_json, write_json
+from .jsonio import check, from_json, read_json, read_raw, write_json
 
 _HEADER_DTYPE = "f32le"
 _BLOB_FRACTION = 0.35  # ellipsoid semi-axes as a fraction of the grid
@@ -131,24 +130,6 @@ class _Header:
     modality: str
 
 
-def _read_raw(path, dtype, n, what, dims) -> np.ndarray:
-    """The n items of ``dtype`` that fill the file at ``path``, read into one array.
-
-    The file size is checked before the array exists, so a header that names a
-    huge grid beside a short file fails on its length, not on memory.
-    """
-    expected = n * np.dtype(dtype).itemsize
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size == expected:
-            out = np.empty(n, dtype)
-            size = fh.readinto(out)  # short if the file shrank since the check
-    if size != expected:
-        raise DataValidationError(
-            f"{what} file length {size} does not match dims {dims} (expected {expected})")
-    return out
-
-
 def save_volume(v: Volume, path_base) -> None:
     """Write ``<path_base>.json`` + ``<path_base>.raw``."""
     path_base = str(path_base)
@@ -167,7 +148,8 @@ def load_volume(path_base) -> Volume:
     if header.dtype != _HEADER_DTYPE:
         raise DataValidationError(f"unsupported dtype {header.dtype!r}")
     n = math.prod(header.dims)  # Volume checks dims and spacing
-    voxels = _read_raw(path_base + ".raw", "<f4", n, "raw", header.dims)
+    voxels = read_raw(path_base + ".raw", "<f4", n, lambda size, expected: (
+        f"raw file length {size} does not match dims {header.dims} (expected {expected})"))
     return Volume(dims=header.dims, spacing=header.spacing, modality_tag=header.modality,
                   voxels=voxels)
 
@@ -181,7 +163,9 @@ def save_mask(m: RoiMask, path_base) -> None:
 def load_mask(path_base, dims) -> RoiMask:
     """Read a mask written by save_mask; dims come from the paired volume."""
     dims = _dims(dims, "mask")
-    bits = _read_raw(str(path_base) + ".mask.raw", np.uint8, math.prod(dims), "mask", dims)
+    n = math.prod(dims)
+    bits = read_raw(str(path_base) + ".mask.raw", np.uint8, n, lambda size, expected: (
+        f"mask file length {size} does not match dims {dims} (expected {expected})"))
     return RoiMask(dims=dims, bits=bits)
 
 

@@ -292,6 +292,48 @@ def phantom_reference(dims, n_samples_per_class, texture_amplitude, noise_sigma,
     return out
 
 
+def first_order_oracle(x, names):
+    """The first-order statistics of the float64 voxels ``x`` as the package computed
+    them with one function per statistic, for ``names`` in order. The entropy
+    histogram's equal-width binning is written out here."""
+    def entropy(x):
+        lo, hi = float(x.min()), float(x.max())
+        if lo == hi:
+            counts = np.zeros(32, dtype=np.int64)
+            counts[0] = x.size
+        else:
+            counts = np.histogram(x, bins=32, range=(lo, hi))[0].astype(np.int64)
+        p = counts[counts > 0] / counts.sum()
+        return float(-np.sum(p * np.log2(p)))
+
+    def skewness(x):
+        var = np.var(x)
+        if var == 0:
+            return 0.0
+        m3 = np.mean((x - np.mean(x)) ** 3)
+        return float(m3 / var ** 1.5)
+
+    def kurtosis(x):
+        var = np.var(x)
+        if var == 0:
+            return 0.0
+        m4 = np.mean((x - np.mean(x)) ** 4)
+        return float(m4 / var ** 2 - 3.0)
+
+    statistics = {
+        "Mean": lambda x: float(np.mean(x)),
+        "Median": lambda x: float(np.median(x)),
+        "Variance": lambda x: float(np.var(x)),
+        "Skewness": skewness,
+        "Kurtosis": kurtosis,
+        "Energy": lambda x: float(np.sum(x ** 2)),
+        "Entropy": entropy,
+        "Minimum": lambda x: float(np.min(x)),
+        "Maximum": lambda x: float(np.max(x)),
+    }
+    return np.array([statistics[n](x) for n in names])
+
+
 def max_diameter_oracle(centers):
     """Largest distance over all pairs of (n, 2) pixel centers (0 below 2)."""
     if centers.shape[0] < 2:

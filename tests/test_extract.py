@@ -1,5 +1,7 @@
+import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +149,17 @@ def test_crop_to_roi_keeps_every_matrix_and_feature(case):
     else:
         assert got.names == expected.names
         assert got.values.tobytes() == expected.values.tobytes()
+
+
+def test_feature_reference_matches_the_extractor(phantom_pair):
+    """docs/features.md: each `## family (n)` heading gives the family's count, and
+    each emitted name appears in its family's section (GLSZM's names are prose)."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "features.md").read_text(
+        encoding="utf-8")
+    sections = {match[1]: (int(match[2]), match[3]) for match in re.finditer(
+        r"^## (\w+) \((\d+)\)\n(.*?)(?=^## |\Z)", doc, re.M | re.S)}
+    assert {family: count for family, (count, _) in sections.items()} == FAMILY_COUNTS
+    (v, m, _), _ = phantom_pair
+    for name in extract_all(v, m).names:
+        family, feature = name.split(".")
+        assert re.search(rf"\b{feature}\b", sections[family][1]), name

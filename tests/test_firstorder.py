@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import full_mask, vol_from_values
+from oracles import first_order_oracle
 
 from radlearn.errors import DataValidationError
-from radlearn.features import first_order
-from radlearn.volume import RoiMask
+from radlearn.features import FIRST_ORDER_FEATURES, first_order
+from radlearn.volume import PhantomSpec, RoiMask, generate_phantom
 
 
 def test_constant_region():
@@ -72,3 +73,40 @@ def test_translation_behaviour(values, shift):
     for name in ("Variance", "Skewness", "Kurtosis", "Entropy"):
         assert moved[f"firstorder.{name}"] == pytest.approx(
             base[f"firstorder.{name}"], abs=1e-9)
+
+
+def _phantom(dims, sigma, amplitude, seed=7):
+    spec = PhantomSpec(n_samples_per_class=1, dims=dims, texture_amplitude=amplitude,
+                       noise_sigma=sigma, seed=seed)
+    return generate_phantom(spec)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 3.0])
+@pytest.mark.parametrize("amplitude", [0.0, 0.37, 2.0])
+def test_matches_per_statistic_oracle_bytes(sigma, amplitude):
+    for v, m, _ in _phantom((24, 24, 24), sigma, amplitude):
+        x = v.voxels[m.bits.astype(bool)].astype(np.float64)
+        got = first_order(v, m)
+        assert got.names == [f"firstorder.{n}" for n in FIRST_ORDER_FEATURES]
+        assert got.values.tobytes() == first_order_oracle(x, FIRST_ORDER_FEATURES).tobytes()
+
+
+@pytest.mark.parametrize("values, dims", [
+    ([5.25] * 24, (4, 3, 2)),  # constant region: variance 0
+    ([-3.5], (1, 1, 1)),  # single-voxel ROI
+    ([0.1, 1e-3, 7.0, -2.5, 0.1, 3.3, 1e4, -1e-4], (2, 2, 2)),
+])
+def test_degenerate_regions_match_oracle_bytes(values, dims):
+    v = vol_from_values(values, dims=dims)
+    x = v.voxels.astype(np.float64)
+    got = first_order(v, full_mask(dims))
+    assert got.values.tobytes() == first_order_oracle(x, FIRST_ORDER_FEATURES).tobytes()
+
+
+def test_named_subset_keeps_its_order_and_bytes():
+    (v, m, _), _ = _phantom((12, 12, 12), 0.1, 2.0)
+    names = ["Kurtosis", "Entropy", "Mean", "Skewness"]
+    got = first_order(v, m, names=names)
+    x = v.voxels[m.bits.astype(bool)].astype(np.float64)
+    assert got.names == [f"firstorder.{n}" for n in names]
+    assert got.values.tobytes() == first_order_oracle(x, names).tobytes()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from radlearn.errors import DataValidationError, NumericFailure
 from radlearn.nn import (
     NetConfig,
+    Network,
     TrainConfig,
     checkpoint_from_network,
     load_checkpoint,
@@ -284,3 +286,30 @@ def test_malformed_checkpoint_header_rejected(tmp_path, header):
     (tmp_path / "m.ckpt.raw").write_bytes(b"")
     with pytest.raises(DataValidationError, match="malformed"):
         load_checkpoint(tmp_path / "m")
+
+
+def test_long_checkpoint_blob_rejected_before_it_is_read(tmp_path):
+    header = {"dtype": "f32le",
+              "layers": [{"name": "fc", "params": [{"name": "W", "shape": [3]}]}]}
+    (tmp_path / "m.ckpt.json").write_text(json.dumps(header))
+    with open(tmp_path / "m.ckpt.raw", "wb") as fh:
+        fh.truncate(64 << 20)  # 64 MiB, sparse
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataValidationError) as err:
+            load_checkpoint(tmp_path / "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "checkpoint blob longer than header describes"
+    assert peak < 1 << 20, f"load_checkpoint peaked at {peak} B"
+
+
+def test_loaded_checkpoint_parameters_share_one_array(tmp_path):
+    ckpt = checkpoint_from_network(Network(NET))
+    save_checkpoint(ckpt, tmp_path / "model")
+    loaded = load_checkpoint(tmp_path / "model")
+    arrays = [loaded.layers[name][p] for name in loaded.layer_order for p in ("W", "b")]
+    assert arrays[0].base is not None
+    assert all(arr.base is arrays[0].base for arr in arrays)
+    assert all(arr.dtype == np.dtype("<f4") for arr in arrays)
