@@ -106,6 +106,7 @@ def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
             distance=cfg.extraction.distance,
             alpha=cfg.extraction.alpha,
         ))
+        del volume, mask  # so that no volume but the next is alive while it loads
         ids.append(sample_id)
         labels.append(label)
     table = table_mod.from_rows(ids, labels, vectors)

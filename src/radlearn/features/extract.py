@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..quantize import QuantizedVolume, quantize_fixed_bins
@@ -30,18 +32,20 @@ FAMILY_COUNTS = {family: len(names) for family, names in (
 TOTAL_FEATURES = sum(FAMILY_COUNTS.values())
 
 
+def _roi_box(grid: np.ndarray) -> tuple[slice, slice, slice]:
+    """The box of a (nz, ny, nx) grid's nonzero voxels, padded by one voxel within the grid."""
+    hits = [np.flatnonzero(grid.any(axis=tuple(a for a in range(3) if a != axis)))
+            for axis in range(3)]
+    return tuple(slice(max(int(hit[0]) - 1, 0), int(hit[-1]) + 2) for hit in hits)
+
+
 def _crop_to_roi(q: QuantizedVolume) -> QuantizedVolume:
     """The ROI bounding box plus a one-voxel pad (clipped to the grid).
 
     Every texture builder treats out-of-grid voxels like level 0, and all
     in-mask voxels stay inside the box, so the matrices do not change.
     """
-    inside = q.as_zyx() > 0
-    box = []
-    for axis in range(3):
-        hit = np.flatnonzero(inside.any(axis=tuple(a for a in range(3) if a != axis)))
-        box.append(slice(max(int(hit[0]) - 1, 0), int(hit[-1]) + 2))
-    levels = q.as_zyx()[tuple(box)]
+    levels = q.as_zyx()[_roi_box(q.as_zyx())]
     nz, ny, nx = levels.shape
     return QuantizedVolume(dims=(nx, ny, nz), levels=levels, n_bins=q.n_bins)
 
@@ -50,13 +54,19 @@ def extract_all(v: Volume, m: RoiMask, n_bins: int = 32, distance: int = 1,
                 alpha: int = 0) -> vector.FeatureVector:
     """94 named features: firstorder, shape2d, glcm, glrlm, glszm, ngtdm, gldm.
 
-    Texture matrices are built on the ROI bounding box, so their cost grows
-    with the ROI and not with the grid.
+    The volume and mask are cropped to the ROI box before quantizing, as
+    ``_crop_to_roi`` crops levels: the in-mask values keep their order, so no value
+    changes, and the cost grows with the ROI, not the grid. Shape reads the
+    whole mask, since its pixel coordinates depend on the grid.
     """
     check_pair(v, m)
-    q = _crop_to_roi(quantize_fixed_bins(v, m, n_bins))
+    box = _roi_box(m.as_zyx())
+    voxels = v.as_zyx()[box]
+    roi_v = replace(v, dims=voxels.shape[::-1], voxels=voxels)
+    roi_m = replace(m, dims=roi_v.dims, bits=m.as_zyx()[box])
+    q = quantize_fixed_bins(roi_v, roi_m, n_bins)
     parts = [
-        first_order(v, m),
+        first_order(roi_v, roi_m),
         shape_2d(m, spacing=v.spacing),
         glcm_features(glcm(q, distance=distance)),
         glrlm_features(glrlm(q)),

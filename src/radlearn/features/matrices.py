@@ -15,7 +15,7 @@ All builders share the same geometric conventions:
   so NGTDM neighbor counts and GLDM dependence counts are uint8, NGTDM level
   sums (of at most 26 levels) take the narrowest signed type that holds
   26 * n_bins, GLCM joint codes the one that holds (n_bins + 1)^2, and GLCM
-  pair counts are int64. All but GLSZM walk the levels in the narrowest
+  pair counts are int64. Every builder walks the levels in the narrowest
   unsigned type that holds n_bins.
   Every matrix is therefore the one float64 accumulation gives, bit for bit.
 
@@ -170,23 +170,28 @@ def _zone_roots(lvl: np.ndarray) -> np.ndarray:
     hooked to the smallest such root, then pointers are compressed; rounds
     repeat until no edge joins two roots. In the first round every voxel is a
     root, so its edges are hooked one direction at a time; only the edges
-    that still join two roots after it are kept for the later rounds. Each
-    direction's equal-level mask is built once and kept as a mask, not as
-    index arrays. Out-of-mask voxels stay their own roots.
+    that still join two roots after it are kept for the later rounds. A
+    direction's equal-level mask lives only while it is walked (twice). Roots
+    are int32 on any grid that fits; edge indices stay numpy's intp, since
+    int32 copies of the many small edge arrays only fill numpy's small-buffer
+    cache. Out-of-mask voxels stay their own roots.
     """
-    same = [(_same_level(lvl, src, dst), stride) for src, dst, stride in _neighbors(lvl)]
-    root = np.arange(lvl.size)
-    for edge, stride in same:
-        u = np.flatnonzero(edge)  # hook the larger end of each edge to the smaller
-        np.minimum.at(root, u + max(stride, 0), u + min(stride, 0))
+    def edges():
+        for src, dst, stride in _neighbors(lvl):
+            yield np.flatnonzero(_same_level(lvl, src, dst)), stride
+
+    root = np.arange(lvl.size, dtype=np.int32 if lvl.size <= np.iinfo(np.int32).max else np.intp)
+    for u, stride in edges():  # hook the larger end of each edge to the smaller
+        # values in root's own dtype keep ufunc.at on its fast path (6x on a one-zone grid)
+        np.minimum.at(root, u + max(stride, 0), np.add(u, min(stride, 0), dtype=root.dtype))
     root = _compress(root)
-    edges = [np.zeros((2, 0), dtype=np.intp)]
-    for edge, stride in same:
-        u = np.flatnonzero(edge)
+    kept = [np.zeros((2, 0), dtype=np.intp)]
+    for u, stride in edges():
         v = u + stride
         joins = root[u] != root[v]
-        edges.append(np.stack([u[joins], v[joins]]))
-    u, v = np.concatenate(edges, axis=1)
+        kept.append(np.stack([u[joins], v[joins]]))
+    u, v = np.concatenate(kept, axis=1)
+    del kept  # the rounds below need only the joined copy
     while True:
         ru, rv = root[u], root[v]
         joins = ru != rv
@@ -200,7 +205,7 @@ def _zone_roots(lvl: np.ndarray) -> np.ndarray:
 def glszm(q: QuantizedVolume) -> TextureMatrix:
     """Zone-size counts Z(level, size) over 26-connected equal-level components."""
     _require_mask(q, 1)
-    lvl = q.as_zyx()
+    lvl = _narrow(q)
     nb = q.n_bins
     flat = lvl.ravel()
     sizes = np.bincount(_zone_roots(lvl)[flat > 0], minlength=flat.size)

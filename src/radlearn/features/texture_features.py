@@ -147,30 +147,40 @@ def _run_style_features(counts: np.ndarray):
 
     counts is (n_levels, max_j). The percentage denominator sum(count * j) is
     voxels*directions for runs and voxels for zones; GLDM has no percentage.
+    Each (n_levels, max_j) term is evaluated in one work buffer with the operand
+    order of its plain expression, so to the bit; p = counts / n is redone there.
     """
     n = float(counts.sum())
     iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
     jv = np.arange(1, counts.shape[1] + 1, dtype=np.float64)[None, :]
-    p = counts / n
-    mu_i = float(np.sum(iv * p))
-    mu_j = float(np.sum(jv * p))
+    iv2, jv2 = iv ** 2, jv ** 2
+    w = np.empty(counts.shape)
+
+    def p():
+        return np.divide(counts, n, out=w)
+
+    def total(op, a, b):
+        return float(np.sum(op(a, b, out=w)))
+
+    mu_i = total(np.multiply, iv, p())
+    mu_j = total(np.multiply, jv, p())
     return {
-        "short": float(np.sum(counts / jv ** 2) / n),
-        "long": float(np.sum(counts * jv ** 2) / n),
+        "short": total(np.divide, counts, jv2) / n,
+        "long": total(np.multiply, counts, jv2) / n,
         "gln": float(np.sum(counts.sum(axis=1) ** 2) / n),
         "glnn": float(np.sum(counts.sum(axis=1) ** 2) / n ** 2),
         "jn": float(np.sum(counts.sum(axis=0) ** 2) / n),
         "jnn": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
-        "percentage": float(n / float(np.sum(counts * jv))),
-        "glv": float(np.sum((iv - mu_i) ** 2 * p)),
-        "jv": float(np.sum((jv - mu_j) ** 2 * p)),
-        "entropy": entropy_bits(p),
-        "lgl": float(np.sum(counts / iv ** 2) / n),
-        "hgl": float(np.sum(counts * iv ** 2) / n),
-        "short_lgl": float(np.sum(counts / (iv ** 2 * jv ** 2)) / n),
-        "short_hgl": float(np.sum(counts * iv ** 2 / jv ** 2) / n),
-        "long_lgl": float(np.sum(counts * jv ** 2 / iv ** 2) / n),
-        "long_hgl": float(np.sum(counts * iv ** 2 * jv ** 2) / n),
+        "percentage": n / total(np.multiply, counts, jv),
+        "glv": total(np.multiply, (iv - mu_i) ** 2, p()),
+        "jv": total(np.multiply, (jv - mu_j) ** 2, p()),
+        "entropy": entropy_bits(p()),
+        "lgl": total(np.divide, counts, iv2) / n,
+        "hgl": total(np.multiply, counts, iv2) / n,
+        "short_lgl": total(np.divide, counts, np.multiply(iv2, jv2, out=w)) / n,
+        "short_hgl": total(np.divide, np.multiply(counts, iv2, out=w), jv2) / n,
+        "long_lgl": total(np.divide, np.multiply(counts, jv2, out=w), iv2) / n,
+        "long_hgl": total(np.multiply, np.multiply(counts, iv2, out=w), jv2) / n,
     }
 
 

@@ -86,7 +86,13 @@ def load_checkpoint(path_base) -> Checkpoint:
     if header.dtype != "f32le":
         raise DataValidationError(f"unsupported checkpoint dtype {header.dtype!r}")
     limit = os.path.getsize(path_base + ".ckpt.raw") // 4
+    listed = set()
     for layer in header.layers:
+        for key in [(layer.name,), *((layer.name, param.name) for param in layer.params)]:
+            if key in listed:  # its later copy would overwrite the earlier one
+                raise DataValidationError(
+                    f"malformed checkpoint header: {'.'.join(key)} is listed twice")
+            listed.add(key)
         for param in layer.params:
             if not all(0 <= n <= limit for n in param.shape):
                 raise DataValidationError(f"malformed checkpoint header: {layer.name}."

@@ -176,28 +176,17 @@ def roi_slice_index(m: RoiMask) -> int:
 
 
 def _blob_field(dims):
-    """Quadratic-falloff ellipsoid centered in the grid.
-
-    Returns (profile, support): profile = 1 - r^2 inside the ellipsoid,
-    0 outside, built in r^2's own buffer; support is the boolean ROI.
-    """
+    """(support, profile, signs): the ROI, a quadratic-falloff ellipsoid centered
+    in the grid, and at its voxels in x-fastest order the profile 1 - r^2 and
+    the checkerboard sign, +1.0 where x + y + z is even and -1.0 elsewhere."""
     nx, ny, nz = dims
     z, y, x = np.ogrid[:nz, :ny, :nx]
     cx, cy, cz = (nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0
     ax, ay, az = _BLOB_FRACTION * nx, _BLOB_FRACTION * ny, _BLOB_FRACTION * nz
     r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
     support = r2 <= 1.0
-    profile = np.subtract(1.0, r2, out=r2)
-    profile[~support] = 0.0
-    return profile, support
-
-
-def _checkerboard_signs(dims, support):
-    """+1.0 or -1.0 at each ROI voxel, in x-fastest order: +1 where x + y + z is even."""
-    nx, ny, nz = dims
-    z, y, x = np.ogrid[:nz, :ny, :nx]
     # x + y + z is even where x + y and z have the same parity
-    return np.where(((x + y) % 2 == z % 2)[support], 1.0, -1.0)
+    return support, 1.0 - r2[support], np.where(((x + y) % 2 == z % 2)[support], 1.0, -1.0)
 
 
 def iter_phantom(spec: PhantomSpec):
@@ -205,35 +194,48 @@ def iter_phantom(spec: PhantomSpec):
     index 0's class-0 volume, then its class-1 volume, then index 1's, and so on.
 
     Each volume is a fresh float32 array, so a caller that writes and drops it
-    holds one sample, not the cohort. Index i draws its noise from a generator
-    keyed by i alone into one float64 buffer that every index reuses, and both
-    classes share that draw. Class 1 adds +-texture_amplitude at ROI voxels only:
-    outside the ROI a full-grid checkerboard term would be +-0.0, which changes
-    no voxel, since after adding the profile no voxel is -0.0.
+    holds one sample, not the cohort (class 1's starts as a copy of class 0's,
+    taken when class 1 is drawn). Index i draws its noise from a generator keyed
+    by i alone, a few z-slices at a time into one small buffer (the same values
+    as one draw over the grid), and both classes share that draw. Float64 fields
+    are kept at ROI voxels only: outside the ROI the profile (+0.0) and class 1's
+    checkerboard term (+-0.0) would change no voxel, since noise drawn as
+    normal(0, sigma) draws it, 0.0 + sigma * z, is never -0.0.
     """
-    profile, support = _blob_field(spec.dims)
-    shift = _checkerboard_signs(spec.dims, support) * spec.texture_amplitude
+    support, profile, shift = _blob_field(spec.dims)
+    shift *= spec.texture_amplitude
     mask = RoiMask(dims=spec.dims, bits=np.ascontiguousarray(support, dtype=np.uint8).ravel())
-    field3d = np.empty(spec.dims[::-1])
+    support = support.ravel()
+    nx, ny, _ = spec.dims
+    step = nx * ny * max(1, 2 ** 16 // (nx * ny))  # whole z-slices, about 64K voxels
+    chunk = np.zeros(min(step, support.size))
+    field = np.empty(profile.size)
 
-    def volume():
+    def volume(voxels):
         return Volume(dims=spec.dims, spacing=(1.0, 1.0, 1.0), modality_tag=spec.modality,
-                      voxels=field3d.astype(np.float32).ravel())
+                      voxels=voxels)
 
     for i in range(spec.n_samples_per_class):
-        if spec.noise_sigma > 0:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
-                                                               spawn_key=(i,)))
-            # normal(0, sigma) draws 0.0 + sigma * z; that 0.0 only turns a -0.0 into
-            # 0.0, which the profile added next does too
-            rng.standard_normal(out=field3d)
-            field3d *= spec.noise_sigma
-        else:
-            field3d.fill(0.0)
-        field3d += profile
-        yield i, 0, volume(), mask
-        field3d[support] += shift
-        yield i, 1, volume(), mask
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)))
+        voxels = np.empty(support.size, dtype=np.float32)
+        at = 0
+        for lo in range(0, support.size, step):
+            noise = chunk[:support.size - lo]
+            if spec.noise_sigma > 0:  # the draws of normal(0, sigma): 0.0 + sigma * z
+                rng.standard_normal(out=noise)
+                noise *= spec.noise_sigma
+                noise += 0.0
+            roi = noise[support[lo:lo + noise.size]]
+            field[at:at + roi.size] = roi
+            at += roi.size
+            voxels[lo:lo + noise.size] = noise
+        field += profile
+        voxels[support] = field
+        yield i, 0, volume(voxels), mask
+        voxels = voxels.copy()  # class 0's array is the caller's now
+        field += shift
+        voxels[support] = field
+        yield i, 1, volume(voxels), mask
 
 
 def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
@@ -242,9 +244,7 @@ def generate_phantom(spec: PhantomSpec) -> list[tuple[Volume, RoiMask, int]]:
 
     ``iter_phantom`` draws index 0's class-0 and class-1 volumes, then index 1's,
     and so on; this puts each in its place. Sample i of both classes shares one
-    noise draw, so at texture_amplitude 0 they are voxel-identical. Class 1 adds
-    the checkerboard term at ROI voxels only: outside the ROI it is +-0.0, and
-    after adding the profile no voxel is -0.0, so leaving it out changes no bit.
+    noise draw, so at texture_amplitude 0 they are voxel-identical.
     """
     n = spec.n_samples_per_class
     out: list[tuple[Volume, RoiMask, int]] = [None] * (2 * n)

@@ -292,6 +292,69 @@ def phantom_reference(dims, n_samples_per_class, texture_amplitude, noise_sigma,
     return out
 
 
+def phantom_full_grid_reference(dims, n_samples_per_class, texture_amplitude, noise_sigma,
+                                seed):
+    """The one-draw-per-pair phantom generator before its fields shrank to the ROI:
+    a full-grid float64 profile and field, one noise draw over the whole grid per
+    index, each volume a float32 copy of the field. A list of (index, label,
+    float32 voxels, uint8 mask bits) in draw order: index 0's class 0, then its
+    class 1, then index 1's, and so on."""
+    nx, ny, nz = dims
+    z, y, x = np.ogrid[:nz, :ny, :nx]
+    cx, cy, cz = (nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0
+    ax, ay, az = 0.35 * nx, 0.35 * ny, 0.35 * nz
+    r2 = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2
+    support = r2 <= 1.0
+    profile = np.subtract(1.0, r2, out=r2)
+    profile[~support] = 0.0
+    shift = np.where(((x + y) % 2 == z % 2)[support], 1.0, -1.0) * texture_amplitude
+    bits = np.ascontiguousarray(support, dtype=np.uint8).ravel()
+    field3d = np.empty(dims[::-1])
+    out = []
+    for i in range(n_samples_per_class):
+        if noise_sigma > 0:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            rng.standard_normal(out=field3d)
+            field3d *= noise_sigma
+        else:
+            field3d.fill(0.0)
+        field3d += profile
+        out.append((i, 0, field3d.astype(np.float32).ravel(), bits))
+        field3d[support] += shift
+        out.append((i, 1, field3d.astype(np.float32).ravel(), bits))
+    return out
+
+
+def run_style_features_reference(counts):
+    """The GLRLM/GLSZM/GLDM quantities as plain numpy expressions, each making
+    its own full-size temporaries; keys in the package's order."""
+    n = float(counts.sum())
+    iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
+    jv = np.arange(1, counts.shape[1] + 1, dtype=np.float64)[None, :]
+    p = counts / n
+    mu_i = float(np.sum(iv * p))
+    mu_j = float(np.sum(jv * p))
+    nonzero = p[p > 0]
+    return {
+        "short": float(np.sum(counts / jv ** 2) / n),
+        "long": float(np.sum(counts * jv ** 2) / n),
+        "gln": float(np.sum(counts.sum(axis=1) ** 2) / n),
+        "glnn": float(np.sum(counts.sum(axis=1) ** 2) / n ** 2),
+        "jn": float(np.sum(counts.sum(axis=0) ** 2) / n),
+        "jnn": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
+        "percentage": float(n / float(np.sum(counts * jv))),
+        "glv": float(np.sum((iv - mu_i) ** 2 * p)),
+        "jv": float(np.sum((jv - mu_j) ** 2 * p)),
+        "entropy": float(-np.sum(nonzero * np.log2(nonzero))),
+        "lgl": float(np.sum(counts / iv ** 2) / n),
+        "hgl": float(np.sum(counts * iv ** 2) / n),
+        "short_lgl": float(np.sum(counts / (iv ** 2 * jv ** 2)) / n),
+        "short_hgl": float(np.sum(counts * iv ** 2 / jv ** 2) / n),
+        "long_lgl": float(np.sum(counts * jv ** 2 / iv ** 2) / n),
+        "long_hgl": float(np.sum(counts * iv ** 2 * jv ** 2) / n),
+    }
+
+
 def first_order_oracle(x, names):
     """The first-order statistics of the float64 voxels ``x`` as the package computed
     them with one function per statistic, for ``names`` in order. The entropy

@@ -10,8 +10,9 @@ import tracemalloc
 import pytest
 
 import radlearn
-from radlearn import rfe
+from radlearn import cli, rfe
 from radlearn.cli import _slices_from_manifest, main
+from radlearn.features.vector import FeatureVector
 
 CONFIG = {
     "phantom": {"n_samples_per_class": 8, "dims": [12, 12, 12],
@@ -476,11 +477,32 @@ def test_phantom_stage_memory_does_not_grow_with_the_cohort(tmp_path):
     assert abs(six - one) <= 0.1 * one, f"1 per class: {one} B, 6 per class: {six} B"
 
 
+def test_phantom_stage_peaks_within_twenty_bytes_per_voxel(tmp_path):
+    # two float32 volumes, the mask and float64 fields over the ROI only; with
+    # full-grid float64 fields it peaked at 29.5 B per voxel here. Two indices,
+    # so a third volume kept alive across them shows too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 2, "dims": [96, 96, 96]}}))
+    peak = _traced_peak(main, ["phantom", "--config", str(config), "--out", str(tmp_path / "p")])
+    assert peak <= 20 * 96 ** 3, f"phantom stage peaked at {peak / 96 ** 3:.1f} B per voxel"
+
+
 @pytest.mark.parametrize("n_samples", [2, 8])
 def test_train_slices_hold_one_volume_at_a_time(tmp_path, n_samples):
     _, manifest = _phantom_48(tmp_path, n_samples // 2)
     peak = _traced_peak(_slices_from_manifest, manifest)
     assert peak < 2 * 4 * 48 ** 3, f"{n_samples} samples: slices peaked at {peak} B"
+
+
+def test_extract_holds_one_volume_at_a_time(tmp_path, monkeypatch):
+    # with extraction stubbed out, the stage's peak is the loading of one
+    # sample, which it must not do while it still holds the one before
+    _, manifest = _phantom_48(tmp_path, 2)
+    monkeypatch.setattr(cli, "extract_all", lambda v, m, **_: FeatureVector(["f.a"], [0.0]))
+    peak = _traced_peak(main, ["extract", "--config", str(tmp_path / "config2.json"),
+                               "--in", str(manifest), "--out", str(tmp_path / "e")])
+    assert (tmp_path / "e" / "features.csv").exists()
+    assert peak < 2 * 4 * 48 ** 3, f"extract peaked at {peak} B"
 
 
 @pytest.fixture(scope="module")

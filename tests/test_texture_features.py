@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import qvol
-from oracles import random_level_grid
+from oracles import random_level_grid, run_style_features_reference
 
 from radlearn.errors import DataValidationError
 from radlearn.features import (
@@ -25,6 +25,10 @@ from radlearn.features import (
     ngtdm,
     ngtdm_features,
 )
+from radlearn.features.extract import _crop_to_roi
+from radlearn.features.texture_features import _run_style_features
+from radlearn.quantize import quantize_fixed_bins
+from radlearn.volume import PhantomSpec, iter_phantom
 
 
 def test_glcm_two_level_diagonal_matrix():
@@ -187,3 +191,31 @@ def test_kind_mismatch_rejected():
     lvl = np.ones((2, 2, 1), dtype=np.int32)
     with pytest.raises(DataValidationError):
         glcm_features(glrlm(qvol(lvl, 1)))
+
+
+def _assert_same_run_style_bytes(counts):
+    got, expected = _run_style_features(counts), run_style_features_reference(counts)
+    assert list(got) == list(expected)
+    assert np.array(list(got.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (8, 27), (32, 300), (100, 41)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_style_features_match_plain_expressions_bytes(shape, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.3)
+    counts.flat[rng.integers(counts.size)] += 1  # at least one count
+    _assert_same_run_style_bytes(counts.astype(np.float64))
+    # GLRLM passes a column slice, not a contiguous array
+    wide = np.zeros((shape[0], shape[1] + 3))
+    wide[:, : shape[1]] = counts
+    _assert_same_run_style_bytes(wide[:, : shape[1]])
+
+
+def test_run_style_features_match_plain_expressions_on_a_96_cubed_glszm():
+    *_, (_, label, v, m) = iter_phantom(PhantomSpec(n_samples_per_class=1, dims=(96, 96, 96),
+                                                    seed=91))
+    assert label == 1
+    matrix = glszm(_crop_to_roi(quantize_fixed_bins(v, m, 32))).data
+    assert matrix.shape[1] > 10_000
+    _assert_same_run_style_bytes(matrix)

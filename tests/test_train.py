@@ -313,3 +313,24 @@ def test_loaded_checkpoint_parameters_share_one_array(tmp_path):
     assert arrays[0].base is not None
     assert all(arr.base is arrays[0].base for arr in arrays)
     assert all(arr.dtype == np.dtype("<f4") for arr in arrays)
+
+
+@pytest.mark.parametrize("twice, doubled", [("fc_out", "layer"), ("fc_out.W", "param")])
+def test_checkpoint_header_listing_a_name_twice_rejected(tmp_path, twice, doubled):
+    # one layer, so the doubled entry has the same shapes and the padded blob the right length
+    net = Network(NetConfig(input_dims=(4, 4), conv_blocks=[], hidden_dense=[], seed=3))
+    save_checkpoint(checkpoint_from_network(net), tmp_path / "m")
+    header = json.loads((tmp_path / "m.ckpt.json").read_text())
+    (layer,) = header["layers"]
+    if doubled == "layer":
+        header["layers"].append(layer)
+        pad = sum(np.prod(p["shape"]) for p in layer["params"])
+    else:
+        layer["params"].append(layer["params"][0])
+        pad = np.prod(layer["params"][0]["shape"])
+    (tmp_path / "m.ckpt.json").write_text(json.dumps(header))
+    with open(tmp_path / "m.ckpt.raw", "ab") as fh:
+        fh.write(np.zeros(pad, dtype="<f4").tobytes())
+    with pytest.raises(DataValidationError) as err:
+        load_checkpoint(tmp_path / "m")
+    assert str(err.value) == f"malformed checkpoint header: {twice} is listed twice"

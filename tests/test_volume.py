@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mask_from_zyx, vol_from_values
-from oracles import glcm_counts_oracle, phantom_reference
+from oracles import glcm_counts_oracle, phantom_full_grid_reference, phantom_reference
 
 from radlearn.errors import ConfigError, DataValidationError
 from radlearn.quantize import quantize_fixed_bins
@@ -242,6 +242,28 @@ def test_phantom_matches_reference_bytes(dims, n, amplitude, sigma):
     assert len(got) == len(expected)
     for (v, m, label), (voxels, bits, ref_label) in zip(got, expected):
         assert label == ref_label and v.dims == m.dims == dims
+        assert v.voxels.dtype == voxels.dtype and v.voxels.tobytes() == voxels.tobytes()
+        assert m.bits.tobytes() == bits.tobytes()
+
+
+# (67, 45, 50) draws its noise in three chunks, the last one short; a sigma of
+# 5e-324 makes noise of -0.0, which the full-grid profile turned into 0.0
+@pytest.mark.parametrize("dims, n, amplitude, sigma", [
+    ((67, 45, 50), 2, 2.0, 0.1),
+    ((67, 45, 50), 1, 0.37, 3.0),
+    ((17, 13, 11), 2, 2.0, 0.0),
+    ((40, 31, 29), 2, 0.0, 0.3),
+    ((40, 31, 29), 1, 1.5, 5e-324),
+    ((300, 300, 9), 1, 2.0, 0.1),
+])
+def test_iter_phantom_matches_full_grid_reference_bytes(dims, n, amplitude, sigma):
+    spec = PhantomSpec(n_samples_per_class=n, dims=dims, texture_amplitude=amplitude,
+                       noise_sigma=sigma, seed=7)
+    drawn = list(iter_phantom(spec))
+    expected = phantom_full_grid_reference(dims, n, amplitude, sigma, 7)
+    assert len(drawn) == len(expected) == 2 * n
+    for (i, label, v, m), (ref_i, ref_label, voxels, bits) in zip(drawn, expected):
+        assert (i, label) == (ref_i, ref_label) and v.dims == m.dims == dims
         assert v.voxels.dtype == voxels.dtype and v.voxels.tobytes() == voxels.tobytes()
         assert m.bits.tobytes() == bits.tobytes()
 
