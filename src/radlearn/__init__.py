@@ -20,22 +20,3 @@ from .features import FeatureVector, extract_all
 from .table import FeatureTable, read_feature_table, write_feature_table
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "RadlearnError",
-    "ConfigError",
-    "DataValidationError",
-    "NumericFailure",
-    "Volume",
-    "RoiMask",
-    "PhantomSpec",
-    "generate_phantom",
-    "QuantizedVolume",
-    "quantize_fixed_bins",
-    "FeatureVector",
-    "extract_all",
-    "FeatureTable",
-    "read_feature_table",
-    "write_feature_table",
-    "__version__",
-]

@@ -229,11 +229,10 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
         raise DataValidationError("trace features not present in the table")
 
     split = stratified_kfold(table.labels, cfg.rfe.k_folds, seed=cfg.seeds.kfold)
-    forest_cfg = replace(cfg.forest, seed=cfg.seeds.forest)
     all_scores = _metric_rows(table, *rfe_mod.cv_predictions(
-        table, all_names, forest_cfg, split, cfg.seeds.forest, tag=0))
+        table, all_names, cfg.forest, split, cfg.seeds.forest, tag=0))
     top_scores = _metric_rows(table, *rfe_mod.cv_predictions(
-        table, top_names, forest_cfg, split, cfg.seeds.forest, tag=1))
+        table, top_names, cfg.forest, split, cfg.seeds.forest, tag=1))
 
     doc = {
         "rows": list(all_scores),
@@ -315,7 +314,11 @@ def main(argv=None) -> int:
     except (DataValidationError, OSError) as exc:
         print(f"radlearn: data error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy reports an array whose size it cannot describe as a ValueError
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed dimension exceeded")):
+            raise
         print(f"radlearn: out of memory: {exc}", file=sys.stderr)
         return 2
 

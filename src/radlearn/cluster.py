@@ -101,24 +101,10 @@ def cut(dg: Dendrogram, k: int) -> list[list[str]]:
     n = len(dg.leaf_names)
     if k < 1 or k > n:
         raise DataValidationError(f"k must be in [1, {n}], got {k}")
-    parent = list(range(n + len(dg.merges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    members = {leaf: [name] for leaf, name in enumerate(dg.leaf_names)}
     for idx, (a, b, _) in enumerate(dg.merges[: n - k]):
-        new_id = n + idx
-        parent[find(a)] = new_id
-        parent[find(b)] = new_id
-
-    groups: dict[int, list[str]] = {}
-    for leaf in range(n):
-        groups.setdefault(find(leaf), []).append(dg.leaf_names[leaf])
-    clusters = [sorted(members) for members in groups.values()]
-    return sorted(clusters, key=lambda c: c[0])
+        members[n + idx] = members.pop(a) + members.pop(b)
+    return sorted((sorted(c) for c in members.values()), key=lambda c: c[0])
 
 
 def dendrogram_to_json(dg: Dendrogram) -> dict:

@@ -44,7 +44,7 @@ class ExtractionSection:
 
     def __post_init__(self):
         check("extraction", self, [
-            ("n_bins", lambda n: n >= 1, ">= 1"),
+            ("n_bins", lambda n: 1 <= n <= 2 ** 31 - 1, "in [1, 2**31 - 1] (int32 levels)"),
             ("distance", lambda d: d >= 1, ">= 1"),
             ("alpha", lambda a: a >= 0, ">= 0"),
         ])

@@ -27,19 +27,6 @@ from .histogram import histogram
 from .jsonio import check, write_json
 from .nn.trace import TrainTrace
 
-__all__ = [
-    "DiagnosticThresholds",
-    "LayerDiagnosis",
-    "DiagnosisReport",
-    "histogram",
-    "detect_static_layers",
-    "detect_dead_gradients",
-    "detect_class_flipping",
-    "diagnose",
-    "report_to_json",
-    "save_report",
-]
-
 
 @dataclass
 class DiagnosticThresholds:

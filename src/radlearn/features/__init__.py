@@ -17,30 +17,3 @@ from .texture_features import (
     ngtdm_features,
 )
 from .extract import FAMILY_COUNTS, TOTAL_FEATURES, extract_all
-
-__all__ = [
-    "FeatureVector",
-    "FIRST_ORDER_FEATURES",
-    "SHAPE_2D_FEATURES",
-    "GLCM_FEATURES",
-    "GLRLM_FEATURES",
-    "GLSZM_FEATURES",
-    "NGTDM_FEATURES",
-    "GLDM_FEATURES",
-    "TextureMatrix",
-    "first_order",
-    "shape_2d",
-    "glcm",
-    "glrlm",
-    "glszm",
-    "ngtdm",
-    "gldm",
-    "glcm_features",
-    "glrlm_features",
-    "glszm_features",
-    "ngtdm_features",
-    "gldm_features",
-    "extract_all",
-    "FAMILY_COUNTS",
-    "TOTAL_FEATURES",
-]

@@ -83,25 +83,24 @@ def _same_level(lvl: np.ndarray, src, dst) -> np.ndarray:
     return same
 
 
-def _narrow(q: QuantizedVolume) -> np.ndarray:
-    """A copy of the (nz, ny, nx) level grid in the narrowest unsigned type that
-    holds n_bins; levels fit int32, so that type is at most uint32."""
-    return q.as_zyx().astype(np.min_scalar_type(min(q.n_bins, np.iinfo(np.int32).max)))
+def _levels(q: QuantizedVolume, minimum: int = 1) -> tuple[np.ndarray, int]:
+    """(level grid, n_bins) of a volume with at least ``minimum`` in-mask voxels.
 
-
-def _require_mask(q: QuantizedVolume, minimum: int = 1) -> None:
+    The grid is an (nz, ny, nx) copy in the narrowest unsigned type that holds
+    n_bins; levels fit int32, so that type is at most uint32.
+    """
     n = q.mask_count()
     if n < minimum:
         raise DataValidationError(f"mask has {n} voxels; at least {minimum} required")
+    nb = q.n_bins
+    return q.as_zyx().astype(np.min_scalar_type(min(nb, np.iinfo(np.int32).max))), nb
 
 
 def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatrix:
     """Symmetric merged-direction co-occurrence matrix, normalized to sum 1."""
-    _require_mask(q, 2)
+    lvl, nb = _levels(q, 2)
     if distance < 1:
         raise DataValidationError("co-occurrence distance must be >= 1")
-    lvl = _narrow(q)
-    nb = q.n_bins
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
     # joint codes a * (nb + 1) + b over the whole grid, levels 0..nb, in the
     # narrowest signed type that holds them (np.bincount takes no uint64); row
@@ -120,9 +119,7 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
 
 def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     """Run-length counts R(level, run length), runs truncated at the mask edge."""
-    _require_mask(q, 1)
-    lvl = _narrow(q)
-    nb = q.n_bins
+    lvl, nb = _levels(q)
     dirs = DIRECTIONS_13 if directions is None else tuple(directions)
     matrix = np.zeros((nb, max(lvl.shape)), dtype=np.float64)
     flat = lvl.ravel()
@@ -204,9 +201,7 @@ def _zone_roots(lvl: np.ndarray) -> np.ndarray:
 
 def glszm(q: QuantizedVolume) -> TextureMatrix:
     """Zone-size counts Z(level, size) over 26-connected equal-level components."""
-    _require_mask(q, 1)
-    lvl = _narrow(q)
-    nb = q.n_bins
+    lvl, nb = _levels(q)
     flat = lvl.ravel()
     sizes = np.bincount(_zone_roots(lvl)[flat > 0], minlength=flat.size)
     zones = np.flatnonzero(sizes)
@@ -222,9 +217,7 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
 
     Voxels with no in-mask neighbors keep their count but contribute 0 to s_i.
     """
-    _require_mask(q, 1)
-    lvl = _narrow(q)
-    nb = q.n_bins
+    lvl, nb = _levels(q)
     mask = lvl > 0
     mask_u8 = mask.view(np.uint8)
     # out-of-mask levels are 0, so masking is implicit; each pair feeds both
@@ -252,11 +245,9 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
 
 def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
     """Dependence counts P(level, j), j = in-mask 26-neighbors within alpha."""
-    _require_mask(q, 1)
+    lvl, nb = _levels(q)
     if alpha < 0:
         raise DataValidationError("gldm alpha must be >= 0")
-    lvl = _narrow(q)
-    nb = q.n_bins
     mask = lvl > 0
     # a voxel has at most 26 dependent neighbors, so uint8 counts are exact
     dep = np.zeros(lvl.shape, dtype=np.uint8)

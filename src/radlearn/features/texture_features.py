@@ -67,6 +67,19 @@ def _check_kind(m: TextureMatrix, kind: str) -> None:
         raise DataValidationError(f"expected a {kind} matrix, got {m.kind}")
 
 
+def _mcc_q(p: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) px(k)), for blocks of rows of
+    about 64K terms each: memory is quadratic in the occupied levels, not cubic,
+    and each cell is the same sum of the same terms as in one 3-D array."""
+    q = np.empty(p.shape)
+    step = max(1, 65536 // p.size)
+    for i in range(0, len(p), step):
+        rows = slice(i, i + step)
+        q[rows] = ((p[rows, None, :] * p[None, :, :])
+                   / (px[rows, None, None] * px[None, None, :])).sum(axis=2)
+    return q
+
+
 def glcm_features(m: TextureMatrix) -> FeatureVector:
     _check_kind(m, "GLCM")
     if abs(float(m.data.sum()) - 1.0) > 1e-9:
@@ -108,9 +121,7 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
         correlation = 1.0 if sigma2 == 0 else float((autocorrelation - mu * mu) / sigma2)
         imc1 = 0.0 if hx == 0 else float((joint_entropy - hxy1) / hx)
         imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - joint_entropy)))))
-        q = (p[:, None, :] * p[None, :, :]) / (px[:, None, None] * px[None, None, :])
-        q = q.sum(axis=2)
-        eigs = np.sort(np.linalg.eigvals(q).real)
+        eigs = np.sort(np.linalg.eigvals(_mcc_q(p, px)).real)
         mcc = float(np.sqrt(min(max(eigs[-2], 0.0), 1.0)))
 
     values = {

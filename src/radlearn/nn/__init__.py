@@ -12,27 +12,3 @@ from .checkpoint import (
 )
 from .trace import TrainTrace, load_trace, save_trace, trace_from_json, trace_to_json
 from .train import gradient_check, train
-
-__all__ = [
-    "NetConfig",
-    "TrainConfig",
-    "LOSSES", "OPTIMIZERS",
-    "loss_bce_logit",
-    "loss_hinge",
-    "step_adam",
-    "step_rmsprop",
-    "AdamOptimizer",
-    "RmsPropOptimizer",
-    "Network",
-    "Checkpoint",
-    "checkpoint_from_network",
-    "save_checkpoint",
-    "load_checkpoint",
-    "TrainTrace",
-    "trace_to_json",
-    "trace_from_json",
-    "save_trace",
-    "load_trace",
-    "train",
-    "gradient_check",
-]

@@ -50,7 +50,7 @@ class TrainConfig:
     optimizer: str = "adam"
     # 0 is allowed on purpose: it is the canonical "all layers static"
     # fixture for the diagnostics. It must be finite in float32, or lr * 0
-    # would move frozen layers to nan.
+    # would turn every parameter with a zero gradient into nan.
     learning_rate: float = 1e-4
     batch_size: int = 4
     epochs: int = 25

@@ -5,12 +5,10 @@ Training runs in float32 with seeded batch shuffling, so a fixed
 parameters live in one flat float32 buffer in checkpoint order, ``net.flat``,
 and each backward pass writes the batch's gradients into ``net.grad``, a
 buffer of the same layout; each batch makes one optimizer step of the one on
-the other. Frozen layers' slices of ``net.grad`` are zeroed in place before
-the step: with zero gradient and zero optimizer state the Adam and RMSProp
-step is lr*0/(0+eps) = 0, so they stay bit-for-bit unmoved. The trace still
-records their real gradients, kept aside before the zeroing. The trace
-snapshot per epoch uses the last batch's gradients, mirroring per-epoch
-histogram plots.
+the other. Frozen layers' slices of ``net.flat`` are copied once before the
+first step and written back after every step, so they stay bit-for-bit
+unmoved while the trace records their real gradients. The trace snapshot per
+epoch uses the last batch's gradients, mirroring per-epoch histogram plots.
 
 gradient_check builds its own float64 copy of the network and compares the
 analytic gradients against central finite differences on sampled parameters;
@@ -97,7 +95,8 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     unknown = [n for n in train_cfg.freeze_layers if n not in net.layer_names]
     if unknown:
         raise DataValidationError(f"freeze_layers name unknown layers: {unknown}")
-    frozen = [net.slices[name] for name in train_cfg.freeze_layers]
+    frozen = [(net.slices[name], net.flat[net.slices[name]].copy())
+              for name in train_cfg.freeze_layers]
 
     optimizer = OPTIMIZERS[train_cfg.optimizer](train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
@@ -116,13 +115,9 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                     raise NumericFailure(
                         f"non-finite loss at epoch {epoch}, batch {b}",
                         epoch=epoch, batch=b)
-                if start + train_cfg.batch_size >= n:  # the batch whose gradients the trace records
-                    kept = [net.grad[layer].copy() for layer in frozen]
-                for layer in frozen:
-                    net.grad[layer] = 0.0
                 optimizer.update(net.flat, net.grad)
-            for layer, real in zip(frozen, kept):
-                net.grad[layer] = real  # the trace records frozen layers' real gradients
+                for span, weights in frozen:
+                    net.flat[span] = weights
 
             layer_records = {}
             for name, span in net.slices.items():

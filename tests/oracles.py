@@ -355,6 +355,13 @@ def run_style_features_reference(counts):
     }
 
 
+def mcc_q_reference(p, px):
+    """GLCM's MCC matrix Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) px(k)) as one
+    (L, L, L) array summed over its last axis."""
+    q = (p[:, None, :] * p[None, :, :]) / (px[:, None, None] * px[None, None, :])
+    return q.sum(axis=2)
+
+
 def first_order_oracle(x, names):
     """The first-order statistics of the float64 voxels ``x`` as the package computed
     them with one function per statistic, for ``names`` in order. The entropy
@@ -507,6 +514,28 @@ def agglomerate_oracle(d, leaf_names):
         active[next_id] = (size_a + size_b, min(rep_a, rep_b))
         next_id += 1
     return merges
+
+
+def cut_oracle(dg, k):
+    """The k clusters of a dendrogram by union-find over its first n - k merges;
+    clusters sorted by their smallest member name, members sorted."""
+    n = len(dg.leaf_names)
+    parent = list(range(n + len(dg.merges)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for idx, (a, b, _) in enumerate(dg.merges[: n - k]):
+        new_id = n + idx
+        parent[find(a)] = new_id
+        parent[find(b)] = new_id
+    groups = {}
+    for leaf in range(n):
+        groups.setdefault(find(leaf), []).append(dg.leaf_names[leaf])
+    return sorted((sorted(members) for members in groups.values()), key=lambda c: c[0])
 
 
 def random_level_grid(rng, shape=(4, 4, 4), n_levels=5, mask_prob=0.85):

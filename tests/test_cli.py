@@ -430,6 +430,39 @@ def test_out_of_memory_exits_two_with_one_line(tmp_path, stage, section):
     assert run.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("stage, section, code", [
+    # numpy raises ValueError, not MemoryError, for an array whose size it cannot describe
+    ("train", {"train": {"hidden_dense": [10 ** 18]}}, 2),
+    ("train", {"train": {"conv_blocks": [10 ** 18]}}, 2),
+    ("rfe", {"forest": {"n_trees": 10 ** 18}}, 2),
+    ("extract", {"extraction": {"n_bins": 2 ** 31 - 1}}, 2),  # the GLCM code table
+    # levels are int32, so a larger n_bins is a config error
+    ("extract", {"extraction": {"n_bins": 2 ** 31}}, 1),
+    ("extract", {"extraction": {"n_bins": 2 ** 63}}, 1),
+])
+def test_arrays_too_big_to_describe_exit_with_one_line(tmp_path, stage, section, code):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"phantom": {"n_samples_per_class": 5, "dims": [8, 8, 8]}}))
+    assert main(["phantom", "--config", str(base), "--out", str(tmp_path / "p")]) == 0
+    manifest = str(tmp_path / "p" / "manifest.csv")
+    assert main(["extract", "--config", str(base), "--in", manifest,
+                 "--out", str(tmp_path / "e")]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(base.read_text()), **section}))
+    source = str(tmp_path / "e" / "features.csv") if stage == "rfe" else manifest
+    limit = 3 * 2 ** 30  # should an array be allocated after all, it fails on any host
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "radlearn", stage, "--config", str(config), "--in", source,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == code
+    assert run.stderr.startswith("radlearn: out of memory: array is too big" if code == 2
+                                 else "radlearn: config error: extraction.n_bins ")
+    assert run.stderr.count("\n") == 1
+
+
 def test_huge_header_beside_a_short_raw_exits_two_on_its_length(tmp_path):
     # the .raw size is checked before the 32 GB array would be allocated
     config = tmp_path / "config.json"

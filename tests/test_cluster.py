@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import agglomerate_oracle, pearson_oracle
+from oracles import agglomerate_oracle, cut_oracle, pearson_oracle
 
 from radlearn.cluster import (
     agglomerate,
@@ -141,6 +141,18 @@ def test_cut_partitions_leaves():
         assert len(clusters) == k
         flat = sorted(name for c in clusters for name in c)
         assert flat == sorted(names)
+
+
+def test_cut_matches_union_find_oracle():
+    # distances from a few integer values, so many pairs tie, and leaf names
+    # in shuffled order, so clusters and members need their sorting
+    rng = np.random.default_rng(21)
+    for n in range(2, 41):
+        upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(np.float64), 1)
+        names = [f"f{i:02d}" for i in rng.permutation(n)]
+        dg = agglomerate(upper + upper.T, names)
+        for k in range(1, n + 1):
+            assert cut(dg, k) == cut_oracle(dg, k), (n, k)
 
 
 def test_planted_pairs_recovered():

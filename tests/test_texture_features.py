@@ -1,10 +1,12 @@
 """Feature formulas on hand-enumerable matrices and degenerate conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import qvol
-from oracles import random_level_grid, run_style_features_reference
+from oracles import mcc_q_reference, random_level_grid, run_style_features_reference
 
 from radlearn.errors import DataValidationError
 from radlearn.features import (
@@ -26,7 +28,7 @@ from radlearn.features import (
     ngtdm_features,
 )
 from radlearn.features.extract import _crop_to_roi
-from radlearn.features.texture_features import _run_style_features
+from radlearn.features.texture_features import _mcc_q, _run_style_features
 from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import PhantomSpec, iter_phantom
 
@@ -219,3 +221,48 @@ def test_run_style_features_match_plain_expressions_on_a_96_cubed_glszm():
     matrix = glszm(_crop_to_roi(quantize_fixed_bins(v, m, 32))).data
     assert matrix.shape[1] > 10_000
     _assert_same_run_style_bytes(matrix)
+
+
+def _random_glcm(rng, n_levels):
+    """A normalized symmetric matrix with about half its cells zero and every
+    level occupied."""
+    p = rng.random((n_levels, n_levels)) * (rng.random((n_levels, n_levels)) < 0.5)
+    p = p + p.T + np.eye(n_levels)
+    return p / p.sum()
+
+
+def _assert_same_mcc_q_bytes(p):
+    px = p.sum(axis=1)
+    assert _mcc_q(p, px).tobytes() == mcc_q_reference(p, px).tobytes()
+
+
+@pytest.mark.parametrize("n_levels", [2, 5, 40, 97, 200])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mcc_matrix_matches_one_3d_array_bytes(n_levels, seed):
+    # 97 levels take blocks of 6 rows and a shorter last one; 200 take single rows
+    _assert_same_mcc_q_bytes(_random_glcm(np.random.default_rng(seed), n_levels))
+
+
+@pytest.mark.parametrize("n_bins", [32, 256])
+def test_mcc_matrix_matches_one_3d_array_on_phantom_glcms(n_bins):
+    for _, _, v, m in iter_phantom(PhantomSpec(n_samples_per_class=1, dims=(16, 16, 16),
+                                               seed=5)):
+        data = glcm(quantize_fixed_bins(v, m, n_bins)).data
+        occ = data.sum(axis=1) > 0
+        _assert_same_mcc_q_bytes(data[np.ix_(occ, occ)])
+
+
+def test_glcm_features_memory_is_quadratic_in_the_levels():
+    # one (L, L, L) array of MCC terms would be 140 MB at 260 levels and take
+    # the call near 271 MB; summed a block of rows at a time, the call peaks at
+    # about 4.3 MB, mostly (L, L) temporaries of the other features
+    m = TextureMatrix(kind="GLCM", data=_random_glcm(np.random.default_rng(3), 260),
+                      n_levels=260)
+    glcm_features(m)  # the first call also imports what numpy loads lazily
+    tracemalloc.start()
+    try:
+        glcm_features(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, f"glcm_features peaked at {peak / 2 ** 20:.1f} MB"
