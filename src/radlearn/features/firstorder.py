@@ -32,14 +32,22 @@ def first_order(v: Volume, m: RoiMask, names=None) -> FeatureVector:
     x = v.voxels[m.bits.astype(bool)].astype(np.float64)
     mean = np.mean(x)
     dev = x - mean
-    var = np.mean(dev * dev)  # np.var's own steps, so the same bits
+    sq = dev * dev
+    var = np.mean(sq)  # np.var's own steps, so the same bits
+    # products in place, not dev ** 3 and ** 4: numpy's pow rounds differently per SIMD level
+    m3 = np.mean(np.multiply(sq, dev, out=dev))
+    m4 = np.mean(np.multiply(sq, sq, out=sq))
+    del dev, sq
     counts = histogram(x, _ENTROPY_BINS)
+    # np.median's own steps, so the same bits, without its import of numpy.ma
+    h = x.size // 2
+    p = np.partition(x, h if x.size % 2 else [h - 1, h])
     values = {
         "Mean": mean,
-        "Median": np.median(x),
+        "Median": p[h] if x.size % 2 else (p[h - 1] + p[h]) / 2,
         "Variance": var,
-        "Skewness": 0.0 if var == 0 else np.mean(dev ** 3) / var ** 1.5,
-        "Kurtosis": 0.0 if var == 0 else np.mean(dev ** 4) / var ** 2 - 3.0,
+        "Skewness": 0.0 if var == 0 else m3 / var ** 1.5,
+        "Kurtosis": 0.0 if var == 0 else m4 / var ** 2 - 3.0,
         "Energy": np.sum(x ** 2),
         "Entropy": entropy_bits(counts / counts.sum()),
         "Minimum": np.min(x),

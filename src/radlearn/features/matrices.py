@@ -151,27 +151,19 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)
 
 
-def _compress(root: np.ndarray) -> np.ndarray:
-    """Jump pointers until every entry points at its root."""
-    jumped = root[root]
-    while not np.array_equal(jumped, root):
-        root, jumped = jumped, jumped[jumped]
-    return root
-
-
 def _zone_roots(lvl: np.ndarray) -> np.ndarray:
     """Per-voxel zone id (the smallest flat index in the zone) of a level grid.
 
     Zones are 26-connected equal-level in-mask components, found by rounds of
-    min-root hooking: every root that shares an edge with a smaller root is
-    hooked to the smallest such root, then pointers are compressed; rounds
-    repeat until no edge joins two roots. In the first round every voxel is a
-    root, so its edges are hooked one direction at a time; only the edges
-    that still join two roots after it are kept for the later rounds. A
-    direction's equal-level mask lives only while it is walked (twice). Roots
-    are int32 on any grid that fits; edge indices stay numpy's intp, since
-    int32 copies of the many small edge arrays only fill numpy's small-buffer
-    cache. Out-of-mask voxels stay their own roots.
+    min-root hooking and pointer jumping (Shiloach & Vishkin 1982). In the
+    first round every voxel is a root, so its edges are hooked one direction
+    at a time; only the pairs of roots that an edge still joins after it are
+    kept, and the later rounds hook and jump pointers among those roots
+    alone, so one final ``root[root]`` reaches every voxel. A direction's
+    equal-level mask lives only while it is walked (twice). Roots are int32
+    on any grid that fits; edge indices stay numpy's intp, since int32 copies
+    of the many small edge arrays only fill numpy's small-buffer cache.
+    Out-of-mask voxels stay their own roots.
     """
     def edges():
         for src, dst, stride in _neighbors(lvl):
@@ -181,22 +173,39 @@ def _zone_roots(lvl: np.ndarray) -> np.ndarray:
     for u, stride in edges():  # hook the larger end of each edge to the smaller
         # values in root's own dtype keep ufunc.at on its fast path (6x on a one-zone grid)
         np.minimum.at(root, u + max(stride, 0), np.add(u, min(stride, 0), dtype=root.dtype))
-    root = _compress(root)
-    kept = [np.zeros((2, 0), dtype=np.intp)]
+    jumped = root[root]
+    while not np.array_equal(jumped, root):
+        root, jumped = jumped, jumped[jumped]
+    del jumped
+    kept = [np.zeros((2, 0), dtype=root.dtype)]
     for u, stride in edges():
-        v = u + stride
-        joins = root[u] != root[v]
-        kept.append(np.stack([u[joins], v[joins]]))
-    u, v = np.concatenate(kept, axis=1)
-    del kept  # the rounds below need only the joined copy
-    while True:
-        ru, rv = root[u], root[v]
+        ru = root[u]
+        u += stride
+        rv = root[u]
         joins = ru != rv
-        if not joins.any():
-            return root
-        u, v, ru, rv = u[joins], v[joins], ru[joins], rv[joins]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        root = _compress(root)
+        kept.append(np.stack([ru[joins], rv[joins]]))
+        del u, ru, rv, joins  # before edges() builds the next direction's mask
+    a, b = np.concatenate(kept, axis=1)
+    del kept  # the rounds below need only the joined copy
+    if not a.size:
+        return root
+    # the joined roots (np.unique would import numpy.ma); hooking only ever
+    # points one of them at another
+    joined = np.zeros(root.size, dtype=bool)
+    joined[a] = joined[b] = True
+    joined = np.flatnonzero(joined)
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        parent = root[joined]
+        while True:
+            jumped = root[parent]
+            if np.array_equal(jumped, parent):
+                break
+            root[joined] = parent = jumped
+        a, b = root[a], root[b]
+        joins = a != b
+        a, b = a[joins], b[joins]
+    return root[root]
 
 
 def glszm(q: QuantizedVolume) -> TextureMatrix:

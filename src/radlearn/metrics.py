@@ -77,12 +77,17 @@ def metrics(c: ConfusionCounts) -> dict[str, float]:
     }
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank range; NaN ties nothing."""
+def tie_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stable sort order, start, size of each run of equal sorted values)."""
     order = np.argsort(values, kind="mergesort")
     s = values[order]
     start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    size = np.diff(start, append=values.size)
+    return order, start, np.diff(start, append=values.size)
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their rank range; NaN ties nothing."""
+    order, start, size = tie_runs(values)
     ranks = np.empty(values.size, dtype=np.float64)
     ranks[order] = np.repeat(start + (size + 1) / 2.0, size)
     return ranks

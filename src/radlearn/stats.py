@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
-from .metrics import midranks
+from .metrics import midranks, tie_runs
 from .table import FeatureTable
 
 EXACT_LIMIT = 12
@@ -74,7 +74,7 @@ def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:
 
 def _normal_two_sided_p(values: np.ndarray, n1: int, n2: int, u_obs: float) -> float:
     n = n1 + n2
-    _, tie_counts = np.unique(values, return_counts=True)
+    tie_counts = tie_runs(values)[2]
     tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts))
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0:

@@ -380,14 +380,16 @@ def first_order_oracle(x, names):
         var = np.var(x)
         if var == 0:
             return 0.0
-        m3 = np.mean((x - np.mean(x)) ** 3)
+        d = x - np.mean(x)
+        m3 = np.mean(d * d * d)
         return float(m3 / var ** 1.5)
 
     def kurtosis(x):
         var = np.var(x)
         if var == 0:
             return 0.0
-        m4 = np.mean((x - np.mean(x)) ** 4)
+        d = x - np.mean(x)
+        m4 = np.mean((d * d) * (d * d))
         return float(m4 / var ** 2 - 3.0)
 
     statistics = {

@@ -13,6 +13,7 @@ import radlearn
 from radlearn import cli, rfe
 from radlearn.cli import _slices_from_manifest, main
 from radlearn.features.vector import FeatureVector
+from radlearn.stats import EXACT_LIMIT
 
 CONFIG = {
     "phantom": {"n_samples_per_class": 8, "dims": [12, 12, 12],
@@ -277,6 +278,27 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_phantom_extract_filter_never_load_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.3 MB of peak RSS and 8-20 ms to import; np.median
+    # and np.unique import it. 16 samples put filter on the normal approximation.
+    assert 2 * CONFIG["phantom"]["n_samples_per_class"] > EXACT_LIMIT
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    code = (
+        "import sys\n"
+        "from radlearn.cli import main\n"
+        f"root = {str(tmp_path)!r}\n"
+        "for argv in (['phantom', '--out', root + '/phantom'],\n"
+        "             ['extract', '--in', root + '/phantom/manifest.csv', '--out', root + '/extract'],\n"
+        "             ['filter', '--in', root + '/extract/features.csv', '--out', root + '/filter']):\n"
+        "    assert main(argv + ['--config', root + '/config.json']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("stage, doc", [

@@ -1,0 +1,54 @@
+"""Features whose bits must not depend on which SIMD kernels numpy dispatches to.
+
+numpy picks its vectorized ufunc loops at import, by CPU feature, and some of
+them (``pow``, ``log2``, ``exp``) round differently at different levels. The
+features here are built from IEEE multiplies, adds and divides only, so a run
+with the dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``) must give
+the same bytes as one with them on. The GLCM entropies, Imc1 and Imc2 take
+``log2`` and ``exp`` and are left out.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__
+
+from helpers import qvol
+from oracles import random_level_grid
+
+import radlearn
+from radlearn.features import first_order, glcm, glcm_features
+from radlearn.volume import PhantomSpec, generate_phantom
+
+_CLUSTER = ("glcm.ClusterProminence", "glcm.ClusterShade", "glcm.ClusterTendency")
+
+
+def probe() -> str:
+    """Hex bytes of first_order on both 48^3 phantoms of seed 11, and of the
+    three Cluster features of 40 random GLCMs."""
+    values = [first_order(v, m).values
+              for v, m, _ in generate_phantom(PhantomSpec(n_samples_per_class=1,
+                                                          dims=(48, 48, 48), seed=11))]
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        shape = tuple(int(s) for s in rng.integers(3, 9, size=3))
+        n_bins = int(rng.integers(2, 33))
+        fv = glcm_features(glcm(qvol(random_level_grid(rng, shape, n_bins), n_bins)))
+        values.append(np.array([fv[n] for n in _CLUSTER]))
+    return np.concatenate(values).tobytes().hex()
+
+
+def test_same_bits_at_every_numpy_simd_level():
+    # each run switches off one more dispatch target from the top, so together
+    # with this process every level the host offers is visited
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(radlearn.__file__)), os.path.dirname(__file__)])}
+    expected = probe()
+    for i in range(len(__cpu_dispatch__)):
+        disabled = " ".join(__cpu_dispatch__[i:])
+        run = subprocess.run([sys.executable, "-c", "import test_simd_levels as t; print(t.probe())"],
+                             capture_output=True, text=True, check=True,
+                             env={**env, "NPY_DISABLE_CPU_FEATURES": disabled})
+        assert run.stdout.strip() == expected, f"bits differ with {disabled} off"

@@ -25,6 +25,7 @@ from oracles import (
 from radlearn.errors import DataValidationError
 from radlearn.features import glcm, gldm, glrlm, glszm, ngtdm
 from radlearn.features.extract import _crop_to_roi
+from radlearn.features.matrices import _levels, _zone_roots
 from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import PhantomSpec, generate_phantom
 
@@ -288,6 +289,29 @@ def test_glszm_memory_grows_with_voxels_not_edges():
         tracemalloc.stop()
     assert m.data.shape == (1, 48 ** 3) and m.data[0, -1] == 1
     assert peak < 12 * 2 ** 20, f"glszm peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def _zone_roots_peak(lvl):
+    tracemalloc.start()
+    try:
+        _zone_roots(lvl)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_zone_roots_memory_on_96_cubed_grids():
+    # the ROI box of each 96^3 phantom (70^3 entries, about 159K in the ROI);
+    # only the pairs of roots still joined after the first round are kept
+    spec = PhantomSpec(n_samples_per_class=1, dims=(96, 96, 96), seed=91)
+    for v, m, label in generate_phantom(spec):
+        lvl, _ = _levels(_crop_to_roi(quantize_fixed_bins(v, m, 32)))
+        peak = _zone_roots_peak(lvl)
+        assert peak <= 6.5e6, f"class {label}: _zone_roots peaked at {peak / 1e6:.1f} MB"
+    # one zone of 96^3 voxels: the first round joins it all, so the peak is
+    # that round's edge arrays, and no direction's arrays outlive it
+    peak = _zone_roots_peak(np.ones((96, 96, 96), dtype=np.uint8))
+    assert peak <= 26.3e6, f"one zone: _zone_roots peaked at {peak / 1e6:.1f} MB"
 
 
 # --- byte-for-byte equality with the float reference builders ---
