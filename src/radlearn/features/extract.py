@@ -33,17 +33,17 @@ TOTAL_FEATURES = sum(FAMILY_COUNTS.values())
 
 
 def _roi_box(grid: np.ndarray) -> tuple[slice, slice, slice]:
-    """The box of a (nz, ny, nx) grid's nonzero voxels, padded by one voxel within the grid."""
+    """The tight box of a (nz, ny, nx) grid's nonzero voxels."""
     hits = [np.flatnonzero(grid.any(axis=tuple(a for a in range(3) if a != axis)))
             for axis in range(3)]
-    return tuple(slice(max(int(hit[0]) - 1, 0), int(hit[-1]) + 2) for hit in hits)
+    return tuple(slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits)
 
 
 def _crop_to_roi(q: QuantizedVolume) -> QuantizedVolume:
-    """The ROI bounding box plus a one-voxel pad (clipped to the grid).
+    """The ROI bounding box.
 
-    Every texture builder treats out-of-grid voxels like level 0, and all
-    in-mask voxels stay inside the box, so the matrices do not change.
+    Every texture builder borders its grid with level 0, and all in-mask
+    voxels stay inside the box, so the matrices do not change.
     """
     levels = q.as_zyx()[_roi_box(q.as_zyx())]
     nz, ny, nx = levels.shape
@@ -65,8 +65,9 @@ def extract_all(v: Volume, m: RoiMask, n_bins: int = 32, distance: int = 1,
     roi_v = replace(v, dims=voxels.shape[::-1], voxels=voxels)
     roi_m = replace(m, dims=roi_v.dims, bits=m.as_zyx()[box])
     q = quantize_fixed_bins(roi_v, roi_m, n_bins)
-    parts = [
-        first_order(roi_v, roi_m),
+    parts = [first_order(roi_v, roi_m)]
+    del roi_v, roi_m  # the texture matrices need only q
+    parts += [
         shape_2d(m, spacing=v.spacing),
         glcm_features(glcm(q, distance=distance)),
         glrlm_features(glrlm(q)),

@@ -60,9 +60,9 @@ def quantize_fixed_bins(v: Volume, m: RoiMask, n_bins: int = DEFAULT_BINS) -> Qu
     if n_bins < 1:
         raise DataValidationError("n_bins must be >= 1")
     inside = m.bits.astype(bool)
+    levels = np.zeros(v.voxels.size, dtype=np.int32)
     vals = v.voxels[inside].astype(np.float64)
     lo, hi = float(vals.min()), float(vals.max())
-    levels = np.zeros(v.voxels.size, dtype=np.int32)
     if hi == lo:
         levels[inside] = 1
     else:

@@ -452,6 +452,26 @@ def test_out_of_memory_exits_two_with_one_line(tmp_path, stage, section):
     assert run.stderr.count("\n") == 1
 
 
+def test_far_glcm_distance_exits_two_with_one_line(tmp_path):
+    # the builders border the level grid by the distance only along axes
+    # longer than it, so a distance far past the grid allocates nothing more
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 1, "dims": [8, 8, 8]},
+                                  "extraction": {"distance": 100000}}))
+    assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    limit = 3 * 2 ** 30  # a naive border would ask for petabytes
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "radlearn", "extract", "--config", str(config),
+         "--in", str(tmp_path / "p" / "manifest.csv"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 2
+    assert run.stderr == ("radlearn: data error: no co-occurring voxel pairs at the "
+                          "requested distance\n")
+
+
 @pytest.mark.parametrize("stage, section, code", [
     # numpy raises ValueError, not MemoryError, for an array whose size it cannot describe
     ("train", {"train": {"hidden_dense": [10 ** 18]}}, 2),

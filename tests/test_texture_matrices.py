@@ -301,17 +301,66 @@ def _zone_roots_peak(lvl):
 
 
 def test_zone_roots_memory_on_96_cubed_grids():
-    # the ROI box of each 96^3 phantom (70^3 entries, about 159K in the ROI);
-    # only the pairs of roots still joined after the first round are kept
+    # the ROI box of each 96^3 phantom (70^3 entries with the border, about
+    # 159K in the ROI); only the pairs of roots still joined after the first
+    # round are kept
     spec = PhantomSpec(n_samples_per_class=1, dims=(96, 96, 96), seed=91)
     for v, m, label in generate_phantom(spec):
-        lvl, _ = _levels(_crop_to_roi(quantize_fixed_bins(v, m, 32)))
+        lvl = _levels(_crop_to_roi(quantize_fixed_bins(v, m, 32)))[0]
         peak = _zone_roots_peak(lvl)
         assert peak <= 6.5e6, f"class {label}: _zone_roots peaked at {peak / 1e6:.1f} MB"
     # one zone of 96^3 voxels: the first round joins it all, so the peak is
     # that round's edge arrays, and no direction's arrays outlive it
-    peak = _zone_roots_peak(np.ones((96, 96, 96), dtype=np.uint8))
+    peak = _zone_roots_peak(_levels(qvol(np.ones((96, 96, 96)), 1))[0])
     assert peak <= 26.3e6, f"one zone: _zone_roots peaked at {peak / 1e6:.1f} MB"
+
+
+def test_far_glcm_distance_allocates_nothing_beyond_the_box():
+    # no axis of an 8^3 grid is longer than the distance, so the grid gets no
+    # border and no direction fits; a border on every axis would take 7.1 PiB
+    q = qvol(np.random.default_rng(5).integers(0, 5, size=(8, 8, 8)), 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataValidationError, match="no co-occurring voxel pairs"):
+            glcm(q, distance=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * q.levels.size, f"glcm peaked at {peak} B"
+
+
+@st.composite
+def _embedded_cases(draw):
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lvl = rng.integers(1, 5, size=shape) * (rng.random(shape) < draw(st.floats(0.3, 1.0)))
+    lvl[tuple(rng.integers(n) for n in shape)] = 1
+    before = [draw(st.integers(0, 4)) for _ in range(3)]
+    after = [draw(st.integers(0, 4)) for _ in range(3)]
+    return lvl, np.pad(lvl, list(zip(before, after))), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_embedded_cases())
+def test_builders_do_not_see_where_the_grid_sits(case):
+    # a grid and the same grid at an offset in a larger zero grid: the zero
+    # border the builders add must count exactly as these zeros do
+    lvl, embedded, distance = case
+    builders = [(glcm, {"distance": distance}), (glrlm, {}), (glszm, {}), (ngtdm, {}),
+                (gldm, {"alpha": distance - 1})]
+    for builder, kwargs in builders:
+        outcomes = []
+        for grid in (lvl, embedded):
+            try:
+                outcomes.append(builder(qvol(grid, 4), **kwargs).data)
+            except DataValidationError as exc:
+                outcomes.append(str(exc))
+        small, large = outcomes
+        if isinstance(small, str):
+            assert large == small, builder.__name__
+        else:
+            assert large.shape == small.shape, builder.__name__
+            assert large.tobytes() == small.tobytes(), builder.__name__
 
 
 # --- byte-for-byte equality with the float reference builders ---
@@ -393,7 +442,7 @@ def test_constant_cube_reaches_26_neighbors_bytes(n_bins):
     assert gldm(qvol(lvl, n_bins)).data[-1, 26] == 1
 
 
-# the n_bins values at which a narrow type changes: GLCM codes leave int16
+# the n_bins values at which a narrow type changes: GLCM codes once left int16
 # above 180, the level grid leaves uint8 above 255 and uint16 above 65535, and
 # NGTDM level sums leave int16 above 1260
 @pytest.mark.parametrize("n_bins", [180, 181, 182, 255, 256, 1260, 1261, 65535, 65536])
