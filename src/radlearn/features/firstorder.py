@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataValidationError
 from ..histogram import entropy_bits, histogram
 from ..volume import RoiMask, Volume, check_pair
 from .vector import FeatureVector, family_vector
@@ -21,14 +20,9 @@ FIRST_ORDER_FEATURES = ["Mean", "Median", "Variance", "Skewness", "Kurtosis",
                         "Energy", "Entropy", "Minimum", "Maximum"]
 
 
-def first_order(v: Volume, m: RoiMask, names=None) -> FeatureVector:
-    """The first-order statistics over in-mask voxels; ``names`` picks a subset
-    of FIRST_ORDER_FEATURES, in its own order."""
+def first_order(v: Volume, m: RoiMask) -> FeatureVector:
+    """The FIRST_ORDER_FEATURES over in-mask voxels."""
     check_pair(v, m)
-    names = FIRST_ORDER_FEATURES if names is None else names
-    unknown = [n for n in names if n not in FIRST_ORDER_FEATURES]
-    if unknown:
-        raise DataValidationError(f"unknown first-order features: {unknown}")
     x = v.voxels[m.bits.astype(bool)].astype(np.float64)
     mean = np.mean(x)
     dev = x - mean
@@ -53,4 +47,5 @@ def first_order(v: Volume, m: RoiMask, names=None) -> FeatureVector:
         "Minimum": np.min(x),
         "Maximum": np.max(x),
     }
-    return family_vector("firstorder", names, [values[n] for n in names])
+    return family_vector("firstorder", FIRST_ORDER_FEATURES,
+                         [values[n] for n in FIRST_ORDER_FEATURES])

@@ -8,9 +8,14 @@ capped at 1e6, ...) so the pipeline never emits a non-finite number.
 
 Gray level values are the bin indices 1..n_bins; formulas that need a level
 use the value, not the row position. 0*log(0) is taken to be 0 throughout.
+GLRLM, GLSZM and GLDM sum over their occupied cells alone, each sum exactly
+rounded (math.fsum); only their entropies take numpy's log2, whose last bit
+can differ between SIMD levels.
 """
 
 from __future__ import annotations
+
+from math import fsum
 
 import numpy as np
 
@@ -160,40 +165,35 @@ def _run_style_features(counts: np.ndarray):
 
     counts is (n_levels, max_j). The percentage denominator sum(count * j) is
     voxels*directions for runs and voxels for zones; GLDM has no percentage.
-    Each (n_levels, max_j) term is evaluated in one work buffer with the operand
-    order of its plain expression, so to the bit; p = counts / n is redone there.
+    Every sum runs over the occupied cells alone and is exactly rounded
+    (math.fsum), so zero rows and columns change no bit.
     """
-    n = float(counts.sum())
-    iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
-    jv = np.arange(1, counts.shape[1] + 1, dtype=np.float64)[None, :]
+    i, j = np.nonzero(counts)
+    c = counts[i, j]
+    row2 = fsum(np.bincount(i, weights=c) ** 2)
+    col2 = fsum(np.bincount(j, weights=c) ** 2)
+    n = fsum(c)
+    p = c / n
+    iv, jv = i + 1.0, j + 1.0
     iv2, jv2 = iv ** 2, jv ** 2
-    w = np.empty(counts.shape)
-
-    def p():
-        return np.divide(counts, n, out=w)
-
-    def total(op, a, b):
-        return float(np.sum(op(a, b, out=w)))
-
-    mu_i = total(np.multiply, iv, p())
-    mu_j = total(np.multiply, jv, p())
+    mu_i, mu_j = fsum(iv * p), fsum(jv * p)
     return {
-        "short": total(np.divide, counts, jv2) / n,
-        "long": total(np.multiply, counts, jv2) / n,
-        "gln": float(np.sum(counts.sum(axis=1) ** 2) / n),
-        "glnn": float(np.sum(counts.sum(axis=1) ** 2) / n ** 2),
-        "jn": float(np.sum(counts.sum(axis=0) ** 2) / n),
-        "jnn": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
-        "percentage": n / total(np.multiply, counts, jv),
-        "glv": total(np.multiply, (iv - mu_i) ** 2, p()),
-        "jv": total(np.multiply, (jv - mu_j) ** 2, p()),
-        "entropy": entropy_bits(p()),
-        "lgl": total(np.divide, counts, iv2) / n,
-        "hgl": total(np.multiply, counts, iv2) / n,
-        "short_lgl": total(np.divide, counts, np.multiply(iv2, jv2, out=w)) / n,
-        "short_hgl": total(np.divide, np.multiply(counts, iv2, out=w), jv2) / n,
-        "long_lgl": total(np.divide, np.multiply(counts, jv2, out=w), iv2) / n,
-        "long_hgl": total(np.multiply, np.multiply(counts, iv2, out=w), jv2) / n,
+        "short": fsum(c / jv2) / n,
+        "long": fsum(c * jv2) / n,
+        "gln": row2 / n,
+        "glnn": row2 / n ** 2,
+        "jn": col2 / n,
+        "jnn": col2 / n ** 2,
+        "percentage": n / fsum(c * jv),
+        "glv": fsum((iv - mu_i) ** 2 * p),
+        "jv": fsum((jv - mu_j) ** 2 * p),
+        "entropy": -fsum(p * np.log2(p)),
+        "lgl": fsum(c / iv2) / n,
+        "hgl": fsum(c * iv2) / n,
+        "short_lgl": fsum(c / (iv2 * jv2)) / n,
+        "short_hgl": fsum(c * iv2 / jv2) / n,
+        "long_lgl": fsum(c * jv2 / iv2) / n,
+        "long_hgl": fsum(c * iv2 * jv2) / n,
     }
 
 

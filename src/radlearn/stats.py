@@ -111,8 +111,7 @@ def filter_significant(t: FeatureTable, alpha: float = 0.05) -> SignificanceRepo
         raise DataValidationError("significance filtering requires both classes")
     report = SignificanceReport(alpha=alpha)
     for name in t.feature_names:
-        col = t.column(name)
-        result = mann_whitney_u(col[labels == 0], col[labels == 1])
+        result = mann_whitney_u(*t.class_split(name))
         report.features.append(FeatureSignificance(
             name=name, p_value=result.p_value, significant=result.p_value <= alpha))
     return report

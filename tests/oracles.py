@@ -9,6 +9,7 @@ builders, kept verbatim so tests can pin their successors byte for byte.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -326,32 +327,39 @@ def phantom_full_grid_reference(dims, n_samples_per_class, texture_amplitude, no
 
 
 def run_style_features_reference(counts):
-    """The GLRLM/GLSZM/GLDM quantities as plain numpy expressions, each making
-    its own full-size temporaries; keys in the package's order."""
-    n = float(counts.sum())
-    iv = np.arange(1, counts.shape[0] + 1, dtype=np.float64)[:, None]
-    jv = np.arange(1, counts.shape[1] + 1, dtype=np.float64)[None, :]
-    p = counts / n
-    mu_i = float(np.sum(iv * p))
-    mu_j = float(np.sum(jv * p))
-    nonzero = p[p > 0]
+    """The GLRLM/GLSZM/GLDM quantities over the occupied cells of ``counts`` in
+    row-major order: each per-cell term is one numpy expression, and each sum
+    is exact in Fraction and rounded once to float; keys in the package's order."""
+    def exact_sum(terms):
+        return float(sum((Fraction(t) for t in terms.tolist()), Fraction(0)))
+
+    occupied = counts > 0
+    c = counts[occupied]
+    iv = np.broadcast_to(np.arange(1.0, counts.shape[0] + 1)[:, None], counts.shape)[occupied]
+    jv = np.broadcast_to(np.arange(1.0, counts.shape[1] + 1)[None, :], counts.shape)[occupied]
+    row2 = counts.sum(axis=1) ** 2
+    col2 = counts.sum(axis=0) ** 2
+    n = exact_sum(c)
+    p = c / n
+    mu_i = exact_sum(iv * p)
+    mu_j = exact_sum(jv * p)
     return {
-        "short": float(np.sum(counts / jv ** 2) / n),
-        "long": float(np.sum(counts * jv ** 2) / n),
-        "gln": float(np.sum(counts.sum(axis=1) ** 2) / n),
-        "glnn": float(np.sum(counts.sum(axis=1) ** 2) / n ** 2),
-        "jn": float(np.sum(counts.sum(axis=0) ** 2) / n),
-        "jnn": float(np.sum(counts.sum(axis=0) ** 2) / n ** 2),
-        "percentage": float(n / float(np.sum(counts * jv))),
-        "glv": float(np.sum((iv - mu_i) ** 2 * p)),
-        "jv": float(np.sum((jv - mu_j) ** 2 * p)),
-        "entropy": float(-np.sum(nonzero * np.log2(nonzero))),
-        "lgl": float(np.sum(counts / iv ** 2) / n),
-        "hgl": float(np.sum(counts * iv ** 2) / n),
-        "short_lgl": float(np.sum(counts / (iv ** 2 * jv ** 2)) / n),
-        "short_hgl": float(np.sum(counts * iv ** 2 / jv ** 2) / n),
-        "long_lgl": float(np.sum(counts * jv ** 2 / iv ** 2) / n),
-        "long_hgl": float(np.sum(counts * iv ** 2 * jv ** 2) / n),
+        "short": exact_sum(c / jv ** 2) / n,
+        "long": exact_sum(c * jv ** 2) / n,
+        "gln": exact_sum(row2) / n,
+        "glnn": exact_sum(row2) / n ** 2,
+        "jn": exact_sum(col2) / n,
+        "jnn": exact_sum(col2) / n ** 2,
+        "percentage": n / exact_sum(c * jv),
+        "glv": exact_sum((iv - mu_i) ** 2 * p),
+        "jv": exact_sum((jv - mu_j) ** 2 * p),
+        "entropy": -exact_sum(p * np.log2(p)),
+        "lgl": exact_sum(c / iv ** 2) / n,
+        "hgl": exact_sum(c * iv ** 2) / n,
+        "short_lgl": exact_sum(c / (iv ** 2 * jv ** 2)) / n,
+        "short_hgl": exact_sum(c * iv ** 2 / jv ** 2) / n,
+        "long_lgl": exact_sum(c * jv ** 2 / iv ** 2) / n,
+        "long_hgl": exact_sum(c * iv ** 2 * jv ** 2) / n,
     }
 
 

@@ -199,10 +199,8 @@ def test_quantizing_the_box_keeps_every_feature_on_phantoms(dims, spacing):
         assert got.values.tobytes() == expected.values.tobytes()
 
 
-def test_extract_all_memory_is_bounded_by_the_roi():
-    # the volume is cropped before quantizing, GLSZM keeps int32 indices and one
-    # direction mask at a time, and the zone features use one work buffer: it
-    # peaks at about 81 B per ROI voxel here, against 143 B without these
+def _extract_all_peak_per_roi_voxel():
+    """The tracemalloc peak of extract_all on the seed-91 class-1 96^3 phantom."""
     (_, _, v0, m), (_, label, v1, _) = iter_phantom(
         PhantomSpec(n_samples_per_class=1, dims=(96, 96, 96), seed=91))
     assert label == 1
@@ -213,4 +211,18 @@ def test_extract_all_memory_is_bounded_by_the_roi():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 90 * m.count(), f"extract_all peaked at {peak / m.count():.1f} B per ROI voxel"
+    return peak / m.count()
+
+
+def test_extract_all_memory_is_bounded_by_the_roi():
+    # the volume is cropped before quantizing, GLSZM keeps int32 indices and one
+    # direction mask at a time, and the run-style features read only the occupied
+    # cells: it peaks at about 48 B per ROI voxel here, against 143 B without these
+    peak = _extract_all_peak_per_roi_voxel()
+    assert peak <= 90, f"extract_all peaked at {peak:.1f} B per ROI voxel"
+
+
+def test_extract_all_memory_stays_under_60_bytes_per_roi_voxel():
+    # the run-style features read only the occupied cells of the 4.5 MB GLSZM matrix
+    peak = _extract_all_peak_per_roi_voxel()
+    assert peak <= 60, f"extract_all peaked at {peak:.1f} B per ROI voxel"

@@ -53,12 +53,6 @@ def test_empty_mask_rejected():
         first_order(v, m)
 
 
-def test_registry_rejects_unknown_name():
-    v = vol_from_values([1.0, 2.0], dims=(2, 1, 1))
-    with pytest.raises(DataValidationError):
-        first_order(v, full_mask((2, 1, 1)), names=["Mean", "NotAFeature"])
-
-
 @given(st.lists(st.integers(min_value=-500, max_value=500), min_size=2, max_size=30),
        st.integers(min_value=-100, max_value=100))
 @settings(max_examples=60, deadline=None)
@@ -101,12 +95,3 @@ def test_degenerate_regions_match_oracle_bytes(values, dims):
     x = v.voxels.astype(np.float64)
     got = first_order(v, full_mask(dims))
     assert got.values.tobytes() == first_order_oracle(x, FIRST_ORDER_FEATURES).tobytes()
-
-
-def test_named_subset_keeps_its_order_and_bytes():
-    (v, m, _), _ = _phantom((12, 12, 12), 0.1, 2.0)
-    names = ["Kurtosis", "Entropy", "Mean", "Skewness"]
-    got = first_order(v, m, names=names)
-    x = v.voxels[m.bits.astype(bool)].astype(np.float64)
-    assert got.names == [f"firstorder.{n}" for n in names]
-    assert got.values.tobytes() == first_order_oracle(x, names).tobytes()

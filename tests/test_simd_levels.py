@@ -5,7 +5,8 @@ them (``pow``, ``log2``, ``exp``) round differently at different levels. The
 features here are built from IEEE multiplies, adds and divides only, so a run
 with the dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``) must give
 the same bytes as one with them on. The GLCM entropies, Imc1 and Imc2 take
-``log2`` and ``exp`` and are left out.
+``log2`` and ``exp`` and are left out, as are the GLRLM, GLSZM and GLDM
+entropies, which take ``log2``.
 """
 
 import os
@@ -19,18 +20,26 @@ from helpers import qvol
 from oracles import random_level_grid
 
 import radlearn
-from radlearn.features import first_order, glcm, glcm_features
+from radlearn.features import (first_order, glcm, glcm_features, gldm, gldm_features, glrlm,
+                               glrlm_features, glszm, glszm_features)
+from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import PhantomSpec, generate_phantom
 
 _CLUSTER = ("glcm.ClusterProminence", "glcm.ClusterShade", "glcm.ClusterTendency")
+_ENTROPIES = ("glrlm.RunEntropy", "glszm.ZoneEntropy", "gldm.DependenceEntropy")
 
 
 def probe() -> str:
-    """Hex bytes of first_order on both 48^3 phantoms of seed 11, and of the
-    three Cluster features of 40 random GLCMs."""
-    values = [first_order(v, m).values
-              for v, m, _ in generate_phantom(PhantomSpec(n_samples_per_class=1,
-                                                          dims=(48, 48, 48), seed=11))]
+    """Hex bytes of first_order and the GLRLM, GLSZM and GLDM features but their
+    entropies on both 48^3 phantoms of seed 11, and of the three Cluster
+    features of 40 random GLCMs."""
+    values = []
+    for v, m, _ in generate_phantom(PhantomSpec(n_samples_per_class=1, dims=(48, 48, 48),
+                                                seed=11)):
+        q = quantize_fixed_bins(v, m, 32)
+        values.append(first_order(v, m).values)
+        for fv in (glrlm_features(glrlm(q)), glszm_features(glszm(q)), gldm_features(gldm(q))):
+            values.append(np.array([fv[n] for n in fv.names if n not in _ENTROPIES]))
     rng = np.random.default_rng(29)
     for _ in range(40):
         shape = tuple(int(s) for s in rng.integers(3, 9, size=3))

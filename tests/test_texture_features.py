@@ -214,13 +214,38 @@ def test_run_style_features_match_plain_expressions_bytes(shape, seed):
     _assert_same_run_style_bytes(wide[:, : shape[1]])
 
 
-def test_run_style_features_match_plain_expressions_on_a_96_cubed_glszm():
+def _class1_96_cubed_glszm():
     *_, (_, label, v, m) = iter_phantom(PhantomSpec(n_samples_per_class=1, dims=(96, 96, 96),
                                                     seed=91))
     assert label == 1
     matrix = glszm(_crop_to_roi(quantize_fixed_bins(v, m, 32))).data
     assert matrix.shape[1] > 10_000
-    _assert_same_run_style_bytes(matrix)
+    return matrix
+
+
+def test_run_style_features_match_plain_expressions_on_a_96_cubed_glszm():
+    _assert_same_run_style_bytes(_class1_96_cubed_glszm())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_style_features_ignore_zero_padding(seed):
+    rng = np.random.default_rng(seed)
+    counts = (rng.integers(0, 50, size=(8, 27)) * (rng.random((8, 27)) < 0.3)).astype(np.float64)
+    counts[rng.integers(8), rng.integers(27)] += 1
+    padded = np.pad(counts, ((0, 5), (0, 400)))
+    got, expected = _run_style_features(padded), _run_style_features(counts)
+    assert np.array(list(got.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
+
+def test_run_style_features_memory_is_bounded_by_the_occupied_cells():
+    matrix = _class1_96_cubed_glszm()  # 32 x 17,412 cells, 149 of them occupied
+    tracemalloc.start()
+    try:
+        _run_style_features(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"_run_style_features peaked at {peak} B"
 
 
 def _random_glcm(rng, n_levels):
