@@ -19,7 +19,7 @@ All builders share the same geometric conventions:
   so NGTDM neighbor counts and GLDM dependence counts are uint8, NGTDM level
   sums (of at most 26 levels) take the narrowest signed type that holds
   26 * n_bins, GLCM joint codes are intp, and GLCM pair counts are int64.
-  Every matrix is therefore the one float64 accumulation gives, bit for bit.
+  No voxel order or array layout therefore enters any matrix.
 
 Matrix layouts:
 
@@ -27,7 +27,7 @@ Matrix layouts:
 * GLRLM: (n_bins, J) integer run counts, J = longest observed run.
 * GLSZM: (n_bins, S) integer zone counts, S = largest observed zone,
   zones being 26-connected equal-level components.
-* NGTDM: (n_bins, 3) columns [n_i, p_i, s_i].
+* NGTDM: (n_bins, 3) columns [n_i, p_i, s_i], s_i from exact integer sums.
 * GLDM:  (n_bins, 27) integer counts, column j = number of in-mask
   26-neighbors within the level tolerance alpha.
 """
@@ -55,7 +55,6 @@ DIRECTIONS_13 = (
 class TextureMatrix:
     kind: str  # GLCM | GLRLM | GLSZM | NGTDM | GLDM
     data: np.ndarray
-    n_levels: int
 
 
 def _neighbors(lvl: np.ndarray, directions=DIRECTIONS_13, distance: int = 1):
@@ -108,7 +107,7 @@ def glcm(q: QuantizedVolume, distance: int = 1, directions=None) -> TextureMatri
     total = counts.sum()
     if total == 0:
         raise DataValidationError("no co-occurring voxel pairs at the requested distance")
-    return TextureMatrix(kind="GLCM", data=counts / total, n_levels=nb)
+    return TextureMatrix(kind="GLCM", data=counts / total)
 
 
 def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
@@ -139,7 +138,7 @@ def glrlm(q: QuantizedVolume, directions=None) -> TextureMatrix:
     n_i = np.bincount(flat, minlength=nb + 1)[1:]
     matrix[:, 0] = len(dirs) * n_i - matrix @ np.arange(1, matrix.shape[1] + 1)
     last = int(np.max(np.nonzero(matrix.any(axis=0))[0])) if matrix.any() else 0
-    return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1], n_levels=nb)
+    return TextureMatrix(kind="GLRLM", data=matrix[:, : last + 1])
 
 
 def _zone_roots(lvl: np.ndarray) -> np.ndarray:
@@ -213,7 +212,7 @@ def glszm(q: QuantizedVolume) -> TextureMatrix:
     sizes = sizes[zones]  # the box-sized counts go before the matrix comes
     matrix = np.zeros((nb, sizes.max()), dtype=np.float64)
     np.add.at(matrix, (flat[zones] - 1, sizes - 1), 1.0)
-    return TextureMatrix(kind="GLSZM", data=matrix, n_levels=nb)
+    return TextureMatrix(kind="GLSZM", data=matrix)
 
 
 def ngtdm(q: QuantizedVolume) -> TextureMatrix:
@@ -235,17 +234,16 @@ def ngtdm(q: QuantizedVolume) -> TextureMatrix:
         nsum[dst] += flat[src]
         ncnt[src] += mask_u8[dst]
         ncnt[dst] += mask_u8[src]
-    has_nb = mask & (ncnt > 0)
-    level = flat[has_nb]
-    # the division casts both operands to float64, as if they had been
-    # summed in float64; |mean - level| is |level - mean| to the bit
-    deviation = nsum[has_nb] / ncnt[has_nb]
-    deviation -= level
-    np.abs(deviation, out=deviation)
-    n_i = np.bincount(flat[mask] - 1, minlength=nb).astype(np.float64)
-    s_i = np.bincount(level - 1, weights=deviation, minlength=nb)
+    level, k = flat[mask], ncnt[mask]
+    # s_i = sum_k N(i, k) / k, N(i, k) = sum |level * k - nsum| over the level-i
+    # voxels with k neighbors: integers of at most 26 * nb, which one float64
+    # bincount sums exactly, in any order, while 26 * nb * voxels < 2^53
+    dev = np.abs(nsum[mask] - np.multiply(level, k, dtype=nsum.dtype))
+    num = np.bincount((level - 1).astype(np.intp) * 27 + k, weights=dev, minlength=nb * 27)
+    s_i = (num.reshape(nb, 27)[:, 1:] / np.arange(1, 27)).sum(axis=1)
+    n_i = np.bincount(level - 1, minlength=nb).astype(np.float64)
     p_i = n_i / n_i.sum()
-    return TextureMatrix(kind="NGTDM", data=np.column_stack([n_i, p_i, s_i]), n_levels=nb)
+    return TextureMatrix(kind="NGTDM", data=np.column_stack([n_i, p_i, s_i]))
 
 
 def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
@@ -268,4 +266,4 @@ def gldm(q: QuantizedVolume, alpha: int = 0) -> TextureMatrix:
         dep[dst] += ok
     code = (flat[mask] - 1).astype(np.intp) * 27 + dep[mask]
     matrix = np.bincount(code, minlength=nb * 27).reshape(nb, 27).astype(np.float64)
-    return TextureMatrix(kind="GLDM", data=matrix, n_levels=nb)
+    return TextureMatrix(kind="GLDM", data=matrix)

@@ -72,19 +72,6 @@ def _check_kind(m: TextureMatrix, kind: str) -> None:
         raise DataValidationError(f"expected a {kind} matrix, got {m.kind}")
 
 
-def _mcc_q(p: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) px(k)), for blocks of rows of
-    about 64K terms each: memory is quadratic in the occupied levels, not cubic,
-    and each cell is the same sum of the same terms as in one 3-D array."""
-    q = np.empty(p.shape)
-    step = max(1, 65536 // p.size)
-    for i in range(0, len(p), step):
-        rows = slice(i, i + step)
-        q[rows] = ((p[rows, None, :] * p[None, :, :])
-                   / (px[rows, None, None] * px[None, None, :])).sum(axis=2)
-    return q
-
-
 def glcm_features(m: TextureMatrix) -> FeatureVector:
     _check_kind(m, "GLCM")
     if abs(float(m.data.sum()) - 1.0) > 1e-9:
@@ -128,8 +115,9 @@ def glcm_features(m: TextureMatrix) -> FeatureVector:
         correlation = 1.0 if sigma2 == 0 else float((autocorrelation - mu * mu) / sigma2)
         imc1 = 0.0 if hx == 0 else float((joint_entropy - hxy1) / hx)
         imc2 = float(np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - joint_entropy)))))
-        eigs = np.sort(np.linalg.eigvals(_mcc_q(p, px)).real)
-        mcc = float(np.sqrt(min(max(eigs[-2], 0.0), 1.0)))
+        # the second-largest singular value of p / sqrt(px_i px_j), the largest
+        # being 1; Q = D^-1 p D^-1 p, D = diag(px), is similar to its square
+        mcc = min(float(np.sort(np.abs(np.linalg.eigvalsh(p / np.sqrt(pxpy))))[-2]), 1.0)
 
     values = {
         "Autocorrelation": autocorrelation,
@@ -168,8 +156,9 @@ def _run_style_features(counts: np.ndarray):
     Every sum runs over the occupied cells alone and is exactly rounded
     (math.fsum), so zero rows and columns change no bit.
     """
-    i, j = np.nonzero(counts)
-    c = counts[i, j]
+    flat = np.flatnonzero(counts)
+    i, j = np.divmod(flat, counts.shape[1])
+    c = counts.ravel()[flat]
     row2 = fsum(np.bincount(i, weights=c) ** 2)
     col2 = fsum(np.bincount(j, weights=c) ** 2)
     n = fsum(c)
@@ -200,6 +189,8 @@ def _run_style_features(counts: np.ndarray):
 def _run_family(m: TextureMatrix, kind: str, names, keys=None) -> FeatureVector:
     """``names`` in the key order of _run_style_features, or of ``keys``."""
     _check_kind(m, kind)
+    if not m.data.any():
+        raise DataValidationError(f"{kind} matrix has no occupied cell")
     stats = _run_style_features(m.data)
     return family_vector(kind.lower(), names, [stats[k] for k in keys or stats])
 

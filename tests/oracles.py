@@ -4,7 +4,8 @@ Everything here is deliberately naive: explicit nested loops over voxels,
 neighbors, and assignments, with no code shared with the package. Shapes and
 conventions mirror the documented matrix layouts so results compare exactly.
 The ``*_float_reference`` builders are the exception: earlier vectorized
-builders, kept verbatim so tests can pin their successors byte for byte.
+builders (NGTDM's with its exact s_i rule), kept so tests can pin their
+successors byte for byte.
 """
 
 import itertools
@@ -233,22 +234,23 @@ def glrlm_float_reference(lvl, n_bins, directions=None):
 
 
 def ngtdm_float_reference(lvl_int, n_bins):
-    """NGTDM with float64 level sums and int64 neighbor counts."""
-    lvl = lvl_int.astype(np.float64)
+    """NGTDM with int64 level sums and neighbor counts, and s_i = sum over k of
+    N(i, k) / k, N(i, k) the int64 sum of |level * k - level sum| over the
+    level-i voxels with k in-mask neighbors, binned with ``np.add.at``."""
+    lvl = lvl_int.astype(np.int64)
     nb = n_bins
     mask = lvl > 0
-    nsum = np.zeros(lvl.shape, dtype=np.float64)
+    nsum = np.zeros(lvl.shape, dtype=np.int64)
     ncnt = np.zeros(lvl.shape, dtype=np.int64)
     for src, dst, _ in _neighbors_ref(lvl):
         nsum[src] += lvl[dst]
         nsum[dst] += lvl[src]
         ncnt[src] += mask[dst]
         ncnt[dst] += mask[src]
-    has_nb = mask & (ncnt > 0)
-    deviation = np.zeros(lvl.shape, dtype=np.float64)
-    deviation[has_nb] = np.abs(lvl[has_nb] - nsum[has_nb] / ncnt[has_nb])
+    num = np.zeros((nb, 27), dtype=np.int64)
+    np.add.at(num, (lvl[mask] - 1, ncnt[mask]), np.abs(lvl[mask] * ncnt[mask] - nsum[mask]))
+    s_i = (num[:, 1:].astype(np.float64) / np.arange(1, 27)).sum(axis=1)
     n_i = np.bincount(lvl_int[mask] - 1, minlength=nb).astype(np.float64)
-    s_i = np.bincount(lvl_int[has_nb] - 1, weights=deviation[has_nb], minlength=nb)
     p_i = n_i / n_i.sum()
     return np.column_stack([n_i, p_i, s_i])
 

@@ -2,11 +2,11 @@
 
 numpy picks its vectorized ufunc loops at import, by CPU feature, and some of
 them (``pow``, ``log2``, ``exp``) round differently at different levels. The
-features here are built from IEEE multiplies, adds and divides only, so a run
-with the dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``) must give
-the same bytes as one with them on. The GLCM entropies, Imc1 and Imc2 take
-``log2`` and ``exp`` and are left out, as are the GLRLM, GLSZM and GLDM
-entropies, which take ``log2``.
+features here are built from IEEE multiplies, adds, divides and square roots,
+and GLCM's MCC from one LAPACK eigen-solve, so a run with the dispatch targets
+switched off (``NPY_DISABLE_CPU_FEATURES``) must give the same bytes as one
+with them on. The GLCM entropies, Imc1 and Imc2 take ``log2`` and ``exp`` and
+are left out, as are the GLRLM, GLSZM and GLDM entropies, which take ``log2``.
 """
 
 import os
@@ -21,31 +21,38 @@ from oracles import random_level_grid
 
 import radlearn
 from radlearn.features import (first_order, glcm, glcm_features, gldm, gldm_features, glrlm,
-                               glrlm_features, glszm, glszm_features)
+                               glrlm_features, glszm, glszm_features, ngtdm, ngtdm_features)
 from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import PhantomSpec, generate_phantom
 
-_CLUSTER = ("glcm.ClusterProminence", "glcm.ClusterShade", "glcm.ClusterTendency")
+_GLCM = ("glcm.ClusterProminence", "glcm.ClusterShade", "glcm.ClusterTendency", "glcm.MCC")
 _ENTROPIES = ("glrlm.RunEntropy", "glszm.ZoneEntropy", "gldm.DependenceEntropy")
 
 
 def probe() -> str:
-    """Hex bytes of first_order and the GLRLM, GLSZM and GLDM features but their
-    entropies on both 48^3 phantoms of seed 11, and of the three Cluster
-    features of 40 random GLCMs."""
+    """Hex bytes of first_order, the GLRLM, GLSZM and GLDM features but their
+    entropies, and the NGTDM features on both 48^3 phantoms of seed 11, and of
+    the NGTDM features and the three Cluster features and MCC of GLCM on both
+    phantoms and 40 random grids."""
     values = []
+
+    def glcm_and_ngtdm(q):
+        fv = glcm_features(glcm(q))
+        values.append(np.array([fv[n] for n in _GLCM]))
+        values.append(ngtdm_features(ngtdm(q)).values)
+
     for v, m, _ in generate_phantom(PhantomSpec(n_samples_per_class=1, dims=(48, 48, 48),
                                                 seed=11)):
         q = quantize_fixed_bins(v, m, 32)
         values.append(first_order(v, m).values)
         for fv in (glrlm_features(glrlm(q)), glszm_features(glszm(q)), gldm_features(gldm(q))):
             values.append(np.array([fv[n] for n in fv.names if n not in _ENTROPIES]))
+        glcm_and_ngtdm(q)
     rng = np.random.default_rng(29)
     for _ in range(40):
         shape = tuple(int(s) for s in rng.integers(3, 9, size=3))
         n_bins = int(rng.integers(2, 33))
-        fv = glcm_features(glcm(qvol(random_level_grid(rng, shape, n_bins), n_bins)))
-        values.append(np.array([fv[n] for n in _CLUSTER]))
+        glcm_and_ngtdm(qvol(random_level_grid(rng, shape, n_bins), n_bins))
     return np.concatenate(values).tobytes().hex()
 
 

@@ -28,13 +28,13 @@ from radlearn.features import (
     ngtdm_features,
 )
 from radlearn.features.extract import _crop_to_roi
-from radlearn.features.texture_features import _mcc_q, _run_style_features
+from radlearn.features.texture_features import _run_style_features
 from radlearn.quantize import quantize_fixed_bins
 from radlearn.volume import PhantomSpec, iter_phantom
 
 
 def test_glcm_two_level_diagonal_matrix():
-    m = TextureMatrix(kind="GLCM", data=np.array([[0.5, 0.0], [0.0, 0.5]]), n_levels=2)
+    m = TextureMatrix(kind="GLCM", data=np.array([[0.5, 0.0], [0.0, 0.5]]))
     fv = glcm_features(m)
     assert fv["glcm.JointEnergy"] == pytest.approx(0.5)
     assert fv["glcm.Contrast"] == 0.0
@@ -75,7 +75,7 @@ def test_glcm_checkerboard_contrast_one():
 
 
 def test_glcm_unnormalized_matrix_rejected():
-    m = TextureMatrix(kind="GLCM", data=np.array([[2.0, 0.0], [0.0, 2.0]]), n_levels=2)
+    m = TextureMatrix(kind="GLCM", data=np.array([[2.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(DataValidationError, match="normalized"):
         glcm_features(m)
 
@@ -189,6 +189,14 @@ def test_all_families_finite_on_random_and_degenerate_grids():
             assert np.all(np.isfinite(fv.values))
 
 
+@pytest.mark.parametrize("kind, features", [("GLRLM", glrlm_features),
+                                             ("GLSZM", glszm_features),
+                                             ("GLDM", gldm_features)])
+def test_empty_run_style_matrix_rejected(kind, features):
+    with pytest.raises(DataValidationError, match=f"^{kind} matrix has no occupied cell$"):
+        features(TextureMatrix(kind=kind, data=np.zeros((3, 4))))
+
+
 def test_kind_mismatch_rejected():
     lvl = np.ones((2, 2, 1), dtype=np.int32)
     with pytest.raises(DataValidationError):
@@ -256,33 +264,49 @@ def _random_glcm(rng, n_levels):
     return p / p.sum()
 
 
-def _assert_same_mcc_q_bytes(p):
-    px = p.sum(axis=1)
-    assert _mcc_q(p, px).tobytes() == mcc_q_reference(p, px).tobytes()
+def _mcc(p):
+    return glcm_features(TextureMatrix(kind="GLCM", data=np.asarray(p)))["glcm.MCC"]
+
+
+def _assert_mcc_squared_is_the_second_eigenvalue_of_q(p):
+    """MCC^2 against Q built as one (L, L, L) array; the tests keep the names of
+    the byte checks of a blocked Q sum that this replaced."""
+    occ = p.sum(axis=1) > 0
+    p_occ = p[np.ix_(occ, occ)]
+    eigs = np.sort(np.linalg.eigvals(mcc_q_reference(p_occ, p_occ.sum(axis=1))).real)
+    assert abs(_mcc(p) ** 2 - eigs[-2]) <= 1e-12
 
 
 @pytest.mark.parametrize("n_levels", [2, 5, 40, 97, 200])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mcc_matrix_matches_one_3d_array_bytes(n_levels, seed):
-    # 97 levels take blocks of 6 rows and a shorter last one; 200 take single rows
-    _assert_same_mcc_q_bytes(_random_glcm(np.random.default_rng(seed), n_levels))
+    _assert_mcc_squared_is_the_second_eigenvalue_of_q(
+        _random_glcm(np.random.default_rng(seed), n_levels))
 
 
 @pytest.mark.parametrize("n_bins", [32, 256])
 def test_mcc_matrix_matches_one_3d_array_on_phantom_glcms(n_bins):
     for _, _, v, m in iter_phantom(PhantomSpec(n_samples_per_class=1, dims=(16, 16, 16),
                                                seed=5)):
-        data = glcm(quantize_fixed_bins(v, m, n_bins)).data
-        occ = data.sum(axis=1) > 0
-        _assert_same_mcc_q_bytes(data[np.ix_(occ, occ)])
+        _assert_mcc_squared_is_the_second_eigenvalue_of_q(
+            glcm(quantize_fixed_bins(v, m, n_bins)).data)
+
+
+def test_mcc_hand_cases():
+    # each level co-occurs only with itself: fully dependent
+    assert abs(_mcc(np.diag([0.1, 0.2, 0.3, 0.4])) - 1.0) <= 1e-15
+    # independent levels, p = px px^T: no correlation at all
+    px = np.array([0.1, 0.2, 0.3, 0.4])
+    assert abs(_mcc(np.outer(px, px))) <= 1e-12
+    # two levels that only ever meet each other
+    assert abs(_mcc([[0.0, 0.5], [0.5, 0.0]]) - 1.0) <= 1e-15
 
 
 def test_glcm_features_memory_is_quadratic_in_the_levels():
     # one (L, L, L) array of MCC terms would be 140 MB at 260 levels and take
-    # the call near 271 MB; summed a block of rows at a time, the call peaks at
-    # about 4.3 MB, mostly (L, L) temporaries of the other features
-    m = TextureMatrix(kind="GLCM", data=_random_glcm(np.random.default_rng(3), 260),
-                      n_levels=260)
+    # the call near 271 MB; MCC takes the eigenvalues of one (L, L) matrix, so
+    # the call's peak is (L, L) temporaries
+    m = TextureMatrix(kind="GLCM", data=_random_glcm(np.random.default_rng(3), 260))
     glcm_features(m)  # the first call also imports what numpy loads lazily
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 """Matrix builders against brute-force enumeration oracles and hand cases."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,8 @@ from oracles import (
 )
 
 from radlearn.errors import DataValidationError
-from radlearn.features import glcm, gldm, glrlm, glszm, ngtdm
+from radlearn.features import (glcm, glcm_features, gldm, gldm_features, glrlm, glrlm_features,
+                               glszm, glszm_features, ngtdm, ngtdm_features)
 from radlearn.features.extract import _crop_to_roi
 from radlearn.features.matrices import _levels, _zone_roots
 from radlearn.quantize import quantize_fixed_bins
@@ -478,3 +480,40 @@ def test_ngtdm_and_gldm_memory_is_bounded_by_the_grid():
             tracemalloc.stop()
         per_voxel = peak / lvl.size
         assert per_voxel < bound, f"{builder.__name__} peaked at {per_voxel:.1f} B/voxel"
+
+
+def _symmetries(lvl):
+    """The grid under each of the 6 axis permutations x 8 flips."""
+    for axes in itertools.permutations(range(3)):
+        for flips in itertools.product((False, True), repeat=3):
+            t = np.transpose(lvl, axes)
+            yield t[tuple(slice(None, None, -1 if f else 1) for f in flips)]
+
+
+def _family_outcomes(lvl, n_bins):
+    """(matrix bytes, feature bytes) of every family, or the refusal message."""
+    q = qvol(lvl, n_bins)
+    cases = [(glcm, glcm_features, {"distance": 1}), (glcm, glcm_features, {"distance": 2}),
+             (glrlm, glrlm_features, {}), (glszm, glszm_features, {}),
+             (ngtdm, ngtdm_features, {}), (gldm, gldm_features, {"alpha": 0}),
+             (gldm, gldm_features, {"alpha": 1})]
+    outcomes = []
+    for builder, features, kwargs in cases:
+        try:
+            m = builder(q, **kwargs)
+            outcomes.append((m.data.shape, m.data.tobytes(), features(m).values.tobytes()))
+        except DataValidationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_every_texture_family_ignores_the_48_grid_symmetries():
+    # no voxel order or array layout may enter a matrix or its features
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        shape = tuple(int(s) for s in rng.integers(3, 9, size=3))
+        n_bins = int(rng.integers(2, 9))
+        lvl = random_level_grid(rng, shape, n_bins)
+        expected = _family_outcomes(lvl, n_bins)
+        for grid in _symmetries(lvl):
+            assert _family_outcomes(grid, n_bins) == expected
