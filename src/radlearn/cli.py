@@ -33,7 +33,7 @@ from . import diagnostics
 from . import rfe as rfe_mod
 from . import stats
 from . import table as table_mod
-from .config import PipelineConfig, default_config, load_config
+from .config import PipelineConfig, SeedsSection, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
 from .jsonio import read_csv, read_json, write_csv, write_json
@@ -294,9 +294,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a nonnegative integer")
-            cfg.override_seeds(args.seed)
+            cfg.seeds = SeedsSection(**{f.name: args.seed for f in fields(SeedsSection)})
         run, required, optional = _COMMANDS[args.command]
         got = len(args.in_paths or ())
         if not len(required) <= got <= len(required) + bool(optional):

@@ -107,14 +107,7 @@ def cut(dg: Dendrogram, k: int) -> list[list[str]]:
     return sorted((sorted(c) for c in members.values()), key=lambda c: c[0])
 
 
-def dendrogram_to_json(dg: Dendrogram) -> dict:
-    return {
-        "leaf_names": dg.leaf_names,
-        "merges": [
-            {"node_a": a, "node_b": b, "height": h} for a, b, h in dg.merges
-        ],
-    }
-
-
 def save_dendrogram(dg: Dendrogram, path) -> None:
-    write_json(dendrogram_to_json(dg), path)
+    write_json({"leaf_names": dg.leaf_names,
+                "merges": [{"node_a": a, "node_b": b, "height": h} for a, b, h in dg.merges]},
+               path)

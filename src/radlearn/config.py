@@ -113,10 +113,6 @@ class PipelineConfig:
     diagnose: DiagnosticThresholds = field(default_factory=DiagnosticThresholds)
     seeds: SeedsSection = field(default_factory=SeedsSection)
 
-    def override_seeds(self, seed: int) -> None:
-        for f in fields(self.seeds):
-            setattr(self.seeds, f.name, seed)
-
 
 _SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}  # name -> class
 

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DataValidationError
-from .histogram import histogram
 from .jsonio import check, write_json
 from .nn.trace import TrainTrace
 
@@ -41,6 +40,9 @@ class DiagnosticThresholds:
 
     def __post_init__(self):
         check("diagnose", self, [(f.name, math.isfinite, "finite") for f in fields(self)])
+
+
+_DEFAULTS = DiagnosticThresholds()
 
 
 @dataclass
@@ -75,38 +77,34 @@ def pearson(a, b) -> float:
     return float(np.sum(va * vb) / norm)
 
 
-def detect_static_layers(tr: TrainTrace,
-                         rel_tol: float = DiagnosticThresholds.static_rel_tol) -> dict[str, bool]:
+def detect_static_layers(tr: TrainTrace, th: DiagnosticThresholds = _DEFAULTS) -> dict[str, bool]:
     """Layer is static when every epoch's weight delta is negligible
-    relative to the weight norm."""
+    relative to the weight norm (``th.static_rel_tol``)."""
     if tr.n_epochs < 2 or not tr.layer_names:
         raise DataValidationError("static-layer detection needs at least 2 epochs and a layer")
     flags = {}
     for name in tr.layer_names:
         deltas = tr.series(name, "delta_l2")
         norms = tr.series(name, "weight_l2")
-        flags[name] = bool(np.all(deltas <= rel_tol * (norms + 1e-12)))
+        flags[name] = bool(np.all(deltas <= th.static_rel_tol * (norms + 1e-12)))
     return flags
 
 
-def detect_dead_gradients(tr: TrainTrace, abs_tol: float = DiagnosticThresholds.dead_abs_tol,
-                          epoch_quorum: float = DiagnosticThresholds.dead_epoch_quorum,
-                          ) -> dict[str, bool]:
-    """Layer is dead when its gradient L2 is ~0 for >= 90% of epochs."""
+def detect_dead_gradients(tr: TrainTrace, th: DiagnosticThresholds = _DEFAULTS) -> dict[str, bool]:
+    """Layer is dead when its gradient L2 is at most ``th.dead_abs_tol`` in at
+    least a ``th.dead_epoch_quorum`` share of epochs."""
     if tr.n_epochs < 1:
         raise DataValidationError("dead-gradient detection needs at least 1 epoch")
     flags = {}
     for name in tr.layer_names:
         grads = tr.series(name, "grad_l2")
-        flags[name] = bool(np.mean(grads <= abs_tol) >= epoch_quorum)
+        flags[name] = bool(np.mean(grads <= th.dead_abs_tol) >= th.dead_epoch_quorum)
     return flags
 
 
-def detect_class_flipping(sens, spec,
-                          corr_thresh: float = DiagnosticThresholds.flip_corr_thresh,
-                          amp_thresh: float = DiagnosticThresholds.flip_amp_thresh,
-                          ) -> tuple[bool, float]:
-    """Flag strongly anti-correlated, high-amplitude sens/spec series.
+def detect_class_flipping(sens, spec, th: DiagnosticThresholds = _DEFAULTS) -> tuple[bool, float]:
+    """Flag sens/spec series correlated below ``th.flip_corr_thresh`` whose
+    ranges both exceed ``th.flip_amp_thresh``.
 
     A stuck predictor (both series constant) is NOT flipping; its
     correlation is defined as 0 and the static-layer detector owns that case.
@@ -118,9 +116,9 @@ def detect_class_flipping(sens, spec,
     if sens.size < 4:
         raise DataValidationError("flip detection needs series of length >= 4")
     corr = pearson(sens, spec)
-    amp_ok = bool((sens.max() - sens.min() > amp_thresh)
-                  and (spec.max() - spec.min() > amp_thresh))
-    return bool(corr < corr_thresh) and amp_ok, corr
+    amp_ok = bool((sens.max() - sens.min() > th.flip_amp_thresh)
+                  and (spec.max() - spec.min() > th.flip_amp_thresh))
+    return bool(corr < th.flip_corr_thresh) and amp_ok, corr
 
 
 def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None) -> DiagnosisReport:
@@ -130,8 +128,8 @@ def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None) -> 
     series when training ran without a held-out set).
     """
     th = thresholds or DiagnosticThresholds()
-    static = detect_static_layers(tr, th.static_rel_tol)
-    dead = detect_dead_gradients(tr, th.dead_abs_tol, th.dead_epoch_quorum)
+    static = detect_static_layers(tr, th)
+    dead = detect_dead_gradients(tr, th)
     layers = [
         LayerDiagnosis(
             layer=name,
@@ -145,8 +143,7 @@ def diagnose(tr: TrainTrace, thresholds: DiagnosticThresholds | None = None) -> 
     sens = tr.metric_series("sensitivity")
     spec = tr.metric_series("specificity")
     if sens.size >= 4:
-        flipping, corr = detect_class_flipping(sens, spec, th.flip_corr_thresh,
-                                               th.flip_amp_thresh)
+        flipping, corr = detect_class_flipping(sens, spec, th)
     else:
         flipping, corr = False, 0.0
 

@@ -32,7 +32,7 @@ def first_order(v: Volume, m: RoiMask) -> FeatureVector:
     m3 = np.mean(np.multiply(sq, dev, out=dev))
     m4 = np.mean(np.multiply(sq, sq, out=sq))
     del dev, sq
-    counts = histogram(x, _ENTROPY_BINS)
+    counts = histogram(x, _ENTROPY_BINS)[0]
     # np.median's own steps, so the same bits, without its import of numpy.ma
     h = x.size // 2
     p = np.partition(x, h if x.size % 2 else [h - 1, h])

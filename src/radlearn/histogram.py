@@ -8,17 +8,13 @@ import numpy as np
 from .errors import DataValidationError
 
 
-def histogram(values, n_bins: int = 32) -> np.ndarray:
-    """Bin counts over [min, max]; last bin right-inclusive.
+def histogram(values, n_bins: int = 32) -> tuple[np.ndarray, float, float]:
+    """(counts, lo, hi): bin counts over [lo, hi] = [min, max], last bin
+    right-inclusive.
 
     A constant input puts all mass in the first bin, so downstream entropy
     and trace plots stay defined for degenerate data.
     """
-    return histogram_with_range(values, n_bins)[0]
-
-
-def histogram_with_range(values, n_bins: int = 32):
-    """(counts, lo, hi) of ``histogram``, for when the range must be recorded."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise DataValidationError("cannot histogram an empty list")

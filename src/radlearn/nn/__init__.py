@@ -10,5 +10,5 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .trace import TrainTrace, load_trace, save_trace, trace_from_json, trace_to_json
+from .trace import TrainTrace, load_trace, save_trace
 from .train import gradient_check, train

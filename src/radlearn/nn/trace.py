@@ -8,7 +8,7 @@ histograms of weight and gradient values. Train and validation metric rows
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,23 +67,15 @@ class TrainTrace:
         return np.array([getattr(e.validation, attribute) for e in self.epochs])
 
 
-def trace_to_json(tr: TrainTrace) -> dict:
-    return asdict(tr)
+def save_trace(tr: TrainTrace, path) -> None:
+    write_json(tr, path)
 
 
-def trace_from_json(doc) -> TrainTrace:
-    tr = from_json(TrainTrace, doc, "training trace")
+def load_trace(path) -> TrainTrace:
+    tr = from_json(TrainTrace, read_json(path), "training trace")
     for i, epoch in enumerate(tr.epochs):  # order-free: keys are sorted on disk
         if sorted(epoch.layers) != sorted(tr.layer_names):
             raise DataValidationError(
                 f"malformed training trace: epochs[{i}].layers must have the keys "
                 f"{tr.layer_names} of layer_names, got {sorted(epoch.layers)}")
     return tr
-
-
-def save_trace(tr: TrainTrace, path) -> None:
-    write_json(tr, path)
-
-
-def load_trace(path) -> TrainTrace:
-    return trace_from_json(read_json(path))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ..errors import DataValidationError, NumericFailure
-from ..histogram import histogram_with_range
+from ..histogram import histogram
 from ..metrics import confusion, metrics
 from .checkpoint import Checkpoint, apply_checkpoint
 from .config import NetConfig, TrainConfig
@@ -45,7 +45,7 @@ def _l2(arr: np.ndarray) -> float:
 
 
 def _hist_record(values: np.ndarray, n_bins: int = 32) -> HistogramRecord:
-    counts, lo, hi = histogram_with_range(values, n_bins)
+    counts, lo, hi = histogram(values, n_bins)
     return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
 
 

@@ -14,7 +14,7 @@ Re-ranking the remaining features at every step is available behind the
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,20 +119,12 @@ def select_best(tr: RfeTrace) -> tuple[tuple[str, ...], float]:
     return best.subset, best.cv_accuracy
 
 
-def trace_to_json(tr: RfeTrace) -> dict:
-    return asdict(tr)
-
-
-def trace_from_json(doc) -> RfeTrace:
-    return from_json(RfeTrace, doc, "elimination trace")
-
-
 def save_trace(tr: RfeTrace, path) -> None:
     write_json(tr, path)
 
 
 def load_trace(path) -> RfeTrace:
-    return trace_from_json(read_json(path))
+    return from_json(RfeTrace, read_json(path), "elimination trace")
 
 
 def write_accuracy_curve(tr: RfeTrace, path) -> None:

@@ -872,7 +872,7 @@ class RmsPropOracle:
 def train_oracle(images, labels, net_cfg, train_cfg, init=None, val_images=None,
                  val_labels=None):
     """(network, trace) from the per-parameter training loop."""
-    from radlearn.histogram import histogram_with_range
+    from radlearn.histogram import histogram
     from radlearn.metrics import confusion, metrics
     from radlearn.nn.losses import LOSSES
     from radlearn.nn.trace import (
@@ -885,7 +885,7 @@ def train_oracle(images, labels, net_cfg, train_cfg, init=None, val_images=None,
         return float(np.sqrt(np.sum(arr.astype(np.float64) ** 2)))
 
     def hist(arr):
-        counts, lo, hi = histogram_with_range(arr.astype(np.float64), 32)
+        counts, lo, hi = histogram(arr.astype(np.float64), 32)
         return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
 
     def metric(imgs, labs):

@@ -178,6 +178,14 @@ def test_seed_override_changes_phantom(pipeline, tmp_path):
     assert (a / raws[0]).read_bytes() != (c / raws[0]).read_bytes()
 
 
+def test_negative_seed_exits_one_with_one_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["phantom", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: config error: seeds.") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _dirs_byte_identical(a, b):
     cmp = filecmp.dircmp(a, b)
     if cmp.left_only or cmp.right_only:

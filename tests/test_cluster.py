@@ -9,7 +9,6 @@ from radlearn.cluster import (
     agglomerate,
     correlation_distance_matrix,
     cut,
-    dendrogram_to_json,
 )
 from radlearn.errors import DataValidationError
 from radlearn.table import FeatureTable

@@ -44,12 +44,6 @@ def test_tuple_coercion():
     assert cfg.train.input_dims == (8, 8)
 
 
-def test_override_seeds():
-    cfg = default_config()
-    cfg.override_seeds(99)
-    assert cfg.seeds.phantom == cfg.seeds.train == cfg.seeds.kfold == 99
-
-
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

@@ -9,11 +9,11 @@ from radlearn.diagnostics import (
     detect_dead_gradients,
     detect_static_layers,
     diagnose,
-    histogram,
     pearson,
     report_to_json,
 )
 from radlearn.errors import DataValidationError
+from radlearn.histogram import histogram
 from radlearn.nn import NetConfig, TrainConfig, train
 from radlearn.nn.trace import (
     EpochRecord,
@@ -64,17 +64,17 @@ def _synthetic_trace(layer_stats, sens=None, spec=None):
 
 
 def test_histogram_basic_binning():
-    assert histogram([0.0, 0.5, 1.0], 2).tolist() == [1, 2]
+    assert histogram([0.0, 0.5, 1.0], 2)[0].tolist() == [1, 2]
 
 
 def test_histogram_constant_all_first_bin():
-    counts = histogram([3.0] * 7, 32)
+    counts = histogram([3.0] * 7, 32)[0]
     assert counts[0] == 7
     assert counts[1:].sum() == 0
 
 
 def test_histogram_uniform_grid():
-    counts = histogram(np.linspace(0, 1, 64), 32)
+    counts = histogram(np.linspace(0, 1, 64), 32)[0]
     assert counts.tolist() == [2] * 32
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from radlearn.errors import DataValidationError
 from radlearn.forest import (
     ForestConfig,
+    _grow_forest,
     forest_to_json,
     predict_proba_matrix,
     rank_features,
@@ -293,3 +294,16 @@ def test_batch_reuses_search_buffers_for_smaller_rounds_and_blocks():
             [x.hex() for x in alone.importances.tolist()]
         assert (predict_proba_matrix(mdl, values).tobytes()
                 == predict_proba_matrix(alone, values).tobytes())
+
+
+def test_root_gini_impurity_is_taken_with_python_pow():
+    # 41 rows, 33 of class 1, split perfectly at the root: the root's decrease
+    # is its Gini impurity alone. Squaring in numpy gives 0x1.41a31a58a2096p-2,
+    # two units in the last place above; 41 rows is the smallest node it moves.
+    y = (np.arange(41) >= 8).astype(np.int64)
+    X = y[:, None].astype(np.float64)
+    cfg = ForestConfig(n_trees=1, max_depth=1, features_per_split=1, bootstrap=False)
+    nodes, _ = _grow_forest(X, y, np.arange(41)[None, :], np.array([41]),
+                            [np.random.default_rng(0)], cfg)
+    expected = 1 - ((33 / 41) ** 2 + (8 / 41) ** 2)
+    assert nodes["decrease"][0, 0].hex() == expected.hex() == "0x1.41a31a58a2094p-2"

@@ -23,8 +23,6 @@ from radlearn.rfe import (
     rfe_cv,
     save_trace,
     select_best,
-    trace_from_json,
-    trace_to_json,
     write_accuracy_curve,
 )
 from radlearn.table import FeatureTable
@@ -93,9 +91,9 @@ def test_trace_is_deterministic():
     t = _three_feature_table(seed=4)
     a = rfe_cv(t, FAST, k_folds=3, seed=9)
     b = rfe_cv(t, FAST, k_folds=3, seed=9)
-    assert trace_to_json(a) == trace_to_json(b)
+    assert asdict(a) == asdict(b)
     c = rfe_cv(t, FAST, k_folds=3, seed=10)
-    assert trace_to_json(a) != trace_to_json(c)
+    assert asdict(a) != asdict(c)
 
 
 def test_class_smaller_than_folds_rejected():
@@ -163,7 +161,7 @@ def test_trace_json_round_trip(tmp_path):
     tr = rfe_cv(t, FAST, k_folds=3, seed=6)
     save_trace(tr, tmp_path / "trace.json")
     back = load_trace(tmp_path / "trace.json")
-    assert trace_to_json(back) == trace_to_json(tr)
+    assert asdict(back) == asdict(tr)
 
 
 def test_accuracy_curve_rows(tmp_path):
@@ -176,9 +174,11 @@ def test_accuracy_curve_rows(tmp_path):
     assert len(lines) == 1 + 3
 
 
-def test_malformed_trace_rejected():
+def test_malformed_trace_rejected(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"steps": [{"subset": ["a"]}]}))
     with pytest.raises(DataValidationError):
-        trace_from_json({"steps": [{"subset": ["a"]}]})
+        load_trace(path)
 
 
 def _bits(mdl):
@@ -261,7 +261,7 @@ def test_rfe_trace_matches_per_fold_oracle(monkeypatch, rerank):
     monkeypatch.setattr(rfe_mod, "cv_predictions",
                         lambda *args, **kw: cv_predictions_oracle(*args, **kw)[:2])
     want = rfe_cv(t, cfg, k_folds=5, seed=23, rerank=rerank)
-    assert json.dumps(trace_to_json(got)) == json.dumps(trace_to_json(want))
+    assert json.dumps(asdict(got)) == json.dumps(asdict(want))
 
 
 # the per-fold grow path this batch replaced peaked at 1.87 MB here (tracemalloc,

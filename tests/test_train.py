@@ -19,7 +19,6 @@ from radlearn.nn import (
     save_checkpoint,
     train,
 )
-from radlearn.nn.trace import trace_to_json
 from radlearn.volume import PhantomSpec, generate_phantom, roi_slice_index
 
 from oracles import NetworkOracle, train_oracle
@@ -89,10 +88,10 @@ def test_full_determinism_of_trace():
     cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=3, seed=6)
     _, tr1 = train(images, labels, NET, cfg)
     _, tr2 = train(images, labels, NET, cfg)
-    assert trace_to_json(tr1) == trace_to_json(tr2)
+    assert dataclasses.asdict(tr1) == dataclasses.asdict(tr2)
     _, tr3 = train(images, labels, NET,
                    TrainConfig(learning_rate=1e-3, batch_size=4, epochs=3, seed=7))
-    assert trace_to_json(tr1) != trace_to_json(tr3)
+    assert dataclasses.asdict(tr1) != dataclasses.asdict(tr3)
 
 
 def test_trace_covers_all_layers_and_epochs():
@@ -262,7 +261,7 @@ def test_flat_trainer_matches_per_parameter_oracle(case):
     net, tr = train(images, labels, net_cfg, train_cfg, init=init, **val)
     oracle, tr_oracle = train_oracle(images, labels, net_cfg, train_cfg, init=init, **val)
 
-    assert json.dumps(trace_to_json(tr)) == json.dumps(trace_to_json(tr_oracle))
+    assert json.dumps(dataclasses.asdict(tr)) == json.dumps(dataclasses.asdict(tr_oracle))
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(checkpoint_from_network(net), os.path.join(tmp, "new"))
         save_checkpoint(checkpoint_from_network(oracle), os.path.join(tmp, "old"))
