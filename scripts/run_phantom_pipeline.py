@@ -13,6 +13,7 @@ from pathlib import Path
 
 from radlearn.cli import main as cli
 from radlearn.rfe import load_trace, select_best
+from radlearn.stats import load_report
 
 # texture 0.12 against noise 0.3 keeps the cue subtle: selection has to work
 CONFIG = {
@@ -59,14 +60,14 @@ def main():
          str(work / "rfe" / "rfe_trace.json"),
          "--out", str(work / "report")])
 
-    significance = json.loads((work / "filter" / "significance.json").read_text())
+    significance = load_report(work / "filter" / "significance.json")
     trace = load_trace(work / "rfe" / "rfe_trace.json")
     report = json.loads((work / "report" / "report.json").read_text())
     best_subset, best_accuracy = select_best(trace)
 
     print(f"workdir: {work}")
-    print(f"significant features: {significance['n_significant']} / "
-          f"{len(significance['features'])} at alpha {significance['alpha']}")
+    print(f"significant features: {significance.n_significant} / "
+          f"{len(significance.features)} at alpha {significance.alpha}")
     print(f"elimination steps: {len(trace.steps)}, "
           f"all-features CV accuracy {trace.full_accuracy:.3f}")
     print(f"best subset: {len(best_subset)} features at "

@@ -36,7 +36,7 @@ from . import table as table_mod
 from .config import PipelineConfig, SeedsSection, default_config, load_config
 from .errors import ConfigError, DataValidationError, NumericFailure
 from .features import extract_all
-from .jsonio import read_csv, read_json, write_csv, write_json
+from .jsonio import read_csv, write_csv, write_json
 from .metrics import auroc, confusion, metrics, stratified_kfold
 from .nn import checkpoint_from_network, save_checkpoint, train
 from .nn import trace as nn_trace
@@ -116,27 +116,13 @@ def cmd_extract(cfg: PipelineConfig, in_paths, out_dir) -> None:
 def cmd_filter(cfg: PipelineConfig, in_paths, out_dir) -> None:
     table = table_mod.read_feature_table(in_paths[0])
     report = stats.filter_significant(table, alpha=cfg.filter.alpha)
-    write_json(report.as_dict(), os.path.join(out_dir, "significance.json"))
-
-
-def _significant_names(path) -> list[str]:
-    """The features a significance.json (from ``filter``) marks significant."""
-    doc = read_json(path)
-    try:
-        marks = [(f["name"], f["significant"]) for f in doc.get("features", [])]
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DataValidationError(f"malformed significance report {path}: {exc!r}") from exc
-    for name, flag in marks:
-        if not isinstance(flag, bool):
-            raise DataValidationError(f"malformed significance report {path}: 'significant' "
-                                      f"of {name!r} must be true or false, got {flag!r}")
-    return [name for name, flag in marks if flag]
+    write_json(report, os.path.join(out_dir, "significance.json"))
 
 
 def cmd_rfe(cfg: PipelineConfig, in_paths, out_dir) -> None:
     table = table_mod.read_feature_table(in_paths[0])
     if len(in_paths) > 1:
-        keep = _significant_names(in_paths[1])
+        keep = stats.load_report(in_paths[1]).significant_names()
         if not keep:
             raise DataValidationError("significance report marks no feature significant")
         table = table.select(keep)

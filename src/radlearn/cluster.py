@@ -2,10 +2,14 @@
 
 Distance is 1 - |Pearson correlation|, so strongly anti-correlated features
 group together with strongly correlated ones; a zero-variance feature sits at
-distance 1 from everything. Agglomeration uses average linkage with a
-deterministic tie rule: among minimum-distance pairs, merge the pair whose
-(representative, representative) names are lexicographically smallest, where
-a cluster's representative is its smallest member name.
+distance 1 from everything. The correlations are numpy's pairwise sums
+(``metrics.correlations``), with no BLAS call, so the distances and the
+dendrogram have the same bits whichever BLAS core the host runs.
+
+Agglomeration uses average linkage with a deterministic tie rule: among
+minimum-distance pairs, merge the pair whose (representative, representative)
+names are lexicographically smallest, where a cluster's representative is its
+smallest member name.
 
 Merges use scipy-style node ids: leaves are 0..n-1, the i-th merge creates
 node n+i.
@@ -19,6 +23,7 @@ import numpy as np
 
 from .errors import DataValidationError
 from .jsonio import write_json
+from .metrics import correlations
 from .table import FeatureTable
 
 
@@ -36,15 +41,7 @@ def correlation_distance_matrix(t: FeatureTable, names=None) -> np.ndarray:
     if t.n_samples < 2:
         raise DataValidationError("need at least 2 samples to correlate features")
     cols = np.stack([t.column(n) for n in names])
-    centered = cols - cols.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered ** 2).sum(axis=1))
-    k = len(names)
-    dist = np.ones((k, k), dtype=np.float64)
-    nonzero = norms > 0
-    sub = centered[nonzero] / norms[nonzero, None]
-    corr = np.abs(sub @ sub.T)
-    block = np.clip(1.0 - corr, 0.0, None)
-    dist[np.ix_(nonzero, nonzero)] = block
+    dist = np.clip(1.0 - np.abs(correlations(cols)), 0.0, None)
     np.fill_diagonal(dist, 0.0)
     return dist
 

@@ -25,7 +25,6 @@ derived from the clock.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 from .diagnostics import DiagnosticThresholds
@@ -55,7 +54,7 @@ class FilterSection:
     alpha: float = 0.05
 
     def __post_init__(self):
-        check("filter", self, [("alpha", lambda a: 0 <= a < math.inf, "finite and >= 0")])
+        check("filter", self, [("alpha", lambda a: a >= 0, ">= 0")])
 
 
 @dataclass

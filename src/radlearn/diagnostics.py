@@ -17,13 +17,13 @@ described phenomena and are labeled as such in the report.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DataValidationError
 from .jsonio import check, write_json
+from .metrics import correlations
 from .nn.trace import TrainTrace
 
 
@@ -39,7 +39,7 @@ class DiagnosticThresholds:
     static_layer_quorum: float = 0.5
 
     def __post_init__(self):
-        check("diagnose", self, [(f.name, math.isfinite, "finite") for f in fields(self)])
+        check("diagnose", self, [])
 
 
 _DEFAULTS = DiagnosticThresholds()
@@ -61,20 +61,6 @@ class DiagnosisReport:
     sens_spec_correlation: float
     verdict: str  # learnable | unlearnable | inconclusive
     thresholds: DiagnosticThresholds = field(default_factory=DiagnosticThresholds)
-
-
-def pearson(a, b) -> float:
-    """Pearson correlation; defined as 0 when either series is constant."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise DataValidationError("series must have equal length")
-    va = a - a.mean()
-    vb = b - b.mean()
-    norm = math.sqrt(float(np.sum(va ** 2)) * float(np.sum(vb ** 2)))
-    if norm == 0:
-        return 0.0
-    return float(np.sum(va * vb) / norm)
 
 
 def detect_static_layers(tr: TrainTrace, th: DiagnosticThresholds = _DEFAULTS) -> dict[str, bool]:
@@ -115,7 +101,7 @@ def detect_class_flipping(sens, spec, th: DiagnosticThresholds = _DEFAULTS) -> t
         raise DataValidationError("sensitivity and specificity series must align")
     if sens.size < 4:
         raise DataValidationError("flip detection needs series of length >= 4")
-    corr = pearson(sens, spec)
+    corr = float(correlations([sens, spec])[0, 1])
     amp_ok = bool((sens.max() - sens.min() > th.flip_amp_thresh)
                   and (spec.max() - spec.min() > th.flip_amp_thresh))
     return bool(corr < th.flip_corr_thresh) and amp_ok, corr

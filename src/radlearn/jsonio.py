@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import types
@@ -76,7 +77,8 @@ class _Mismatch(Exception):
 def from_json(cls, doc, what: str):
     """``doc`` decoded as the dataclass ``cls``. Objects need exactly the field names as
     keys; values must match the hints: dataclasses, ``list[X]``, ``tuple[X, ...]``,
-    ``tuple[X, X, X]``, ``dict[str, X]``, ``float`` (int or float within float range),
+    ``tuple[X, X, X]``, ``dict[str, X]``, ``float`` (a finite float, or an int within
+    float range; so NaN and Infinity, which ``json`` parses, are malformed),
     ``int``, ``bool``, ``str``, ``None`` and unions of these scalars (``int | None``);
     no bool is a number. A tuple hint takes a list or a tuple."""
     try:
@@ -105,7 +107,7 @@ def _integer(value) -> bool:
 
 
 _SCALARS = {  # type -> (description, test); bools are ints to Python but not numbers here
-    float: ("a number", lambda v: isinstance(v, float)
+    float: ("a finite number", lambda v: isinstance(v, float) and math.isfinite(v)
             or (_integer(v) and abs(v) <= sys.float_info.max)),
     int: ("an integer", _integer),
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -150,8 +152,12 @@ def _decoder(tp):
     def container(value):
         if not isinstance(value, kind) or (size is not None and len(value) != size):
             raise _Mismatch(expected, repr(value))
-        # a list of scalars is checked in C first; the loop then finds a bad item
-        if ok is not None and (set(map(type, value)) <= {item_type} or all(map(ok, value))):
+        # a list of scalars is checked in C first (by type, and floats by isfinite);
+        # the loop then finds a bad item
+        if ok is not None and (
+                set(map(type, value)) <= {item_type}
+                and (item_type is not float or all(map(math.isfinite, value)))
+                or all(map(ok, value))):
             return build(value)
         out = {}
         try:

@@ -1,4 +1,4 @@
-"""Classification metrics and stratified k-fold splitting.
+"""Classification metrics, Pearson correlations and stratified k-fold splitting.
 
 Conventions: the positive class is 1; any 0/0 metric ratio is defined as 0 so
 learning-curve series stay total even when a class is never predicted. AUROC
@@ -105,6 +105,20 @@ def auroc(scores, labels) -> float:
     ranks = midranks(scores)
     u_pos = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u_pos / (n_pos * n_neg)
+
+
+def correlations(rows) -> np.ndarray:
+    """The Pearson correlation of every pair of rows; 0 where either row is
+    constant. Each entry is numpy's pairwise sum of products over its own
+    pair, with no BLAS call, so its bits do not depend on the BLAS core."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    squares = (centered ** 2).sum(axis=1)
+    corr = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(centered):
+        norm = np.sqrt(squares[i] * squares)
+        np.divide((row * centered).sum(axis=1), norm, out=corr[i], where=norm > 0)
+    return corr
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldSplit:

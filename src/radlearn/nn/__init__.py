@@ -2,7 +2,7 @@
 
 from .config import NetConfig, TrainConfig
 from .losses import LOSSES, loss_bce_logit, loss_hinge
-from .optim import OPTIMIZERS, AdamOptimizer, RmsPropOptimizer, step_adam, step_rmsprop
+from .optim import OPTIMIZERS, AdamOptimizer, RmsPropOptimizer
 from .network import Network
 from .checkpoint import (
     Checkpoint,

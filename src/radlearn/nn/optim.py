@@ -3,7 +3,7 @@
 Each rule is one routine that steps theta and its state in place, with two
 scratch arrays. The optimizer classes run it on one flat parameter vector and
 keep the state and scratch as flat arrays of the same layout, plus the step
-count for Adam's bias correction; step_adam and step_rmsprop run it on copies.
+count for Adam's bias correction.
 """
 
 from __future__ import annotations
@@ -29,23 +29,6 @@ def _rmsprop(theta, grad, v, s1, s2, lr, decay, eps):
     np.sqrt(v, out=s2)
     s2 += eps
     theta -= np.divide(np.multiply(grad, lr, out=s1), s2, out=s1)
-
-
-def step_adam(theta, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam step; t is the 1-based step count.
-
-    Returns (theta', m', v') without mutating the inputs.
-    """
-    theta, m, v = (np.array(a, dtype=np.result_type(a, 0.0)) for a in (theta, m, v))
-    _adam(theta, grad, m, v, np.empty_like(theta), np.empty_like(theta), t, lr, beta1, beta2, eps)
-    return theta, m, v
-
-
-def step_rmsprop(theta, grad, v, lr, decay=0.9, eps=1e-8):
-    """v <- decay*v + (1-decay)*g^2; theta <- theta - lr*g/(sqrt(v)+eps)."""
-    theta, v = (np.array(a, dtype=np.result_type(a, 0.0)) for a in (theta, v))
-    _rmsprop(theta, grad, v, np.empty_like(theta), np.empty_like(theta), lr, decay, eps)
-    return theta, v
 
 
 class AdamOptimizer:

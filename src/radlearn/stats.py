@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
+from .jsonio import from_json, read_json
 from .metrics import midranks, tie_runs
 from .table import FeatureTable
 
@@ -40,14 +41,14 @@ class FeatureSignificance:
 
 @dataclass
 class SignificanceReport:
+    """Also the ``significance.json`` format, which ``load_report`` reads back."""
+
     alpha: float
     features: list[FeatureSignificance] = field(default_factory=list)
+    n_significant: int = 0
 
     def significant_names(self) -> list[str]:
         return [f.name for f in self.features if f.significant]
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "n_significant": len(self.significant_names())}
 
 
 @dataclass
@@ -114,7 +115,13 @@ def filter_significant(t: FeatureTable, alpha: float = 0.05) -> SignificanceRepo
         result = mann_whitney_u(*t.class_split(name))
         report.features.append(FeatureSignificance(
             name=name, p_value=result.p_value, significant=result.p_value <= alpha))
+    report.n_significant = len(report.significant_names())
     return report
+
+
+def load_report(path) -> SignificanceReport:
+    """A ``significance.json`` (from ``filter``) read back by the typed reader."""
+    return from_json(SignificanceReport, read_json(path), "significance report")
 
 
 def modality_intersection(sets: dict[str, set]) -> IntersectionSummary:

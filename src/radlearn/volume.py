@@ -108,8 +108,8 @@ class PhantomSpec:
         check("phantom", self, [
             ("n_samples_per_class", lambda n: n >= 1, ">= 1"),
             ("dims", lambda d: min(d) >= 8, "all >= 8"),
-            ("texture_amplitude", lambda a: 0 <= a < math.inf, "finite and >= 0"),
-            ("noise_sigma", lambda s: 0 <= s < math.inf, "finite and >= 0"),
+            ("texture_amplitude", lambda a: a >= 0, ">= 0"),
+            ("noise_sigma", lambda s: s >= 0, ">= 0"),
             ("modality", lambda m: m != "", "non-empty"),
         ])
 

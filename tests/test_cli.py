@@ -349,8 +349,10 @@ def test_malformed_json_inputs_exit_two(pipeline, tmp_path, capsys, stage, conte
 
 
 def test_significance_naming_unknown_feature_exits_two(pipeline, tmp_path, capsys):
+    doc = json.loads((pipeline / "filter" / "significance.json").read_text())
+    doc["features"][0].update(name="nope", significant=True)
     sig = tmp_path / "significance.json"
-    sig.write_text(json.dumps({"features": [{"name": "nope", "significant": True}]}))
+    sig.write_text(json.dumps(doc))
     assert main(["rfe", "--in", str(pipeline / "extract" / "features.csv"), str(sig),
                  "--out", str(tmp_path / "o")]) == 2
     assert "nope" in capsys.readouterr().err
@@ -366,7 +368,26 @@ def test_significance_flag_not_a_bool_exits_two(pipeline, tmp_path, capsys, flag
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
-    assert "significant" in err and doc["features"][0]["name"] in err
+    assert "features[0].significant" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_trace_number_exits_two(pipeline, tmp_path, capsys, value):
+    # json parses NaN and Infinity; the typed reader takes only finite numbers
+    doc = json.loads((pipeline / "train" / "train_trace.json").read_text())
+    layer = doc["layer_names"][0]
+    if value != value:
+        doc["epochs"][2]["validation"]["sensitivity"] = value
+        where = "epochs[2].validation.sensitivity"
+    else:
+        doc["epochs"][1]["layers"][layer]["weight_l2"] = value
+        where = f"epochs[1].layers[{layer!r}].weight_l2"
+    trace = tmp_path / "train_trace.json"
+    trace.write_text(json.dumps(doc))
+    assert main(["diagnose", "--in", str(trace), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: ") and err.count("\n") == 1
+    assert f"{where} must be a finite number" in err
 
 
 @pytest.mark.parametrize("stage, name", [("filter", "extract/features.csv"),

@@ -1,6 +1,7 @@
 """Byte mutations of real pipeline artifacts, fed to every stage that reads them.
 
-A tiny real run writes a manifest, volumes with masks and a feature table.
+A tiny real run writes a manifest, volumes with masks, a feature table, a
+significance report and the elimination and training traces.
 Each case truncates one of those files, flips one bit in it, empties it or
 re-encodes it as UTF-16, then runs every stage that reads the file. Whatever
 the bytes, the stage must exit 0, 1, 2 or 3, print exactly one stderr line
@@ -53,6 +54,9 @@ READERS = {
     "mask_raw": [("extract", ["manifest"]), ("train", ["manifest"])],
     "features": [("filter", ["features"]), ("rfe", ["features"]), ("cluster", ["features"]),
                  ("report", ["features", "rfe_trace"])],
+    "significance": [("rfe", ["features", "significance"])],
+    "rfe_trace": [("cluster", ["features", "rfe_trace"]), ("report", ["features", "rfe_trace"])],
+    "train_trace": [("diagnose", ["train_trace"])],
 }
 
 
@@ -70,7 +74,8 @@ def artifacts(tmp_path_factory):
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     for stage, inputs in [("phantom", []), ("extract", ["phantom/manifest.csv"]),
-                          ("rfe", ["extract/features.csv"])]:
+                          ("filter", ["extract/features.csv"]),
+                          ("rfe", ["extract/features.csv"]), ("train", ["phantom/manifest.csv"])]:
         argv = [stage, "--config", str(config), "--out", str(root / stage)]
         assert main(argv + (["--in"] + [str(root / p) for p in inputs] if inputs else [])) == 0
     manifest = root / "phantom" / "manifest.csv"
@@ -80,7 +85,9 @@ def artifacts(tmp_path_factory):
             "volume_raw": root / "phantom" / f"{base}.raw",
             "mask_raw": root / "phantom" / f"{base}.mask.raw",
             "features": root / "extract" / "features.csv",
-            "rfe_trace": root / "rfe" / "rfe_trace.json"}
+            "significance": root / "filter" / "significance.json",
+            "rfe_trace": root / "rfe" / "rfe_trace.json",
+            "train_trace": root / "train" / "train_trace.json"}
 
 
 @pytest.mark.parametrize("mutation", list(MUTATIONS))

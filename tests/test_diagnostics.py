@@ -9,11 +9,11 @@ from radlearn.diagnostics import (
     detect_dead_gradients,
     detect_static_layers,
     diagnose,
-    pearson,
     report_to_json,
 )
 from radlearn.errors import DataValidationError
 from radlearn.histogram import histogram
+from radlearn.metrics import correlations
 from radlearn.nn import NetConfig, TrainConfig, train
 from radlearn.nn.trace import (
     EpochRecord,
@@ -209,7 +209,8 @@ def test_pearson_matches_oracle():
     rng = np.random.default_rng(8)
     a = rng.normal(size=12)
     b = rng.normal(size=12)
-    assert pearson(a, b) == pytest.approx(pearson_oracle(a.tolist(), b.tolist()), abs=1e-12)
+    assert correlations([a, b])[0, 1] == pytest.approx(pearson_oracle(a.tolist(), b.tolist()),
+                                                       abs=1e-12)
 
 
 # --- verdicts ---

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import AdamOracle, RmsPropOracle
+
 from radlearn.nn import (
     AdamOptimizer,
     RmsPropOptimizer,
     loss_bce_logit,
     loss_hinge,
-    step_adam,
-    step_rmsprop,
 )
 
 
@@ -56,59 +56,52 @@ def test_hinge_values_and_subgradient():
     assert loss[0] == 0.0 and grad[0] == 0.0
 
 
+def _adam_step(theta, grad, lr):
+    """(theta', m', v') after one step of a fresh AdamOptimizer."""
+    opt = AdamOptimizer(lr)
+    theta = opt.update(np.array(theta, dtype=np.float64), np.asarray(grad, dtype=np.float64))
+    return theta, opt._state[0], opt._state[1]
+
+
+def _rmsprop_step(theta, grad, lr):
+    """(theta', v') after one step of a fresh RmsPropOptimizer."""
+    opt = RmsPropOptimizer(lr)
+    theta = opt.update(np.array(theta, dtype=np.float64), np.asarray(grad, dtype=np.float64))
+    return theta, opt._state[0]
+
+
 def test_adam_hand_step():
-    theta = np.array([0.0])
-    grad = np.array([0.5])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    theta1, m1, v1 = step_adam(theta, grad, m, v, t=1, lr=1e-3)
+    theta1, m1, v1 = _adam_step([0.0], [0.5], lr=1e-3)
     assert theta1[0] == pytest.approx(-9.99999980e-4, rel=1e-8)
     assert m1[0] == pytest.approx(0.05)
     assert v1[0] == pytest.approx(0.00025)
 
 
 def test_adam_zero_gradient_no_move():
-    theta = np.array([1.5])
-    theta1, _, _ = step_adam(theta, np.zeros(1), np.zeros(1), np.zeros(1), t=1, lr=0.1)
+    theta1, _, _ = _adam_step([1.5], np.zeros(1), lr=0.1)
     assert theta1[0] == 1.5
 
 
 def test_adam_identical_tensors_identical_updates():
-    theta = np.array([0.3, 0.3])
-    grad = np.array([0.2, 0.2])
-    theta1, _, _ = step_adam(theta, grad, np.zeros(2), np.zeros(2), t=1, lr=0.01)
+    theta1, _, _ = _adam_step([0.3, 0.3], [0.2, 0.2], lr=0.01)
     assert theta1[0] == theta1[1]
 
 
 def test_rmsprop_hand_step():
-    theta = np.array([0.0])
-    theta1, v1 = step_rmsprop(theta, np.array([1.0]), np.zeros(1), lr=0.01)
+    theta1, v1 = _rmsprop_step([0.0], [1.0], lr=0.01)
     assert v1[0] == pytest.approx(0.1)
     assert theta1[0] == pytest.approx(-0.0316227766, rel=1e-6)
 
 
 def test_rmsprop_zero_gradient_no_move():
-    theta = np.array([2.0])
-    theta1, _ = step_rmsprop(theta, np.zeros(1), np.zeros(1), lr=0.01)
+    theta1, _ = _rmsprop_step([2.0], np.zeros(1), lr=0.01)
     assert theta1[0] == 2.0
 
 
 def test_rmsprop_sign_flip_symmetric():
-    theta = np.zeros(1)
-    up, _ = step_rmsprop(theta, np.array([0.7]), np.zeros(1), lr=0.05)
-    down, _ = step_rmsprop(theta, np.array([-0.7]), np.zeros(1), lr=0.05)
+    up, _ = _rmsprop_step(np.zeros(1), [0.7], lr=0.05)
+    down, _ = _rmsprop_step(np.zeros(1), [-0.7], lr=0.05)
     assert up[0] == pytest.approx(-down[0], abs=1e-15)
-
-
-def test_steps_do_not_mutate_inputs():
-    theta = np.array([1.0])
-    grad = np.array([0.5])
-    m = np.array([0.1])
-    v = np.array([0.2])
-    step_adam(theta, grad, m, v, t=3, lr=0.01)
-    assert theta[0] == 1.0 and m[0] == 0.1 and v[0] == 0.2
-    step_rmsprop(theta, grad, v, lr=0.01)
-    assert theta[0] == 1.0 and v[0] == 0.2
 
 
 @pytest.mark.parametrize("lr", [0.0, 1e-3, 0.1])
@@ -118,14 +111,14 @@ def test_optimizer_classes_chain_the_pure_steps(lr):
     grads = rng.normal(size=(50, 37)).astype(np.float32)
     grads[::7, :5] = 0.0
     adam, rms = AdamOptimizer(lr), RmsPropOptimizer(lr)
+    adam_oracle, rms_oracle = AdamOracle(lr), RmsPropOracle(lr)
     in_adam, in_rms = theta0.copy(), theta0.copy()
-    theta, m, v = theta0, np.zeros_like(theta0), np.zeros_like(theta0)
-    theta_r, v_r = theta0, np.zeros_like(theta0)
-    for t, g in enumerate(grads, start=1):
+    theta, theta_r = theta0, theta0
+    for g in grads:
         adam.update(in_adam, g)
         rms.update(in_rms, g)
-        theta, m, v = step_adam(theta, g, m, v, t, lr)
-        theta_r, v_r = step_rmsprop(theta_r, g, v_r, lr)
+        theta = adam_oracle.update("p", theta, g)
+        theta_r = rms_oracle.update("p", theta_r, g)
         assert in_adam.tobytes() == theta.tobytes()
         assert in_rms.tobytes() == theta_r.tobytes()
 
