@@ -46,7 +46,7 @@ def main():
         print(f"{modality:<6} {len(sets[modality])} significant features")
 
     summary = modality_intersection(sets)
-    write_json(summary.as_dict(), out / "intersection.json")
+    write_json(summary, out / "intersection.json")
     print("pairwise intersections:")
     for pair, count in summary.pairwise.items():
         print(f"  {pair:<14} {count}")

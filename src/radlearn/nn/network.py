@@ -13,7 +13,8 @@ written with ``[...] =`` and never rebound. The gradients live the same way in
 ``grad``, a buffer of the same dtype and layout with views ``grads[name][p]``;
 each backward pass overwrites every one of them, and ``slices[name]`` is a
 layer's span in both buffers. ``forward`` keeps no bookkeeping for a backward
-pass; a training step runs in buffers kept for the last batch shape.
+pass. Each kind of pass, training step or inference, runs in buffers kept
+for its last batch shape until ``release_workspaces``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class Network:
                 self.grads[name][pname] = self.grad[span].reshape(shape)
                 offset = span.stop
             self.slices[name] = slice(start, offset)
-        self._workspaces: dict[tuple, list] = {}  # the last batch shape -> step buffers
+        # per kind of pass (train or not): (its last batch shape, its buffers)
+        self._workspaces: dict[bool, tuple[tuple, list]] = {}
 
     @property
     def n_params(self) -> int:
@@ -103,27 +105,33 @@ class Network:
 
     def _buffers(self, shape: tuple, train: bool) -> list:
         """Scratch buffers for a batch of this (n, 1, h, w) shape. Training
-        keeps the last shape's as the step workspace: each step overwrites
-        them, no caller sees them, and the padded inputs' zero borders
-        persist. Inference makes fresh ones, kept by nothing."""
-        ws = self._workspaces.get(shape) if train else None
-        if ws is None:
-            n, c, h, w = shape
-            ws = []
-            for o in self.cfg.conv_blocks:
-                xp = np.zeros((n, c, h + 2, w + 2), self.dtype)  # padded input
-                # its 3x3 taps, (n, c, 3, 3, h, w), read as im2col's columns
-                taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-                # flat positions in the activations of the pool cells, (4, n, windows)
-                at = (np.arange(n)[:, None] * (o * h * w) + _pool_index(o, h, w)[:, None]
-                      if train else None)
-                ws.append((xp, taps, np.empty((n, c * 9, h * w), self.dtype),  # im2col
-                           np.empty((n, o, h * w), self.dtype),  # conv, then relu
-                           np.empty((n, o, h * w), bool), at))  # relu mask
-                c, h, w = o, h // 2, w // 2
-            if train:
-                self._workspaces = {shape: ws}  # a tail batch costs one rebuild an epoch
+        steps and inference each keep their last shape's as a workspace, so
+        neither evicts the other's: each pass overwrites them, no caller sees
+        them, and the padded inputs' zero borders persist."""
+        kept = self._workspaces.get(train)
+        if kept is not None and kept[0] == shape:
+            return kept[1]
+        self._workspaces.pop(train, None)  # freed before the new shape's are built
+        n, c, h, w = shape
+        ws = []
+        for o in self.cfg.conv_blocks:
+            xp = np.zeros((n, c, h + 2, w + 2), self.dtype)  # padded input
+            # its 3x3 taps, (n, c, 3, 3, h, w), read as im2col's columns
+            taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+            # flat positions in the activations of the pool cells, (4, n, windows)
+            at = (np.arange(n)[:, None] * (o * h * w) + _pool_index(o, h, w)[:, None]
+                  if train else None)
+            ws.append((xp, taps, np.empty((n, c * 9, h * w), self.dtype),  # im2col
+                       np.empty((n, o, h * w), self.dtype),  # conv, then relu
+                       np.empty((n, o, h * w), bool), at))  # relu mask
+            c, h, w = o, h // 2, w // 2
+        # a tail batch, or a validation set's forward, costs one rebuild an epoch
+        self._workspaces[train] = (shape, ws)
         return ws
+
+    def release_workspaces(self) -> None:
+        """Drop the kept scratch buffers; the next pass builds them again."""
+        self._workspaces.clear()
 
     def _forward(self, x: np.ndarray, train: bool = False):
         """(logits, tape) of a prepared batch. Only ``train`` fills the tape
@@ -147,9 +155,10 @@ class Network:
             # of which argmax keeps the first, sign and all
             if train:
                 c0, c1, c2, c3 = act.reshape(-1).take(at, mode="clip")
-            else:
-                c0, c1, c2, c3 = act.reshape(n, -1).take(_pool_index(b.size, h, w),
-                                                         axis=1).transpose(1, 0, 2)
+            else:  # strided views of the activations; nothing is gathered
+                a = act.reshape(n, b.size, h, w)
+                c0, c1, c2, c3 = (a[:, :, i:h - 1 + i:2, j:w - 1 + j:2]
+                                  for i in (0, 1) for j in (0, 1))
             top01, top23 = np.maximum(c0, c1), np.maximum(c2, c3)
             top = np.maximum(top01, top23)
             out = np.where(top == 0, c0, top)

@@ -140,6 +140,7 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                     raise NumericFailure(f"non-finite {which} loss at epoch {epoch}", epoch=epoch)
             trace.epochs.append(EpochRecord(layers=layer_records, train=train_metrics,
                                             validation=val_metrics))
+    net.release_workspaces()  # so they never overlap what the caller does next
     return net, trace
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +55,9 @@ class SignificanceReport:
 class IntersectionSummary:
     pairwise: dict[str, int]  # "A&B" -> |A intersect B|, names sorted
     common: list[str]  # all-way intersection, sorted
+    common_size: int
     union_size: int
     set_sizes: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "common_size": len(self.common)}
 
 
 def _exact_two_sided_p(ranks: np.ndarray, n1: int, u_obs: float) -> float:
@@ -140,6 +138,7 @@ def modality_intersection(sets: dict[str, set]) -> IntersectionSummary:
     return IntersectionSummary(
         pairwise=pairwise,
         common=sorted(common),
+        common_size=len(common),
         union_size=len(union),
         set_sizes={name: len(sets[name]) for name in names},
     )

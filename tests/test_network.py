@@ -255,3 +255,35 @@ def test_forward_equals_training_logits(n):
     two = Network(NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6))
     x = rng.normal(size=(n, 9, 11))
     assert two.forward(x).tobytes() == two.loss_and_grads(x, y, "hinge")[2].tobytes()
+
+
+def test_kept_workspaces_match_a_fresh_network():
+    # forwards of the same and of changing sizes around a training step of
+    # another size, each against a network that has never run a pass: a stale
+    # padded border or a buffer of the wrong shape would show in the logits
+    cfg = NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6)
+    net = Network(cfg)
+    rng = np.random.default_rng(8)
+    five, three, seven = (rng.normal(size=(n, 9, 11)) for n in (5, 3, 7))
+
+    def fresh_logits(x):
+        other = Network(cfg)
+        other.flat[...] = net.flat
+        return other.forward(x).tobytes()
+
+    first = net.forward(five).tobytes()
+    assert first == fresh_logits(five)
+    net.loss_and_grads(three, np.array([0, 1, 1]), "bce_logit")
+    net.flat -= 0.1 * net.grad
+    for x in (five, seven, five):
+        assert net.forward(x).tobytes() == fresh_logits(x)
+    assert net.forward(five).tobytes() != first  # the step moved the weights
+
+
+def test_trained_network_holds_no_workspace():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(6, 8, 8))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    net, _ = train(x, y, NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[3]),
+                   TrainConfig(epochs=2, batch_size=4))
+    assert net._workspaces == {}

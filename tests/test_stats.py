@@ -171,15 +171,16 @@ def test_modality_intersection_basic():
         "C": {"b"},
     })
     assert summary.common == ["b"]
+    assert summary.common_size == 1
     assert summary.union_size == 3
     assert summary.pairwise == {"A&B": 1, "A&C": 1, "B&C": 1}
 
 
 def test_modality_intersection_identical_and_disjoint():
     same = modality_intersection({"A": {"x", "y"}, "B": {"x", "y"}})
-    assert same.common == ["x", "y"]
+    assert same.common == ["x", "y"] and same.common_size == 2
     disjoint = modality_intersection({"A": {"x"}, "B": {"y"}})
-    assert disjoint.common == []
+    assert disjoint.common == [] and disjoint.common_size == 0
     assert disjoint.union_size == 2
 
 
