@@ -14,7 +14,12 @@ written with ``[...] =`` and never rebound. The gradients live the same way in
 each backward pass overwrites every one of them, and ``slices[name]`` is a
 layer's span in both buffers. ``forward`` keeps no bookkeeping for a backward
 pass. Each kind of pass, training step or inference, runs in buffers kept
-for its last batch shape until ``release_workspaces``.
+for its last batch size until ``release_workspaces``.
+
+The first conv block reads its im2col columns from ``columns``, never from a
+workspace: ``forward`` and ``loss_and_grads`` take images, or the columns a
+caller built once for images it passes many times (``train`` does so for its
+training and validation sets); later blocks build theirs from the weights.
 """
 
 from __future__ import annotations
@@ -38,6 +43,23 @@ def _pool_index(c: int, h: int, w: int) -> np.ndarray:
     idx = np.stack([corner, corner + 1, corner + w, corner + w + 1])
     idx.flags.writeable = False  # cached, so shared by every caller
     return idx
+
+
+def _im2col_buffers(n: int, c: int, h: int, w: int, dtype) -> tuple:
+    """(padded input, its 3x3 taps, columns) for a batch of (n, c, h, w): the
+    taps, (n, c, 3, 3, h, w), are views of the padded input read as the
+    columns, (n, c*9, h*w)."""
+    xp = np.zeros((n, c, h + 2, w + 2), dtype)
+    taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    return xp, taps, np.empty((n, c * 9, h * w), dtype)
+
+
+def _im2col(x: np.ndarray, xp: np.ndarray, taps: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cols filled with the im2col columns of x; xp's zero border is never
+    written. cols stays C-contiguous: c_einsum's float32 sums depend on it."""
+    xp[:, :, 1:-1, 1:-1] = x
+    np.copyto(cols.reshape(taps.shape), taps)
+    return cols
 
 
 def _replaces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -94,39 +116,51 @@ class Network:
     # -- forward / backward -------------------------------------------------
 
     def _prepare_input(self, x) -> np.ndarray:
+        """x as a batch of this dtype: (n, 1, h, w) images, or C-contiguous
+        first-block columns, (n, 9, h*w), which no image batch's shape is."""
         x = np.asarray(x, dtype=self.dtype)
+        h, w = self.cfg.input_dims
+        if self.cfg.conv_blocks and x.ndim == 3 and x.shape[1:] == (9, h * w):
+            return np.ascontiguousarray(x)
         if x.ndim == 3:
             x = x[:, None, :, :]
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != self.cfg.input_dims:
             raise DataValidationError(
-                f"expected images of shape (n, {self.cfg.input_dims[0]}, "
-                f"{self.cfg.input_dims[1]}), got {x.shape}")
+                f"expected images of shape (n, {h}, {w}), got {x.shape}")
         return x
 
-    def _buffers(self, shape: tuple, train: bool) -> list:
-        """Scratch buffers for a batch of this (n, 1, h, w) shape. Training
-        steps and inference each keep their last shape's as a workspace, so
-        neither evicts the other's: each pass overwrites them, no caller sees
-        them, and the padded inputs' zero borders persist."""
+    def columns(self, x) -> np.ndarray:
+        """The first layer's input for a batch of images: the first conv
+        block's im2col columns, (n, 9, h*w) and C-contiguous, or a net
+        without conv blocks' (n, 1, h, w) images. Columns come back as they
+        are, so a caller can build them once and pass them to every pass."""
+        x = self._prepare_input(x)
+        if x.ndim == 3 or not self.cfg.conv_blocks:
+            return x
+        return _im2col(x, *_im2col_buffers(*x.shape, self.dtype))
+
+    def _buffers(self, n: int, train: bool) -> list:
+        """Scratch buffers for a batch of n. Training steps and inference each
+        keep their last size's as a workspace, so neither evicts the other's:
+        each pass overwrites them, no caller sees them, and the padded inputs'
+        zero borders persist. Block 1 has no padded input, taps or columns:
+        it reads ``columns``."""
         kept = self._workspaces.get(train)
-        if kept is not None and kept[0] == shape:
+        if kept is not None and kept[0] == n:
             return kept[1]
-        self._workspaces.pop(train, None)  # freed before the new shape's are built
-        n, c, h, w = shape
+        self._workspaces.pop(train, None)  # freed before the new size's are built
+        c, (h, w) = 1, self.cfg.input_dims
         ws = []
-        for o in self.cfg.conv_blocks:
-            xp = np.zeros((n, c, h + 2, w + 2), self.dtype)  # padded input
-            # its 3x3 taps, (n, c, 3, 3, h, w), read as im2col's columns
-            taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+        for k, o in enumerate(self.cfg.conv_blocks):
+            im2col = _im2col_buffers(n, c, h, w, self.dtype) if k else (None, None, None)
             # flat positions in the activations of the pool cells, (4, n, windows)
             at = (np.arange(n)[:, None] * (o * h * w) + _pool_index(o, h, w)[:, None]
                   if train else None)
-            ws.append((xp, taps, np.empty((n, c * 9, h * w), self.dtype),  # im2col
-                       np.empty((n, o, h * w), self.dtype),  # conv, then relu
+            ws.append((*im2col, np.empty((n, o, h * w), self.dtype),  # conv, then relu
                        np.empty((n, o, h * w), bool), at))  # relu mask
             c, h, w = o, h // 2, w // 2
         # a tail batch, or a validation set's forward, costs one rebuild an epoch
-        self._workspaces[train] = (shape, ws)
+        self._workspaces[train] = (n, ws)
         return ws
 
     def release_workspaces(self) -> None:
@@ -134,17 +168,18 @@ class Network:
         self._workspaces.clear()
 
     def _forward(self, x: np.ndarray, train: bool = False):
-        """(logits, tape) of a prepared batch. Only ``train`` fills the tape
-        ``_backward`` reads: per conv block (input shape, cols, relu mask,
-        activations, argmax positions), per dense layer (input, relu mask)."""
+        """(logits, tape) of a prepared batch, images or ``columns``. Only
+        ``train`` fills the tape ``_backward`` reads: per conv block (input
+        shape, cols, relu mask, activations, argmax positions), per dense
+        layer (input, relu mask)."""
         conv_tape, dense_tape = [], []
-        out = x
-        for i, (xp, taps, cols, act, mask, at) in enumerate(self._buffers(x.shape, train), 1):
+        out = cols = self.columns(x)
+        n = out.shape[0]
+        c, (h, w) = 1, self.cfg.input_dims
+        for i, (xp, taps, im2col, act, mask, at) in enumerate(self._buffers(n, train), 1):
             wgt, b = self.params[f"conv{i}"]["W"], self.params[f"conv{i}"]["b"]
-            n, c, h, w = out.shape
-            xp[:, :, 1:-1, 1:-1] = out
-            # cols stays C-contiguous; c_einsum's float32 sums depend on it
-            np.copyto(cols.reshape(taps.shape), taps)
+            if i > 1:
+                cols = _im2col(out, xp, taps, im2col)
             np.einsum("of,nfp->nop", wgt.reshape(b.size, -1), cols, out=act)
             act += b[:, None]
             np.greater(act, 0, out=mask)
@@ -166,8 +201,9 @@ class Network:
                 pos = np.where(_replaces(top01, top23), at[2] + _replaces(c2, c3),
                                at[0] + _replaces(c0, c1))
                 conv_tape.append(((n, c, h, w), cols, mask, act, pos))
-            out = out.reshape(n, b.size, h // 2, w // 2)
-        out = out.reshape(out.shape[0], -1)
+            c, h, w = b.size, h // 2, w // 2
+            out = out.reshape(n, c, h, w)
+        out = out.reshape(n, -1)
         for i in range(1, len(self.cfg.hidden_dense) + 1):
             wgt, b = self.params[f"fc{i}"]["W"], self.params[f"fc{i}"]["b"]
             z = out @ wgt.T + b
@@ -180,8 +216,8 @@ class Network:
         return logits, (conv_tape, dense_tape)
 
     def forward(self, x) -> np.ndarray:
-        """Logits for a batch of images."""
-        logits, _ = self._forward(self._prepare_input(x))
+        """Logits for a batch of images, or of their ``columns``."""
+        logits, _ = self._forward(x)
         return logits
 
     def _backward(self, tape, dlogits: np.ndarray) -> None:
@@ -221,11 +257,12 @@ class Network:
             d = dxp[:, :, 1:-1, 1:-1]
 
     def loss_and_grads(self, x, y, loss_name: str):
-        """(mean loss, per-layer grads, logits) on a batch.
+        """(mean loss, per-layer grads, logits) on a batch of images, or of
+        their ``columns``.
 
         The grads are ``self.grads``, views into ``grad``: the next call
         overwrites them."""
-        x = self._prepare_input(x)
+        x = self.columns(x)
         y = np.asarray(y, dtype=self.dtype).ravel()
         if y.size != x.shape[0]:
             raise DataValidationError("images and labels must align")

@@ -9,6 +9,9 @@ the other. Frozen layers' slices of ``net.flat`` are copied once before the
 first step and written back after every step, so they stay bit-for-bit
 unmoved while the trace records their real gradients. The trace snapshot per
 epoch uses the last batch's gradients, mirroring per-epoch histogram plots.
+The first conv block's columns (``Network.columns``) of the training and
+validation images are built once; steps and metric passes read them. A
+non-finite loss, weight or gradient ends training with NumericFailure.
 
 gradient_check builds its own float64 copy of the network and compares the
 analytic gradients against central finite differences on sampled parameters;
@@ -49,8 +52,8 @@ def _hist_record(values: np.ndarray, n_bins: int = 32) -> HistogramRecord:
     return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
 
 
-def _metric_record(net: Network, images, labels, loss_name) -> MetricRecord:
-    logits = net.forward(images)
+def _metric_record(net: Network, cols, labels, loss_name) -> MetricRecord:
+    logits = net.forward(cols)
     loss_vec, _ = LOSSES[loss_name](logits, labels.astype(np.float64))
     preds = (logits >= 0).astype(int)
     m = metrics(confusion(preds, labels))
@@ -103,13 +106,16 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     n = labels.size
     trace = TrainTrace(layer_names=list(net.layer_names))
     prev = net.flat.copy()  # the weights each epoch's delta_l2 is measured from
+    # the first layer's input is the same every epoch: build it once per set
+    cols = net.columns(images)
+    val_cols = net.columns(val_images) if has_val else None
 
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report divergence
         for epoch in range(train_cfg.epochs):
             order = rng.permutation(n)
             for b, start in enumerate(range(0, n, train_cfg.batch_size)):
                 batch = order[start:start + train_cfg.batch_size]
-                loss, _, _ = net.loss_and_grads(images[batch], labels[batch],
+                loss, _, _ = net.loss_and_grads(cols[batch], labels[batch],
                                                 train_cfg.loss)
                 if not math.isfinite(loss):
                     raise NumericFailure(
@@ -119,6 +125,11 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                 for span, weights in frozen:
                     net.flat[span] = weights
 
+            # the epoch's last step may have left them non-finite, and no
+            # histogram bins those
+            for which, values in (("weights", net.flat), ("gradients", net.grad)):
+                if not np.isfinite(values).all():
+                    raise NumericFailure(f"non-finite {which} at epoch {epoch}", epoch=epoch)
             layer_records = {}
             for name, span in net.slices.items():
                 weights, gradient = net.flat[span], net.grad[span]
@@ -130,9 +141,9 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                     grad_hist=_hist_record(gradient),
                 )
             prev = net.flat.copy()
-            train_metrics = _metric_record(net, images, labels, train_cfg.loss)
+            train_metrics = _metric_record(net, cols, labels, train_cfg.loss)
             if has_val:
-                val_metrics = _metric_record(net, val_images, val_labels, train_cfg.loss)
+                val_metrics = _metric_record(net, val_cols, val_labels, train_cfg.loss)
             else:
                 val_metrics = MetricRecord(**vars(train_metrics))
             for which, record in (("train", train_metrics), ("validation", val_metrics)):
@@ -140,7 +151,9 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
                     raise NumericFailure(f"non-finite {which} loss at epoch {epoch}", epoch=epoch)
             trace.epochs.append(EpochRecord(layers=layer_records, train=train_metrics,
                                             validation=val_metrics))
-    net.release_workspaces()  # so they never overlap what the caller does next
+    # the columns go with this frame; the workspaces go here, so that neither
+    # overlaps what the caller does next
+    net.release_workspaces()
     return net, trace
 
 

@@ -457,6 +457,23 @@ def test_diverging_train_exits_three_with_one_line(tmp_path, epochs):
         token in trace.read_text() for token in ("NaN", "Infinity"))
 
 
+def test_weights_diverging_in_an_epochs_last_step_exit_three(tmp_path):
+    # every step's loss is finite, but the last step of epoch 0 leaves
+    # non-finite weights, which the epoch's histograms would be handed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "phantom": {"n_samples_per_class": 2, "dims": [16, 16, 16], "noise_sigma": 1000},
+        "train": {"learning_rate": 1e37, "batch_size": 4, "epochs": 2}}))
+    assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    src = os.path.dirname(os.path.dirname(radlearn.__file__))
+    run = subprocess.run([sys.executable, "-m", "radlearn", "train", "--config", str(config),
+                          "--in", str(tmp_path / "p" / "manifest.csv"),
+                          "--out", str(tmp_path / "t")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3
+    assert run.stderr == "radlearn: numeric failure: non-finite weights at epoch 0\n"
+
+
 @pytest.mark.parametrize("stage, section", [
     ("extract", {"phantom": {"n_samples_per_class": 1, "dims": [8, 8, 8]},
                  "extraction": {"n_bins": 100000}}),  # a (n_bins + 1)^2 GLCM code table

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import pearson_oracle
 
@@ -81,6 +83,62 @@ def test_histogram_uniform_grid():
 def test_histogram_empty_rejected():
     with pytest.raises(DataValidationError):
         histogram([], 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_histogram_rejects_non_finite_values(bad):
+    with pytest.raises(DataValidationError, match="non-finite"):
+        histogram([0.0, bad, 1.0], 4)
+
+
+@st.composite
+def _histogram_inputs(draw):
+    """(values, n_bins): float32-derived values, values on or an ulp off the
+    bins' own linspace edges, spans of a few float64 or float32 ulps, or constants,
+    as given or negated, at sizes around numpy's 65,536-value block."""
+    n_bins = draw(st.sampled_from([1, 2, 7, 32]))
+    size = draw(st.sampled_from([1, 2, 3, 17, 4112, 65535, 65536, 65537, 140000]))
+    lo = draw(st.floats(-1e6, 1e6, width=32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float32", "edges", "ulps", "ulps32", "constant"]))
+    if kind == "float32":
+        width = draw(st.floats(2.0**-10, 2.0**20, width=32))
+        values = (lo + width * rng.random(size)).astype(np.float32).astype(np.float64)
+    elif kind == "edges":
+        hi = lo + draw(st.floats(1e-6, 1e6))
+        values = rng.choice(np.linspace(lo, hi, n_bins + 1), size)
+        # on an edge or an ulp either side, where the truncated index can miss
+        values = np.clip(np.nextafter(values, values + rng.integers(-1, 2, size)), lo, hi)
+        values[0], values[-1] = lo, hi  # so the edges are the histogram's own
+    elif kind == "ulps":
+        steps = rng.integers(0, draw(st.integers(1, 80)), size, endpoint=True)
+        values = (np.float64(lo).view(np.int64) + steps).view(np.float64)
+    elif kind == "ulps32":
+        steps = rng.integers(0, draw(st.integers(1, 8)), size, endpoint=True)
+        values = (np.float32(lo).view(np.int32) + steps.astype(np.int32)).view(
+            np.float32).astype(np.float64)
+    else:
+        values = np.full(size, lo)
+    return (-values if draw(st.booleans()) else values), n_bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(_histogram_inputs())
+# an ulp below edge 6, -1.21875, whose truncated index is 6 all the same
+@example((np.array([-6.0, np.nextafter(-1.21875, -np.inf), 19.5]), 32))
+def test_histogram_counts_are_numpys(case):
+    values, n_bins = case
+    counts, lo, hi = histogram(values, n_bins)
+    assert (lo, hi) == (values.min(), values.max())
+    assert counts.dtype == np.int64 and counts.sum() == values.size
+    if lo == hi:
+        assert counts[0] == values.size
+        return
+    try:
+        expected = np.histogram(values, n_bins, range=(lo, hi))[0]
+    except ValueError:  # too narrow for n_bins distinct edges: numpy refuses it
+        return
+    assert counts.tolist() == expected.tolist()
 
 
 # --- static / dead detectors ---

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import itertools
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from radlearn.nn import (
     train,
 )
 from radlearn.nn.checkpoint import apply_checkpoint
+from radlearn.nn.train import _metric_record
 
 from oracles import NetworkOracle, gradient_check_oracle
 
@@ -279,6 +283,20 @@ def test_kept_workspaces_match_a_fresh_network():
         assert net.forward(x).tobytes() == fresh_logits(x)
     assert net.forward(five).tobytes() != first  # the step moved the weights
 
+    # first-block columns a caller built once, whole or gathered by a batch
+    # index as train does, give the bytes of columns built per call
+    for n in (1, 3, 4, 100):
+        x = rng.normal(size=(n, 9, 11))
+        y = rng.integers(0, 2, n)
+        cols = net.columns(x)
+        assert cols.shape == (n, 9, 99) and cols.flags.c_contiguous
+        assert net.forward(cols).tobytes() == net.forward(x).tobytes() == fresh_logits(x)
+        batch = rng.permutation(n)[:4]
+        _, _, logits = net.loss_and_grads(x[batch], y[batch], "bce_logit")
+        per_call = logits.tobytes(), net.grad.tobytes()
+        _, _, logits = net.loss_and_grads(cols[batch], y[batch], "bce_logit")
+        assert (logits.tobytes(), net.grad.tobytes()) == per_call
+
 
 def test_trained_network_holds_no_workspace():
     rng = np.random.default_rng(0)
@@ -287,3 +305,38 @@ def test_trained_network_holds_no_workspace():
     net, _ = train(x, y, NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[3]),
                    TrainConfig(epochs=2, batch_size=4))
     assert net._workspaces == {}
+
+    # nor do the columns train builds for its training and validation sets
+    built, columns = [], Network.columns
+
+    def recorded(self, images):
+        cols = columns(self, images)
+        built.append(weakref.ref(cols))
+        return cols
+
+    with mock.patch.object(Network, "columns", recorded):
+        net, _ = train(x, y, NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[3]),
+                       TrainConfig(epochs=2, batch_size=4), val_images=x[:3], val_labels=y[:3])
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
+    assert net._workspaces == {}
+
+
+def test_validation_rows_match_per_call_forwards():
+    # each epoch's rows, from columns built once per training, against a
+    # forward of the network trained that far, with columns built per call
+    rng = np.random.default_rng(4)
+    x, val_x = rng.normal(size=(7, 9, 11)), rng.normal(size=(5, 9, 11))
+    y, val_y = np.array([0, 1, 0, 1, 1, 0, 1]), np.array([1, 0, 0, 1, 1])
+    cfg = NetConfig(input_dims=(9, 11), conv_blocks=[2, 3], hidden_dense=[4], seed=6)
+
+    def trained(epochs):
+        return train(x, y, cfg, TrainConfig(learning_rate=1e-2, batch_size=3, epochs=epochs,
+                                            seed=2), val_images=val_x, val_labels=val_y)
+
+    _, trace = trained(3)
+    for epoch, record in enumerate(trace.epochs):
+        net, _ = trained(epoch + 1)
+        assert record.validation == _metric_record(net, val_x, val_y, "bce_logit")
+        assert record.train == _metric_record(net, x, y, "bce_logit")
+    assert trace.epochs[0].validation != trace.epochs[-1].validation
