@@ -16,10 +16,11 @@ layer's span in both buffers. ``forward`` keeps no bookkeeping for a backward
 pass. Each kind of pass, training step or inference, runs in buffers kept
 for its last batch size until ``release_workspaces``.
 
-The first conv block reads its im2col columns from ``columns``, never from a
-workspace: ``forward`` and ``loss_and_grads`` take images, or the columns a
-caller built once for images it passes many times (``train`` does so for its
-training and validation sets); later blocks build theirs from the weights.
+Images become the first layer's input in one place, ``_prepare_input``: the
+first conv block's im2col columns, never kept in a workspace; later blocks
+build theirs from the weights. ``forward`` and ``loss_and_grads`` take images,
+or the ``Columns`` that ``columns`` built once for images passed many times
+(``train`` does so for its training and validation sets).
 """
 
 from __future__ import annotations
@@ -68,6 +69,21 @@ def _replaces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ~(y <= x) & (x == x)
 
 
+class Columns:
+    """A batch's first-layer input as ``Network.columns`` built it: the first
+    conv block's im2col columns, (n, 9, h*w) and C-contiguous, or a net
+    without conv blocks' (n, 1, h, w) images. Indexing selects samples, so a
+    caller that builds them once hands ``cols[batch]`` to each step."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __getitem__(self, index) -> Columns:
+        return Columns(np.ascontiguousarray(self.array[index]))
+
+
 class Network:
     def __init__(self, cfg: NetConfig, dtype=np.float32):
         self.cfg = cfg
@@ -106,8 +122,8 @@ class Network:
                 self.grads[name][pname] = self.grad[span].reshape(shape)
                 offset = span.stop
             self.slices[name] = slice(start, offset)
-        # per kind of pass (train or not): (its last batch shape, its buffers)
-        self._workspaces: dict[bool, tuple[tuple, list]] = {}
+        # per kind of pass (train or not): (its last batch size, its buffers)
+        self._workspaces: dict[bool, tuple[int, list]] = {}
 
     @property
     def n_params(self) -> int:
@@ -116,35 +132,35 @@ class Network:
     # -- forward / backward -------------------------------------------------
 
     def _prepare_input(self, x) -> np.ndarray:
-        """x as a batch of this dtype: (n, 1, h, w) images, or C-contiguous
-        first-block columns, (n, 9, h*w), which no image batch's shape is."""
+        """The first layer's input for a batch of images, (n, h, w) or
+        (n, 1, h, w): the first conv block's im2col columns, or a net without
+        conv blocks' images as (n, 1, h, w)."""
         x = np.asarray(x, dtype=self.dtype)
-        h, w = self.cfg.input_dims
-        if self.cfg.conv_blocks and x.ndim == 3 and x.shape[1:] == (9, h * w):
-            return np.ascontiguousarray(x)
         if x.ndim == 3:
             x = x[:, None, :, :]
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != self.cfg.input_dims:
             raise DataValidationError(
-                f"expected images of shape (n, {h}, {w}), got {x.shape}")
-        return x
-
-    def columns(self, x) -> np.ndarray:
-        """The first layer's input for a batch of images: the first conv
-        block's im2col columns, (n, 9, h*w) and C-contiguous, or a net
-        without conv blocks' (n, 1, h, w) images. Columns come back as they
-        are, so a caller can build them once and pass them to every pass."""
-        x = self._prepare_input(x)
-        if x.ndim == 3 or not self.cfg.conv_blocks:
+                f"expected images of shape (n, {self.cfg.input_dims[0]}, "
+                f"{self.cfg.input_dims[1]}), got {x.shape}")
+        if not self.cfg.conv_blocks:
             return x
         return _im2col(x, *_im2col_buffers(*x.shape, self.dtype))
+
+    def columns(self, images) -> Columns:
+        """The first layer's input for a batch of images, to build once and
+        pass, whole or indexed, to every ``forward`` and ``loss_and_grads``."""
+        return Columns(self._prepare_input(images))
+
+    def _first_input(self, x) -> np.ndarray:
+        """The first layer's input for images, or for ``Columns``."""
+        return x.array if isinstance(x, Columns) else self._prepare_input(x)
 
     def _buffers(self, n: int, train: bool) -> list:
         """Scratch buffers for a batch of n. Training steps and inference each
         keep their last size's as a workspace, so neither evicts the other's:
         each pass overwrites them, no caller sees them, and the padded inputs'
         zero borders persist. Block 1 has no padded input, taps or columns:
-        it reads ``columns``."""
+        it reads the first layer's input as given."""
         kept = self._workspaces.get(train)
         if kept is not None and kept[0] == n:
             return kept[1]
@@ -168,12 +184,12 @@ class Network:
         self._workspaces.clear()
 
     def _forward(self, x: np.ndarray, train: bool = False):
-        """(logits, tape) of a prepared batch, images or ``columns``. Only
-        ``train`` fills the tape ``_backward`` reads: per conv block (input
-        shape, cols, relu mask, activations, argmax positions), per dense
-        layer (input, relu mask)."""
+        """(logits, tape) of a batch's first-layer input, as
+        ``_prepare_input`` builds it. Only ``train`` fills the tape
+        ``_backward`` reads: per conv block (input shape, cols, relu mask,
+        activations, argmax positions), per dense layer (input, relu mask)."""
         conv_tape, dense_tape = [], []
-        out = cols = self.columns(x)
+        out = cols = x
         n = out.shape[0]
         c, (h, w) = 1, self.cfg.input_dims
         for i, (xp, taps, im2col, act, mask, at) in enumerate(self._buffers(n, train), 1):
@@ -216,8 +232,8 @@ class Network:
         return logits, (conv_tape, dense_tape)
 
     def forward(self, x) -> np.ndarray:
-        """Logits for a batch of images, or of their ``columns``."""
-        logits, _ = self._forward(x)
+        """Logits for a batch of images, or of their ``Columns``."""
+        logits, _ = self._forward(self._first_input(x))
         return logits
 
     def _backward(self, tape, dlogits: np.ndarray) -> None:
@@ -258,11 +274,11 @@ class Network:
 
     def loss_and_grads(self, x, y, loss_name: str):
         """(mean loss, per-layer grads, logits) on a batch of images, or of
-        their ``columns``.
+        their ``Columns``.
 
         The grads are ``self.grads``, views into ``grad``: the next call
         overwrites them."""
-        x = self.columns(x)
+        x = self._first_input(x)
         y = np.asarray(y, dtype=self.dtype).ravel()
         if y.size != x.shape[0]:
             raise DataValidationError("images and labels must align")

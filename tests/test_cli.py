@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -436,13 +437,19 @@ def test_train_on_mixed_slice_shapes_exits_two(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("epochs", [1, 3])
-def test_diverging_train_exits_three_with_one_line(tmp_path, epochs):
-    # with one epoch only the epoch-end metric pass sees the non-finite loss;
+@pytest.mark.parametrize("phantom, train, stderr", [
+    # with one epoch only the epoch-end metric pass sees the non-finite loss
+    pytest.param({"n_samples_per_class": 1}, {"learning_rate": 3e38, "epochs": epochs},
+                 "non-finite .*", id=str(epochs)) for epochs in (1, 3)] + [
+    # every step's loss is finite, but the last step of epoch 0 leaves
+    # non-finite weights, which the epoch's histograms would be handed
+    pytest.param({"n_samples_per_class": 2, "dims": [16, 16, 16], "noise_sigma": 1000},
+                 {"learning_rate": 1e37, "batch_size": 4, "epochs": 2},
+                 "non-finite weights at epoch 0", id="weights")])
+def test_diverging_train_exits_three_with_one_line(tmp_path, phantom, train, stderr):
     # a subprocess, so numpy warnings would reach its stderr
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 1},
-                                  "train": {"learning_rate": 3e38, "epochs": epochs}}))
+    config.write_text(json.dumps({"phantom": phantom, "train": train}))
     assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
     out = tmp_path / "t"
     src = os.path.dirname(os.path.dirname(radlearn.__file__))
@@ -450,28 +457,23 @@ def test_diverging_train_exits_three_with_one_line(tmp_path, epochs):
                           "--in", str(tmp_path / "p" / "manifest.csv"), "--out", str(out)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 3
-    assert run.stderr.startswith("radlearn: numeric failure: non-finite")
-    assert run.stderr.count("\n") == 1
+    assert re.fullmatch(f"radlearn: numeric failure: {stderr}\n", run.stderr)
     trace = out / "train_trace.json"
     assert not trace.exists() or not any(
         token in trace.read_text() for token in ("NaN", "Infinity"))
 
 
-def test_weights_diverging_in_an_epochs_last_step_exit_three(tmp_path):
-    # every step's loss is finite, but the last step of epoch 0 leaves
-    # non-finite weights, which the epoch's histograms would be handed
+def test_train_rejects_slices_that_are_not_input_dims(tmp_path, capsys):
+    # (n, 9, 256) slices have the shape of 16 x 16 images' first-block columns
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "phantom": {"n_samples_per_class": 2, "dims": [16, 16, 16], "noise_sigma": 1000},
-        "train": {"learning_rate": 1e37, "batch_size": 4, "epochs": 2}}))
+    config.write_text(json.dumps({"phantom": {"n_samples_per_class": 1,
+                                              "dims": [256, 9, 16]}}))
     assert main(["phantom", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
-    src = os.path.dirname(os.path.dirname(radlearn.__file__))
-    run = subprocess.run([sys.executable, "-m", "radlearn", "train", "--config", str(config),
-                          "--in", str(tmp_path / "p" / "manifest.csv"),
-                          "--out", str(tmp_path / "t")],
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 3
-    assert run.stderr == "radlearn: numeric failure: non-finite weights at epoch 0\n"
+    assert main(["train", "--config", str(config), "--in", str(tmp_path / "p" / "manifest.csv"),
+                 "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radlearn: data error: expected images of shape (n, 16, 16)")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("stage, section", [

@@ -65,6 +65,17 @@ def test_forward_shapes_and_input_validation():
         net.forward(np.zeros((6, 9, 8)))
 
 
+def test_images_shaped_like_columns_are_rejected():
+    # (n, 9, h*w) is the shape of the first block's columns, but only the
+    # Columns that columns() builds are read as such
+    net = Network(NetConfig(input_dims=(16, 16), conv_blocks=[2], hidden_dense=[3]))
+    x = np.zeros((4, 9, 256))
+    for call in (net.forward, net.columns,
+                 lambda v: net.loss_and_grads(v, np.zeros(4), "bce_logit")):
+        with pytest.raises(DataValidationError, match=r"expected images of shape \(n, 16, 16\)"):
+            call(x)
+
+
 def test_gradient_check_bce_small_net():
     cfg = NetConfig(input_dims=(8, 8), conv_blocks=[2], hidden_dense=[8], seed=1)
     rng = np.random.default_rng(0)
@@ -289,7 +300,7 @@ def test_kept_workspaces_match_a_fresh_network():
         x = rng.normal(size=(n, 9, 11))
         y = rng.integers(0, 2, n)
         cols = net.columns(x)
-        assert cols.shape == (n, 9, 99) and cols.flags.c_contiguous
+        assert cols.array.shape == (n, 9, 99) and cols.array.flags.c_contiguous
         assert net.forward(cols).tobytes() == net.forward(x).tobytes() == fresh_logits(x)
         batch = rng.permutation(n)[:4]
         _, _, logits = net.loss_and_grads(x[batch], y[batch], "bce_logit")
@@ -311,7 +322,7 @@ def test_trained_network_holds_no_workspace():
 
     def recorded(self, images):
         cols = columns(self, images)
-        built.append(weakref.ref(cols))
+        built.append(weakref.ref(cols.array))
         return cols
 
     with mock.patch.object(Network, "columns", recorded):
