@@ -146,8 +146,8 @@ def cmd_cluster(cfg: PipelineConfig, in_paths, out_dir) -> None:
     distances = cluster_mod.correlation_distance_matrix(table.select(names), names)
     dendrogram = cluster_mod.agglomerate(distances, names)
     cluster_mod.save_dendrogram(dendrogram, os.path.join(out_dir, "dendrogram.json"))
-    clusters = cluster_mod.cut(dendrogram, min(cfg.cluster.k, len(names)))
-    write_json({"k": min(cfg.cluster.k, len(names)), "clusters": clusters},
+    k = min(cfg.cluster.k, len(names))
+    write_json({"k": k, "clusters": cluster_mod.cut(dendrogram, k)},
                os.path.join(out_dir, "clusters.json"))
 
 
@@ -210,7 +210,8 @@ def cmd_report(cfg: PipelineConfig, in_paths, out_dir) -> None:
     table = table_mod.read_feature_table(in_paths[0])
     trace = rfe_mod.load_trace(in_paths[1])
     top_names, top_cv_accuracy = rfe_mod.select_best(trace)
-    all_names = [n for n in table.feature_names if n in set(trace.initial_ranking)]
+    ranked = set(trace.initial_ranking)
+    all_names = [n for n in table.feature_names if n in ranked]
     if not all_names:
         raise DataValidationError("trace features not present in the table")
 

@@ -17,15 +17,13 @@ pass. Each kind of pass, training step or inference, runs in buffers kept
 for its last batch size until ``release_workspaces``.
 
 Images become the first layer's input in one place, ``_prepare_input``: the
-first conv block's im2col columns, never kept in a workspace; later blocks
-build theirs from the weights. ``forward`` and ``loss_and_grads`` take images,
-or the ``Columns`` that ``columns`` built once for images passed many times
-(``train`` does so for its training and validation sets).
+first conv block's im2col columns, never in a workspace. ``forward`` and
+``loss_and_grads`` enter through ``columns``, which returns as given the
+``Columns`` it built once (``train`` builds its sets'). A training step gathers
+each pool window's cells at its corner's flat index plus 0, 1, w and w + 1.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,17 +31,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import DataValidationError
 from .config import NetConfig
 from .losses import LOSSES
-
-
-@lru_cache(maxsize=64)
-def _pool_index(c: int, h: int, w: int) -> np.ndarray:
-    """(4, c*(h//2)*(w//2)) flat positions, in c planes of h x w, of the cells
-    of each 2x2 pool window (row-major), windows in pooled order."""
-    py, px = np.divmod(np.arange((h // 2) * (w // 2)), w // 2)
-    corner = (np.arange(c)[:, None] * (h * w) + 2 * py * w + 2 * px).ravel()
-    idx = np.stack([corner, corner + 1, corner + w, corner + w + 1])
-    idx.flags.writeable = False  # cached, so shared by every caller
-    return idx
 
 
 def _im2col_buffers(n: int, c: int, h: int, w: int, dtype) -> tuple:
@@ -91,8 +78,7 @@ class Network:
         rng = np.random.default_rng(cfg.seed)
 
         layers = []  # (W, b) in checkpoint order
-        h, w = cfg.input_dims
-        in_c = 1
+        in_c, (h, w) = 1, cfg.input_dims
         for out_c in cfg.conv_blocks:
             fan_in = in_c * 9
             wgt = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_c, in_c, 3, 3))
@@ -148,12 +134,9 @@ class Network:
 
     def columns(self, images) -> Columns:
         """The first layer's input for a batch of images, to build once and
-        pass, whole or indexed, to every ``forward`` and ``loss_and_grads``."""
-        return Columns(self._prepare_input(images))
-
-    def _first_input(self, x) -> np.ndarray:
-        """The first layer's input for images, or for ``Columns``."""
-        return x.array if isinstance(x, Columns) else self._prepare_input(x)
+        pass, whole or indexed, to every ``forward`` and ``loss_and_grads``;
+        ``Columns`` are returned as given."""
+        return images if isinstance(images, Columns) else Columns(self._prepare_input(images))
 
     def _buffers(self, n: int, train: bool) -> list:
         """Scratch buffers for a batch of n. Training steps and inference each
@@ -169,9 +152,10 @@ class Network:
         ws = []
         for k, o in enumerate(self.cfg.conv_blocks):
             im2col = _im2col_buffers(n, c, h, w, self.dtype) if k else (None, None, None)
-            # flat positions in the activations of the pool cells, (4, n, windows)
-            at = (np.arange(n)[:, None] * (o * h * w) + _pool_index(o, h, w)[:, None]
-                  if train else None)
+            at = None
+            if train:  # flat positions in the activations of the pool cells, (4, n, windows)
+                corner = np.arange(n * o * h * w).reshape(n, o, h, w)[:, :, :h - 1:2, :w - 1:2]
+                at = np.stack([corner, corner + 1, corner + w, corner + w + 1]).reshape(4, n, -1)
             ws.append((*im2col, np.empty((n, o, h * w), self.dtype),  # conv, then relu
                        np.empty((n, o, h * w), bool), at))  # relu mask
             c, h, w = o, h // 2, w // 2
@@ -220,20 +204,16 @@ class Network:
             c, h, w = b.size, h // 2, w // 2
             out = out.reshape(n, c, h, w)
         out = out.reshape(n, -1)
-        for i in range(1, len(self.cfg.hidden_dense) + 1):
-            wgt, b = self.params[f"fc{i}"]["W"], self.params[f"fc{i}"]["b"]
-            z = out @ wgt.T + b
-            mask = z > 0
+        for name in self.layer_names[len(self.cfg.conv_blocks):]:
+            z = out @ self.params[name]["W"].T + self.params[name]["b"]
+            mask = None if name == "fc_out" else z > 0
             dense_tape.append((out, mask))
-            out = z * mask
-        wgt, b = self.params["fc_out"]["W"], self.params["fc_out"]["b"]
-        dense_tape.append((out, None))
-        logits = (out @ wgt.T + b)[:, 0]
-        return logits, (conv_tape, dense_tape)
+            out = z if mask is None else z * mask
+        return out[:, 0], (conv_tape, dense_tape)
 
     def forward(self, x) -> np.ndarray:
         """Logits for a batch of images, or of their ``Columns``."""
-        logits, _ = self._forward(self._first_input(x))
+        logits, _ = self._forward(self.columns(x).array)
         return logits
 
     def _backward(self, tape, dlogits: np.ndarray) -> None:
@@ -278,7 +258,7 @@ class Network:
 
         The grads are ``self.grads``, views into ``grad``: the next call
         overwrites them."""
-        x = self._first_input(x)
+        x = self.columns(x).array
         y = np.asarray(y, dtype=self.dtype).ravel()
         if y.size != x.shape[0]:
             raise DataValidationError("images and labels must align")

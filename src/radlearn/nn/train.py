@@ -47,8 +47,8 @@ def _l2(arr: np.ndarray) -> float:
     return float(np.sqrt(np.sum(arr.astype(np.float64) ** 2)))
 
 
-def _hist_record(values: np.ndarray, n_bins: int = 32) -> HistogramRecord:
-    counts, lo, hi = histogram(values, n_bins)
+def _hist_record(values: np.ndarray) -> HistogramRecord:
+    counts, lo, hi = histogram(values, 32)
     return HistogramRecord(counts=counts.tolist(), lo=lo, hi=hi)
 
 
@@ -170,7 +170,7 @@ def gradient_check(net_cfg: NetConfig, images, labels, loss: str = "bce_logit",
         raise DataValidationError(
             f"gradient check limited to {GRADIENT_CHECK_MAX_PARAMS} parameters, "
             f"network has {net.n_params}")
-    images = np.asarray(images, dtype=np.float64)
+    images = net.columns(np.asarray(images, dtype=np.float64))
     labels = np.asarray(labels).ravel()
 
     net.loss_and_grads(images, labels, loss)

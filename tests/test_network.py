@@ -260,6 +260,25 @@ def test_pool_odd_dims_two_blocks_match_oracle():
                 assert grads[name][p].tobytes() == oracle_grads[name][p].tobytes()
 
 
+@pytest.mark.parametrize("loss", ["bce_logit", "hinge"])
+@pytest.mark.parametrize("conv_blocks, hidden_dense", [([2], []), ([], [3, 2])])
+def test_dense_stack_ends_match_oracle(conv_blocks, hidden_dense, loss):
+    # fc_out straight after a conv block, and two hidden layers after the images
+    cfg = NetConfig(input_dims=(6, 8), conv_blocks=conv_blocks, hidden_dense=hidden_dense,
+                    seed=3)
+    net, oracle = Network(cfg), NetworkOracle(cfg)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(5, 6, 8))
+    y = np.array([0, 1, 1, 0, 1])
+    _, grads, logits = net.loss_and_grads(x, y, loss)
+    _, oracle_grads, oracle_logits = oracle.loss_and_grads(x, y, loss)
+    assert logits.tobytes() == oracle_logits.tobytes()
+    assert net.forward(x).tobytes() == logits.tobytes()
+    for name in net.layer_names:
+        for p in ("W", "b"):
+            assert grads[name][p].tobytes() == oracle_grads[name][p].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3, 100])
 def test_forward_equals_training_logits(n):
     rng = np.random.default_rng(n)
