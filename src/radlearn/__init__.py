@@ -1,16 +1,15 @@
 """radlearn: radiomics features, feature selection, and learnability
 diagnostics for binary labels without visible image cues, at desk scale.
 
-Layers of the toolkit, bottom to top:
+Layers, bottom to top:
 
-* volume/quantize: 3D volumes, ROI masks, synthetic phantoms, gray-level binning
-* features: 94 radiomics features across 7 families
+* volume/quantize: 3D volumes, ROI masks, phantoms, gray-level binning
+* features: 94 radiomics features in 7 families
 * stats/metrics: Mann-Whitney filtering, AUROC, stratified k-fold
-* forest/rfe/cluster: selection machinery (recursive elimination over a
-  deterministic random forest, correlation clustering)
-* nn/diagnostics: reference trainer with manual backprop and the
-  gradient-flow / class-flipping learnability detectors
-* cli: file-based pipeline stages (see ``radlearn --help``)
+* forest/rfe/cluster: recursive elimination over a deterministic random
+  forest, correlation clustering
+* nn/diagnostics: reference trainer with manual backprop, learnability detectors
+* cli: file-based pipeline stages (``radlearn --help``)
 """
 
 from .errors import ConfigError, DataValidationError, NumericFailure, RadlearnError

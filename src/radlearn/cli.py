@@ -4,18 +4,9 @@ Every subcommand is a deterministic function of (config, input files); file
 outputs are byte-stable across reruns with fixed seeds. Exit codes: 0 ok,
 1 usage/config error, 2 data/validation error, 3 numeric failure.
 
-Each stage reads the ``--in`` files shown, in that order (``[x]`` is
-optional; a missing or surplus file exits 1), and writes its artifacts:
-
-    phantom   (none)                            volume/mask files, manifest.csv
-    extract   manifest.csv                      features.csv
-    filter    features.csv                      significance.json
-    rfe       features.csv [significance.json]  rfe_trace.json, rfe_curve.csv
-    cluster   features.csv [rfe_trace.json]     dendrogram.json, clusters.json
-    train     manifest.csv                      model checkpoint, train_trace.json,
-                                                train_metrics.csv
-    diagnose  train_trace.json                  diagnosis.json, gradient_flow.csv
-    report    features.csv rfe_trace.json       report.json, report.csv
+Each stage reads the ``--in`` files that ``_COMMANDS`` declares, in that order
+(a missing or surplus file exits 1), and writes the artifacts its ``cmd_*``
+names.
 """
 
 from __future__ import annotations

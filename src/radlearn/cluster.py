@@ -6,13 +6,10 @@ distance 1 from everything. The correlations are numpy's pairwise sums
 (``metrics.correlations``), with no BLAS call, so the distances and the
 dendrogram have the same bits whichever BLAS core the host runs.
 
-Agglomeration uses average linkage with a deterministic tie rule: among
-minimum-distance pairs, merge the pair whose (representative, representative)
-names are lexicographically smallest, where a cluster's representative is its
-smallest member name.
-
-Merges use scipy-style node ids: leaves are 0..n-1, the i-th merge creates
-node n+i.
+Agglomeration uses average linkage; among minimum-distance pairs it merges
+the pair whose (representative, representative) names, a cluster's smallest
+member names, are lexicographically smallest. Node ids are scipy's: leaves
+0..n-1, the i-th merge creates node n+i.
 """
 
 from __future__ import annotations

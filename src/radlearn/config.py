@@ -1,17 +1,8 @@
 """Pipeline configuration: one strict JSON document.
 
-Each section is the dataclass its stage takes, so each key's type, default
-and rule is written once, in that class:
-
-    phantom     volume.PhantomSpec
-    extraction  ExtractionSection
-    filter      FilterSection
-    forest      forest.ForestConfig
-    rfe         RfeSection
-    cluster     ClusterSection
-    train       TrainSection, i.e. nn.NetConfig + nn.TrainConfig
-    diagnose    diagnostics.DiagnosticThresholds
-    seeds       SeedsSection
+Each section, a field of ``PipelineConfig``, is the dataclass its stage
+takes, so each key's type, default and rule is written once, in that class.
+``train`` is ``TrainSection``, i.e. nn.NetConfig + nn.TrainConfig.
 
 Unknown sections or keys are rejected so typos cannot silently fall back to
 defaults. The classes check their own values with ``jsonio.check`` and raise

@@ -10,9 +10,9 @@ class). The verdict rule is fixed:
     learnable    <=>  no static layer and no flipping
     inconclusive otherwise
 
-Every threshold is a knob on DiagnosticThresholds; the defaults are the
-documented reference values. These are one formalization of qualitatively
-described phenomena and are labeled as such in the report.
+Every threshold is a DiagnosticThresholds knob, defaulting to the documented
+reference value. The detectors are one formalization of qualitatively
+described phenomena, and the report labels them so.
 """
 
 from __future__ import annotations

@@ -14,12 +14,11 @@ All builders share the same geometric conventions:
 * co-occurrence/run/zone/dependence counts are summed ("merged") over
   directions before any normalization.
 * level 0 marks out-of-mask voxels; in-mask levels are 1..n_bins.
-* accumulators are exact integers of the narrowest safe width, and values
-  become float64 only after accumulation: a voxel has at most 26 neighbors,
-  so NGTDM neighbor counts and GLDM dependence counts are uint8, NGTDM level
-  sums (of at most 26 levels) take the narrowest signed type that holds
-  26 * n_bins, GLCM joint codes are intp, and GLCM pair counts are int64.
-  No voxel order or array layout therefore enters any matrix.
+* accumulators are exact integers of the narrowest safe width, float64 only
+  after accumulation: NGTDM neighbor and GLDM dependence counts (at most 26)
+  are uint8, NGTDM level sums the narrowest signed type that holds
+  26 * n_bins, GLCM joint codes intp and pair counts int64. So no voxel
+  order or array layout enters any matrix.
 
 Matrix layouts:
 

@@ -1,10 +1,10 @@
 """Feature formulas over the texture matrices.
 
-The formulas follow the widely used reference definitions for each family;
-every name below is the contract, and the math is implemented exactly as
-documented in docs/features.md. Degenerate single-level regions take
-fixed conventional values (Correlation/MCC 1, Imc1/Imc2 0, NGTDM Coarseness
-capped at 1e6, ...) so the pipeline never emits a non-finite number.
+The formulas follow the widely used reference definitions; every name below
+is the contract, and the math is as docs/features.md documents it.
+Degenerate single-level regions take fixed conventional values
+(Correlation/MCC 1, Imc1/Imc2 0, NGTDM Coarseness capped at 1e6, ...) so
+the pipeline never emits a non-finite number.
 
 Gray level values are the bin indices 1..n_bins; formulas that need a level
 use the value, not the row position. 0*log(0) is taken to be 0 throughout.

@@ -6,26 +6,24 @@ each feature column is sorted once per grow call, and a node is described by
 how many of its bootstrap rows are each table row, so running sums in a
 column's order count the rows left of every threshold. Gini terms come from
 a table over (rows, class-1 rows) when its (n + 1)^2 cells are no more than
-one forest's root round search array, and are computed otherwise; both are
-the same float expression, so the table changes no bit.
+one forest's root round search array, else are computed, by the same float
+expression.
 
 A forest draws from one generator, ``default_rng(seed)``, in a fixed order:
-first the bootstrap rows of all trees as one ``(n_trees, n)`` integer block
-(no draw without bootstrap), then one ``(n_trees, n_features)`` block of
-uniform keys per round. All trees grow in lockstep: round r handles the r-th
-preorder node of every tree that has one, with one batched split search, and
-its key block is the r-th of the stream whether or not any node splits
-(blocks are drawn when a round searches, so rounds after the last search draw
-none). The candidates of node r of tree t are the m features with the
-smallest keys in row t, in ascending feature order. A fixed seed therefore
-pins the whole ensemble. Importance is mean impurity decrease across trees,
-normalized to sum 1 when any split occurred; ranking ties break by ascending
-feature name so the elimination loop has a total order.
+the bootstrap rows of all trees as one ``(n_trees, n)`` integer block (none
+without bootstrap), then one ``(n_trees, n_features)`` block of uniform keys
+per round. All trees grow in lockstep: round r handles the r-th preorder node
+of every tree that has one, in one batched split search, and its key block is
+the r-th of the stream whether or not any node splits (rounds after the last
+search draw none). Node r of tree t's candidates are the m features with the
+smallest keys in row t, in ascending order. Importance is mean impurity
+decrease across trees, normalized to sum 1 when any split occurred; ranking
+ties break by ascending feature name, a total order for elimination.
 
-Several forests on row subsets of one table (the folds of a cross-validation)
-grow in one lockstep batch, each with its own generator and stream, over the
-whole table: rows a forest did not draw are rows absent from its nodes, which
-the search already skips, so each forest is the one grown alone on its rows.
+Several forests on row subsets of one table (cross-validation folds) grow in
+one lockstep batch, each with its own generator, over the whole table: rows
+a forest did not draw are absent from its nodes, so each forest is the one
+grown alone on its rows.
 """
 
 from __future__ import annotations
@@ -90,26 +88,23 @@ def _side_mass(packed, side: int, min_leaf: int):
 
 
 def _best_splits(columns, v, count, n1, cand, side, min_leaf, table, work):
-    """Best (feature, threshold, gain) of each node, searched over all nodes
-    and all their candidate features at once, with no sort.
+    """Best (feature, threshold, gain) of each node, over all nodes and
+    their candidate features at once, with no sort.
 
     ``columns`` is ``(order, head, values, gap)``: per feature, the table rows
     in ascending value order, that order without its last row, those values,
     and 1 where a value is below the next (else 0). ``v[e, i]`` packs node
-    e's multiplicity of table row i with its class-1 part (see
-    ``_side_mass``), so running sums of ``v`` in a column's order give both
-    sides of every boundary. A boundary between equal values reads as an
-    empty left side. One after a value absent from the node repeats the
-    previous boundary's counts and gain, and the first of equal gains wins,
-    so the split is the one just after a present value. Side masses are read
-    from ``table`` (``_side_mass`` of every packed pair) when there is one.
-    ``cand[e]`` lists node e's candidate features in ascending order. A
-    node's gain is -inf when no candidate has a split that leaves
-    ``min_leaf`` rows on each side; among equal gains the lowest threshold of
-    the first candidate wins.
-
-    The search writes through ``work``: two int64 buffers and one float64
-    buffer, each of at least (nodes, candidates, boundaries) elements.
+    e's multiplicity of table row i with its class-1 part (``_side_mass``),
+    so running sums of ``v`` in a column's order give both sides of every
+    boundary. One between equal values reads as an empty left side; one
+    after a value absent from the node repeats the previous one, and the
+    first of equal gains wins, so a split falls just after a present value.
+    Side masses come from ``table`` when there is one. ``cand[e]`` lists
+    node e's candidates in ascending order. A node's gain is -inf when no
+    split leaves ``min_leaf`` rows on each side; among equal gains the
+    lowest threshold of the first candidate wins. The search writes through
+    ``work``: two int64 and one float64 buffer, each of at least (nodes,
+    candidates, boundaries) elements.
     """
     order, head, values, gap = columns
     n_nodes, n = v.shape
@@ -152,22 +147,20 @@ _NODE_FILL = dict(feature=-1, threshold=0.0, left=-1, right=-1, p1=0.0, decrease
 
 
 def _grow_forest(X, y, boot, n, rngs, cfg: ForestConfig):
-    """Grow the forests of one batch, one tree per row of ``boot``, all in
+    """Grow the forests of one batch, one tree per row of ``boot``, in
     lockstep over the table ``X``.
 
-    Forest g owns trees g * n_trees up to (g + 1) * n_trees; its trees'
-    rows of ``boot`` hold the table rows of their bootstrap draws in the
-    first ``n[g]`` columns. Each forest draws its own candidate keys from
-    ``rngs[g]``, at the rounds where it searches. Table rows a forest never
-    drew are in no node of its trees, so the search meets them as rows
-    absent from a node.
+    Forest g owns trees g * n_trees up to (g + 1) * n_trees, whose rows of
+    ``boot`` hold their bootstrap draws' table rows in the first ``n[g]``
+    columns; it draws its candidate keys from ``rngs[g]`` at the rounds
+    where it searches. Rows a forest never drew are absent from its nodes.
 
-    Each tree's pending nodes form a depth-first stack whose slots are the
-    tree's rows' homes: row i of tree t waits in stack slot ``slot[t, i]``,
-    or -1 once its leaf is closed (as are a shorter forest's padding
-    columns). Round r pops the top slot of every tree with a nonempty stack,
-    so the node it handles is that tree's node r in preorder. A split pushes
-    the right child into the popped slot and the left child above it.
+    Each tree's pending nodes form a depth-first stack whose slots are its
+    rows' homes: row i of tree t waits in slot ``slot[t, i]``, or -1 once
+    its leaf is closed (as do a shorter forest's padding columns). Round r
+    pops the top slot of every tree with a nonempty stack, so it handles
+    each tree's node r in preorder. A split pushes the right child into the
+    popped slot and the left child above it.
     """
     n_total, width = boot.shape
     n_trees = cfg.n_trees
@@ -344,22 +337,33 @@ def train_forest(t: FeatureTable, cfg: ForestConfig) -> ForestModel:
     return train_forests(t, cfg, [np.arange(t.n_samples)], [cfg.seed])[0]
 
 
-def predict_proba_matrix(mdl: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Mean per-tree class-1 leaf probability for each row of X."""
+def predict_proba_rows(models: list[ForestModel], X: np.ndarray, which) -> np.ndarray:
+    """``predict_proba_matrix`` of each row of X by its own forest,
+    ``models[which[row]]`` (of one tree count), in one descent."""
     X = np.asarray(X, dtype=np.float64)
-    trees = np.arange(mdl.feature.shape[0])
+    n_trees = models[0].feature.shape[0]
+    # the forests' trees end to end: a node is at its tree's start plus its column
+    feature, threshold, left, right, p1 = (
+        np.concatenate([getattr(mdl, key).ravel() for mdl in models])
+        for key in ("feature", "threshold", "left", "right", "p1"))
+    widths = np.repeat([mdl.feature.shape[1] for mdl in models], n_trees)
+    tree = (np.cumsum(widths) - widths).reshape(-1, n_trees)[which]  # (row, tree)
     rows = np.arange(X.shape[0])[:, None]
-    node = np.zeros((X.shape[0], trees.size), dtype=np.int64)  # (row, tree)
+    at = tree
     while True:
-        f = mdl.feature[trees, node]
+        f = feature[at]
         inner = f >= 0
         if not inner.any():
             break
-        go_left = X[rows, f] <= mdl.threshold[trees, node]
-        node = np.where(inner, np.where(go_left, mdl.left[trees, node],
-                                        mdl.right[trees, node]), node)
+        go_left = X[rows, f] <= threshold[at]
+        at = np.where(inner, tree + np.where(go_left, left[at], right[at]), at)
     # summed tree by tree, in tree order, so the mean is the same to the bit
-    return np.cumsum(mdl.p1[trees, node], axis=1)[:, -1] / trees.size
+    return np.cumsum(p1[at], axis=1)[:, -1] / n_trees
+
+
+def predict_proba_matrix(mdl: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Mean per-tree class-1 leaf probability for each row of X."""
+    return predict_proba_rows([mdl], X, np.zeros(len(X), dtype=np.intp))
 
 
 def rank_features(mdl: ForestModel) -> list[str]:

@@ -14,18 +14,13 @@ _BLOCK = 65536  # values binned at a time, as np.histogram does
 
 def histogram(values, n_bins: int = 32) -> tuple[np.ndarray, float, float]:
     """(counts, lo, hi): bin counts over [lo, hi] = [min, max], last bin
-    right-inclusive.
-
-    The bins are np.histogram's with ``range=(lo, hi)``, by its own rule for
-    equal bins, without its per-call set-up: a value's bin is
-    ``(v - lo) / (hi - lo) * n_bins`` truncated, hi's moved into the last
-    bin, then moved one bin down or up where that misses the value's
-    ``np.linspace(lo, hi, n_bins + 1)`` edges. Values are binned 65,536 at
-    a time, so temporaries stay that size. A span too narrow for n_bins
+    right-inclusive: np.histogram's with ``range=(lo, hi)``, by its own rule
+    for equal bins, without its per-call set-up. A value's bin is
+    ``(v - lo) / (hi - lo) * n_bins`` truncated, hi's in the last bin, moved
+    one down or up where that misses its ``np.linspace`` edges; 65,536
+    values at a time, as np.histogram bins. A span too narrow for n_bins
     distinct edges, which np.histogram refuses, is binned by the same rule.
-
-    A constant input puts all mass in the first bin, so downstream entropy
-    and trace plots stay defined for degenerate data. Non-finite values are
+    A constant input puts all mass in the first bin; non-finite values are
     a DataValidationError.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
@@ -38,8 +33,17 @@ def histogram(values, n_bins: int = 32) -> tuple[np.ndarray, float, float]:
     if lo == hi:
         counts[0] = values.size
         return counts, lo, hi
-    edges = np.linspace(lo, hi, n_bins + 1)
+    # np.linspace(lo, hi, n_bins + 1), without its wrapper
     span = hi - lo
+    step = span / n_bins
+    edges = np.arange(n_bins + 1.0)
+    if step == 0:
+        edges /= n_bins
+        edges *= span
+    else:
+        edges *= step
+    edges += lo
+    edges[-1] = hi
     for start in range(0, values.size, _BLOCK):
         v = values[start:start + _BLOCK]
         at = ((v - lo) / span * n_bins).astype(np.intp)

@@ -1,9 +1,12 @@
 """The one JSON writer and reader, typed decoder, config checker, CSV reader and writer, raw reader.
 
-``write_json`` sorts keys and indents by two spaces, so a rerun writes the same
-bytes; it writes dataclasses as objects and tuples as arrays. ``from_json``
-turns a parsed document into a dataclass, checking every key and value on the
-way, or raises one ``DataValidationError("malformed <what>: <path> ...")``.
+``write_json`` writes ``json.dumps(doc, sort_keys=True, indent=2)`` and a
+newline, dataclasses as objects and tuples as arrays. Its encoder recurses by
+exact type and joins a list of one scalar type at once; any other value (a
+NaN, a subclass, a dict with other keys) goes to ``json.dumps``, re-indented:
+JSON text holds no raw newline. ``from_json`` turns a parsed document into a
+dataclass, checking every key and value, or raises one
+``DataValidationError("malformed <what>: <path> ...")``.
 ``check`` runs in each config dataclass's ``__post_init__``: it checks every
 field against its type hint with the same decoder, then the section's range
 rules, or raises one ``ConfigError("<section>.<key> must be ...")``. So each
@@ -21,6 +24,7 @@ import sys
 import types
 import typing
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,25 +37,65 @@ def _field_names(cls) -> tuple[str, ...] | None:
     return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-def _plain(value):
-    """json's ``default`` hook: ``value`` with each dataclass in it as a dict of its
-    fields. Nested ones are done here: in the encoder each adds a generator level."""
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+def _fields(value) -> dict:
+    """json's ``default`` hook: a dataclass as a dict of its fields."""
     names = _field_names(type(value))
     if names is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return {name: _plain(getattr(value, name)) for name in names}
+    return {name: getattr(value, name) for name in names}
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_keys(cls) -> tuple | None:
+    """A dataclass's sorted field names, each with its key's text."""
+    names = _field_names(cls)
+    return names and tuple((name, encode_basestring_ascii(name) + ": ") for name in sorted(names))
+
+
+_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+         bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _encode(value, nl: str, parts: list) -> None:
+    """Append ``value`` as ``json.dumps`` writes it on a line that ``nl``,
+    a newline and an indent, starts."""
+    kind = type(value)
+    if kind in _TEXT and (kind is not float or math.isfinite(value)):
+        parts.append(_TEXT[kind](value))
+        return
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        item_kind = kinds.pop() if len(kinds) == 1 else None
+        if item_kind in _TEXT and (item_kind is not float or all(map(math.isfinite, value))):
+            parts.append(f"[{inner}{(',' + inner).join(map(_TEXT[item_kind], value))}{nl}]")
+            return
+        pairs, brackets = [("", item) for item in value], "[]"
+    elif kind is dict and all(type(key) is str for key in value):
+        pairs, brackets = [(encode_basestring_ascii(key) + ": ", item)
+                           for key, item in sorted(value.items())], "{}"
+    elif (keys := _sorted_keys(kind)) is not None:
+        pairs, brackets = [(text, getattr(value, name)) for name, text in keys], "{}"
+    else:
+        text = json.dumps(value, sort_keys=True, indent=2, default=_fields)
+        parts.append(text.replace("\n", nl))
+        return
+    if not pairs:
+        parts.append(brackets)
+        return
+    sep = brackets[0] + inner
+    for prefix, item in pairs:
+        parts.append(sep + prefix)
+        _encode(item, inner, parts)
+        sep = "," + inner
+    parts.append(nl + brackets[1])
 
 
 def write_json(obj, path) -> None:
+    parts = []
+    _encode(obj, "\n", parts)
     with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_plain)
-        fh.write("\n")
+        fh.write("".join(parts) + "\n")
 
 
 def read_json(path, error=DataValidationError):

@@ -22,7 +22,7 @@ def loss_bce_logit(z, y):
     e = np.exp(np.where(pos, -z, z))  # exp(-|z|), a NaN z keeping its sign bit
     loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
     one_e = 1.0 + e
-    grad = np.where(pos, 1.0 / one_e, e / one_e) - y
+    grad = np.where(pos, 1.0, e) / one_e - y
     return loss, grad
 
 

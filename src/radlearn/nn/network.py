@@ -1,26 +1,23 @@
 """Plain conv/dense network with hand-written forward and backward passes.
 
-Architecture per NetConfig: repeated [conv3x3 (pad 1) -> relu -> maxpool2x2]
-blocks, flatten, dense hidden layers with relu, and a single-logit dense
-output. Weights are He-initialized from the config seed. The same code runs
-in float32 (training, bit-exact checkpoints) or float64 (gradient checking).
+Architecture per NetConfig: [conv3x3 (pad 1) -> relu -> maxpool2x2] blocks,
+flatten, dense hidden layers with relu and a single-logit output, He-initialized
+from the config seed, in float32 (training, bit-exact checkpoints) or float64
+(gradient checking).
 
-Layer names are ``NetConfig.layer_names``: "conv1"..., "fc1"..., and
-"fc_out"; each layer holds a "W" and a "b" array. All parameters live in one
-flat buffer, ``flat``, laid out in checkpoint order (conv1.W, conv1.b, ...,
-fc_out.b); ``params[name][p]`` are reshaped views into it, so they are
-written with ``[...] =`` and never rebound. The gradients live the same way in
-``grad``, a buffer of the same dtype and layout with views ``grads[name][p]``;
-each backward pass overwrites every one of them, and ``slices[name]`` is a
-layer's span in both buffers. ``forward`` keeps no bookkeeping for a backward
-pass. Each kind of pass, training step or inference, runs in buffers kept
-for its last batch size until ``release_workspaces``.
+Layers are ``NetConfig.layer_names`` ("conv1"..., "fc1"..., "fc_out"), each
+with a "W" and a "b". All parameters live in one flat buffer, ``flat``, in
+checkpoint order; ``params[name][p]`` are reshaped views into it, written with
+``[...] =`` and never rebound. ``grad`` and ``grads[name][p]`` hold the
+gradients the same way, each backward pass overwriting all of them;
+``slices[name]`` is a layer's span in both. Training steps and inference each
+run in buffers kept for their last batch size until ``release_workspaces``.
 
-Images become the first layer's input in one place, ``_prepare_input``: the
-first conv block's im2col columns, never in a workspace. ``forward`` and
-``loss_and_grads`` enter through ``columns``, which returns as given the
-``Columns`` it built once (``train`` builds its sets'). A training step gathers
-each pool window's cells at its corner's flat index plus 0, 1, w and w + 1.
+``forward`` and ``loss_and_grads`` take images, or the ``Columns`` that
+``columns`` built from them once: the first block's im2col columns. A
+training step gathers each pool window's cells at its corner's flat index
+plus 0, 1, w and w + 1 and takes the value and the position at their
+``argmax``.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ from .losses import LOSSES
 
 
 def _im2col_buffers(n: int, c: int, h: int, w: int, dtype) -> tuple:
-    """(padded input, its 3x3 taps, columns) for a batch of (n, c, h, w): the
-    taps, (n, c, 3, 3, h, w), are views of the padded input read as the
-    columns, (n, c*9, h*w)."""
+    """(padded input, its 3x3 taps, columns) for (n, c, h, w): the taps,
+    (n, c, 3, 3, h, w), are views of the padded input, read as the columns,
+    (n, c*9, h*w)."""
     xp = np.zeros((n, c, h + 2, w + 2), dtype)
     taps = sliding_window_view(xp, (3, 3), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
     return xp, taps, np.empty((n, c * 9, h * w), dtype)
@@ -50,17 +47,10 @@ def _im2col(x: np.ndarray, xp: np.ndarray, taps: np.ndarray, cols: np.ndarray) -
     return cols
 
 
-def _replaces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Where y, scanned after x, takes the maximum from it as in argmax: ties
-    and -0.0 == 0.0 keep x, and the first NaN wins."""
-    return ~(y <= x) & (x == x)
-
-
 class Columns:
-    """A batch's first-layer input as ``Network.columns`` built it: the first
-    conv block's im2col columns, (n, 9, h*w) and C-contiguous, or a net
-    without conv blocks' (n, 1, h, w) images. Indexing selects samples, so a
-    caller that builds them once hands ``cols[batch]`` to each step."""
+    """A batch's first-layer input: the first conv block's C-contiguous
+    im2col columns, (n, 9, h*w), or (n, 1, h, w) images for a net without
+    conv blocks. Indexing selects samples (``cols[batch]``)."""
 
     __slots__ = ("array",)
 
@@ -108,6 +98,14 @@ class Network:
                 self.grads[name][pname] = self.grad[span].reshape(shape)
                 offset = span.stop
             self.slices[name] = slice(start, offset)
+        # per layer: (W, b, W's gradient, b's gradient), a conv block's W and
+        # its gradient as (out, in*9) and its b as a column
+        self._layers = []
+        for k, name in enumerate(self.layer_names):
+            (wgt, b), (grad_w, grad_b) = self.params[name].values(), self.grads[name].values()
+            if k < len(cfg.conv_blocks):
+                wgt, b, grad_w = wgt.reshape(b.size, -1), b[:, None], grad_w.reshape(b.size, -1)
+            self._layers.append((wgt, b, grad_w, grad_b))
         # per kind of pass (train or not): (its last batch size, its buffers)
         self._workspaces: dict[bool, tuple[int, list]] = {}
 
@@ -115,12 +113,8 @@ class Network:
     def n_params(self) -> int:
         return self.flat.size
 
-    # -- forward / backward -------------------------------------------------
-
     def _prepare_input(self, x) -> np.ndarray:
-        """The first layer's input for a batch of images, (n, h, w) or
-        (n, 1, h, w): the first conv block's im2col columns, or a net without
-        conv blocks' images as (n, 1, h, w)."""
+        """A ``Columns`` array for images of (n, h, w) or (n, 1, h, w)."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim == 3:
             x = x[:, None, :, :]
@@ -133,17 +127,14 @@ class Network:
         return _im2col(x, *_im2col_buffers(*x.shape, self.dtype))
 
     def columns(self, images) -> Columns:
-        """The first layer's input for a batch of images, to build once and
-        pass, whole or indexed, to every ``forward`` and ``loss_and_grads``;
-        ``Columns`` are returned as given."""
+        """The ``Columns`` of images, to build once and pass, whole or
+        indexed, to each pass; ``Columns`` are returned as given."""
         return images if isinstance(images, Columns) else Columns(self._prepare_input(images))
 
     def _buffers(self, n: int, train: bool) -> list:
-        """Scratch buffers for a batch of n. Training steps and inference each
-        keep their last size's as a workspace, so neither evicts the other's:
-        each pass overwrites them, no caller sees them, and the padded inputs'
-        zero borders persist. Block 1 has no padded input, taps or columns:
-        it reads the first layer's input as given."""
+        """Scratch buffers for a batch of n, kept for training steps and for
+        inference apart, so neither evicts the other's; the padded inputs'
+        zero borders persist. Block 1 reads its ``Columns`` as given."""
         kept = self._workspaces.get(train)
         if kept is not None and kept[0] == n:
             return kept[1]
@@ -152,14 +143,16 @@ class Network:
         ws = []
         for k, o in enumerate(self.cfg.conv_blocks):
             im2col = _im2col_buffers(n, c, h, w, self.dtype) if k else (None, None, None)
-            at = None
-            if train:  # flat positions in the activations of the pool cells, (4, n, windows)
+            at = first = None
+            if train:  # the pool cells' flat positions, (n, windows, 4), and
+                # where each window's first cell is in that array
                 corner = np.arange(n * o * h * w).reshape(n, o, h, w)[:, :, :h - 1:2, :w - 1:2]
-                at = np.stack([corner, corner + 1, corner + w, corner + w + 1]).reshape(4, n, -1)
+                at = np.stack([corner, corner + 1, corner + w, corner + w + 1], axis=-1)
+                at = at.reshape(n, -1, 4)
+                first = np.arange(0, at.size, 4).reshape(at.shape[:2])
             ws.append((*im2col, np.empty((n, o, h * w), self.dtype),  # conv, then relu
-                       np.empty((n, o, h * w), bool), at))  # relu mask
+                       np.empty((n, o, h * w), bool), at, first))  # relu mask
             c, h, w = o, h // 2, w // 2
-        # a tail batch, or a validation set's forward, costs one rebuild an epoch
         self._workspaces[train] = (n, ws)
         return ws
 
@@ -168,44 +161,42 @@ class Network:
         self._workspaces.clear()
 
     def _forward(self, x: np.ndarray, train: bool = False):
-        """(logits, tape) of a batch's first-layer input, as
-        ``_prepare_input`` builds it. Only ``train`` fills the tape
-        ``_backward`` reads: per conv block (input shape, cols, relu mask,
-        activations, argmax positions), per dense layer (input, relu mask)."""
+        """(logits, tape) of a ``Columns`` array. Only ``train`` fills the
+        tape: per conv block (input shape, cols, relu mask, activations,
+        argmax positions), per dense layer (input, relu mask)."""
         conv_tape, dense_tape = [], []
         out = cols = x
         n = out.shape[0]
         c, (h, w) = 1, self.cfg.input_dims
-        for i, (xp, taps, im2col, act, mask, at) in enumerate(self._buffers(n, train), 1):
-            wgt, b = self.params[f"conv{i}"]["W"], self.params[f"conv{i}"]["b"]
-            if i > 1:
+        for (xp, taps, im2col, act, mask, at, first), (wgt, b, _, _) in zip(
+                self._buffers(n, train), self._layers):
+            if xp is not None:
                 cols = _im2col(out, xp, taps, im2col)
-            np.einsum("of,nfp->nop", wgt.reshape(b.size, -1), cols, out=act)
-            act += b[:, None]
+            np.einsum("of,nfp->nop", wgt, cols, out=act)
+            act += b
             np.greater(act, 0, out=mask)
             act *= mask
             # 2x2 max pool, stride 2, odd edge cropped, with argmax's values and
-            # cells: np.maximum keeps the first NaN, and relu leaves nothing
-            # below zero but -0.0, so a window whose max is 0 holds only zeros,
-            # of which argmax keeps the first, sign and all
+            # cells: the first maximum, and the first NaN, of each window
             if train:
-                c0, c1, c2, c3 = act.reshape(-1).take(at, mode="clip")
-            else:  # strided views of the activations; nothing is gathered
+                cells = act.reshape(-1).take(at, mode="clip")
+                k = cells.argmax(axis=2)
+                k += first
+                out = cells.reshape(-1).take(k)
+                conv_tape.append(((n, c, h, w), cols, mask, act, at.reshape(-1).take(k)))
+            else:  # strided views; np.maximum keeps the first NaN, and a
+                # window whose max is 0 holds only +-0.0: argmax keeps the first
                 a = act.reshape(n, b.size, h, w)
                 c0, c1, c2, c3 = (a[:, :, i:h - 1 + i:2, j:w - 1 + j:2]
                                   for i in (0, 1) for j in (0, 1))
-            top01, top23 = np.maximum(c0, c1), np.maximum(c2, c3)
-            top = np.maximum(top01, top23)
-            out = np.where(top == 0, c0, top)
-            if train:
-                pos = np.where(_replaces(top01, top23), at[2] + _replaces(c2, c3),
-                               at[0] + _replaces(c0, c1))
-                conv_tape.append(((n, c, h, w), cols, mask, act, pos))
+                top = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3))
+                out = np.where(top == 0, c0, top)
             c, h, w = b.size, h // 2, w // 2
             out = out.reshape(n, c, h, w)
         out = out.reshape(n, -1)
-        for name in self.layer_names[len(self.cfg.conv_blocks):]:
-            z = out @ self.params[name]["W"].T + self.params[name]["b"]
+        n_conv = len(self.cfg.conv_blocks)
+        for name, (wgt, b, _, _) in zip(self.layer_names[n_conv:], self._layers[n_conv:]):
+            z = out @ wgt.T + b
             mask = None if name == "fc_out" else z > 0
             dense_tape.append((out, mask))
             out = z if mask is None else z * mask
@@ -221,15 +212,14 @@ class Network:
         conv_tape, dense_tape = tape
         d = np.asarray(dlogits, dtype=self.dtype)[:, None]
         # walk the layers back to the first, whose input gradient is never used
-        for i in range(len(self.layer_names) - 1, -1, -1):
-            name = self.layer_names[i]
-            wgt, grad = self.params[name]["W"], self.grads[name]
+        for i in range(len(self._layers) - 1, -1, -1):
+            wgt, _, grad_w, grad_b = self._layers[i]
             if i >= len(conv_tape):
                 x, mask = dense_tape[i - len(conv_tape)]
                 if mask is not None:
                     d *= mask  # relu follows the affine op
-                np.matmul(d.T, x, out=grad["W"])
-                np.add.reduce(d, axis=0, out=grad["b"])
+                np.matmul(d.T, x, out=grad_w)
+                np.add.reduce(d, axis=0, out=grad_b)
                 if i == 0:
                     break
                 d = d @ wgt
@@ -239,11 +229,11 @@ class Network:
             dconv.fill(0)
             dconv.reshape(-1)[pos] = d.reshape(pos.shape)
             dconv *= mask
-            np.einsum("nop,nfp->of", dconv, cols, out=grad["W"].reshape(dconv.shape[1], -1))
-            np.add.reduce(dconv, axis=(0, 2), out=grad["b"])
+            np.einsum("nop,nfp->of", dconv, cols, out=grad_w)
+            np.add.reduce(dconv, axis=(0, 2), out=grad_b)
             if i == 0:
                 break
-            dcols = np.einsum("of,nop->nfp", wgt.reshape(dconv.shape[1], -1), dconv)
+            dcols = np.einsum("of,nop->nfp", wgt, dconv)
             in_n, in_c, in_h, in_w = in_shape
             dxp = np.zeros((in_n, in_c, in_h + 2, in_w + 2), dtype=self.dtype)
             dcols6 = dcols.reshape(in_n, in_c, 3, 3, in_h, in_w)
@@ -254,9 +244,7 @@ class Network:
 
     def loss_and_grads(self, x, y, loss_name: str):
         """(mean loss, per-layer grads, logits) on a batch of images, or of
-        their ``Columns``.
-
-        The grads are ``self.grads``, views into ``grad``: the next call
+        their ``Columns``. The grads are ``self.grads``: the next call
         overwrites them."""
         x = self.columns(x).array
         y = np.asarray(y, dtype=self.dtype).ravel()
@@ -266,4 +254,7 @@ class Network:
         loss_vec, dz = LOSSES[loss_name](logits, y)
         # mean reduction: spread the 1/n over per-sample gradients
         self._backward(tape, dz / y.size)
-        return float(loss_vec.mean()), self.grads, logits
+        # loss_vec.mean() as numpy's _mean takes it: the sum over intp(n) in
+        # float64, cast back to the sum's dtype
+        total = np.add.reduce(loss_vec)
+        return float(total.dtype.type(float(total) / y.size)), self.grads, logits

@@ -1,9 +1,9 @@
 """Adam and RMSProp parameter updates.
 
 Each rule is one routine that steps theta and its state in place, with two
-scratch arrays. The optimizer classes run it on one flat parameter vector and
-keep the state and scratch as flat arrays of the same layout, plus the step
-count for Adam's bias correction.
+scratch arrays, on one flat parameter vector. Its constants are taken in
+Python floats and cast once to 0-d arrays of theta's dtype, as a ufunc
+would cast them on every call.
 """
 
 from __future__ import annotations
@@ -11,21 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def _adam(theta, grad, m, v, s1, s2, t, lr, beta1, beta2, eps):
+def _adam(theta, grad, m, v, s1, s2, lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps,
+          correction1, correction2):
     m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=s1)
+    m += np.multiply(grad, one_minus_beta1, out=s1)
     v *= beta2
-    v += np.multiply(np.square(grad, out=s1), 1.0 - beta2, out=s1)
-    np.divide(m, 1.0 - beta1 ** t, out=s1)  # m_hat
-    np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=s2), out=s2)  # sqrt(v_hat)
+    v += np.multiply(np.square(grad, out=s1), one_minus_beta2, out=s1)
+    np.divide(m, correction1, out=s1)  # m_hat
+    np.sqrt(np.divide(v, correction2, out=s2), out=s2)  # sqrt(v_hat)
     s2 += eps
     s1 *= lr
     theta -= np.divide(s1, s2, out=s1)
 
 
-def _rmsprop(theta, grad, v, s1, s2, lr, decay, eps):
+def _rmsprop(theta, grad, v, s1, s2, lr, decay, one_minus_decay, eps):
     v *= decay
-    v += np.multiply(np.square(grad, out=s1), 1.0 - decay, out=s1)
+    v += np.multiply(np.square(grad, out=s1), one_minus_decay, out=s1)
     np.sqrt(v, out=s2)
     s2 += eps
     theta -= np.divide(np.multiply(grad, lr, out=s1), s2, out=s1)
@@ -44,8 +45,15 @@ class AdamOptimizer:
         """One step of theta in place; the state starts at zero on the first call."""
         if self._state is None:
             self._state = [np.zeros_like(theta) for _ in range(4)]
+            # the last two are 1 - beta ** t, set per step
+            self._constants = [np.array(c, theta.dtype) for c in (
+                self.lr, self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2,
+                self.eps, 0.0, 0.0)]
         self._t += 1
-        _adam(theta, grad, *self._state, self._t, self.lr, self.beta1, self.beta2, self.eps)
+        correction1, correction2 = self._constants[-2:]
+        correction1[()] = 1.0 - self.beta1 ** self._t
+        correction2[()] = 1.0 - self.beta2 ** self._t
+        _adam(theta, grad, *self._state, *self._constants)
         return theta
 
 
@@ -60,7 +68,9 @@ class RmsPropOptimizer:
         """One step of theta in place; the state starts at zero on the first call."""
         if self._state is None:
             self._state = [np.zeros_like(theta) for _ in range(3)]
-        _rmsprop(theta, grad, *self._state, self.lr, self.decay, self.eps)
+            self._constants = [np.array(c, theta.dtype) for c in (
+                self.lr, self.decay, 1.0 - self.decay, self.eps)]
+        _rmsprop(theta, grad, *self._state, *self._constants)
         return theta
 
 

@@ -1,21 +1,17 @@
 """Mini-batch training loop with freeze support, and the gradient check.
 
 Training runs in float32 with seeded batch shuffling, so a fixed
-(net seed, train seed, data) triple pins the whole trace bit-exactly. The
-parameters live in one flat float32 buffer in checkpoint order, ``net.flat``,
-and each backward pass writes the batch's gradients into ``net.grad``, a
-buffer of the same layout; each batch makes one optimizer step of the one on
-the other. Frozen layers' slices of ``net.flat`` are copied once before the
-first step and written back after every step, so they stay bit-for-bit
-unmoved while the trace records their real gradients. The trace snapshot per
-epoch uses the last batch's gradients, mirroring per-epoch histogram plots.
-The first conv block's columns (``Network.columns``) of the training and
-validation images are built once; steps and metric passes read them. A
-non-finite loss, weight or gradient ends training with NumericFailure.
+(net seed, train seed, data) triple pins the whole trace bit-exactly. Each
+batch makes one optimizer step of ``net.flat`` by ``net.grad``. Frozen
+layers' slices of ``net.flat`` are written back after every step, so they
+stay bit-for-bit unmoved while the trace records their real gradients. The
+per-epoch trace uses the last batch's gradients. The ``Columns`` of the
+training and validation images, and the labels as the loss takes them, are
+built once. A non-finite loss, weight or gradient raises NumericFailure.
 
-gradient_check builds its own float64 copy of the network and compares the
-analytic gradients against central finite differences on sampled parameters;
-it exists so every gradient-flow diagnosis downstream rests on verified math.
+gradient_check compares a float64 copy's analytic gradients against central
+finite differences on sampled parameters, so every gradient-flow diagnosis
+rests on verified math.
 """
 
 from __future__ import annotations
@@ -44,7 +40,9 @@ GRADIENT_CHECK_MAX_PARAMS = 5000
 
 
 def _l2(arr: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(arr.astype(np.float64) ** 2)))
+    squares = arr.astype(np.float64)
+    np.square(squares, out=squares)
+    return math.sqrt(np.add.reduce(squares))
 
 
 def _hist_record(values: np.ndarray) -> HistogramRecord:
@@ -106,8 +104,7 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
     n = labels.size
     trace = TrainTrace(layer_names=list(net.layer_names))
     prev = net.flat.copy()  # the weights each epoch's delta_l2 is measured from
-    # the first layer's input is the same every epoch: build it once per set
-    cols = net.columns(images)
+    cols, targets = net.columns(images), labels.astype(net.dtype)
     val_cols = net.columns(val_images) if has_val else None
 
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks report divergence
@@ -115,7 +112,7 @@ def train(images, labels, net_cfg: NetConfig, train_cfg: TrainConfig,
             order = rng.permutation(n)
             for b, start in enumerate(range(0, n, train_cfg.batch_size)):
                 batch = order[start:start + train_cfg.batch_size]
-                loss, _, _ = net.loss_and_grads(cols[batch], labels[batch],
+                loss, _, _ = net.loss_and_grads(cols[batch], targets[batch],
                                                 train_cfg.loss)
                 if not math.isfinite(loss):
                     raise NumericFailure(

@@ -1,15 +1,12 @@
 """Recursive feature elimination with cross-validated accuracy bookkeeping.
 
-Elimination is cumulative: features are ranked once on the full table, then
-the lowest-ranked remaining feature is dropped one step at a time while a
-fresh forest is cross-validated on whatever remains. The trace records every
-(subset, accuracy) pair down to the empty subset, whose accuracy is defined
-as the majority-class rate. Fold assignment is fixed across steps, and all
-per-step forest seeds derive from the top-level seed, so a trace is
-bit-reproducible.
-
-Re-ranking the remaining features at every step is available behind the
-``rerank`` flag but off by default.
+Features are ranked once on the full table; then the lowest-ranked remaining
+feature is dropped one step at a time while fresh forests are cross-validated
+on what remains. The trace records every (subset, accuracy) pair down to the
+empty subset, whose accuracy is the majority-class rate. Folds are fixed
+across steps and every forest seed derives from the top-level seed, so a
+trace is bit-reproducible. ``rerank`` (off by default) re-ranks the remaining
+features at every step.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataValidationError
-from .forest import (ForestConfig, predict_proba_matrix, rank_features, train_forest,
+from .forest import (ForestConfig, predict_proba_rows, rank_features, train_forest,
                      train_forests)
 from .jsonio import from_json, read_json, write_csv, write_json
 from .metrics import FoldSplit, stratified_kfold
@@ -52,7 +49,8 @@ def cv_predictions(t: FeatureTable, names, forest_cfg: ForestConfig,
     forests on the given feature subset.
 
     The forest for fold f is seeded from (seed, tag, f); the k fold forests
-    grow together in one batch over the subset table. With no features,
+    grow together in one batch over the subset table, and every row descends
+    its own fold's forest in one pass. With no features,
     every probability is 0.5 and every prediction is the majority class
     (class 1 on a tie).
     """
@@ -66,10 +64,7 @@ def cv_predictions(t: FeatureTable, names, forest_cfg: ForestConfig,
     models = train_forests(sub, forest_cfg,
                            [np.flatnonzero(split.fold_assignments != fold) for fold in folds],
                            [_derived_seed(seed, tag, fold) for fold in folds])
-    proba = np.empty(t.n_samples)
-    for fold, mdl in enumerate(models):
-        test_idx = split.fold_indices(fold)
-        proba[test_idx] = predict_proba_matrix(mdl, sub.values[test_idx])
+    proba = predict_proba_rows(models, sub.values, split.fold_assignments)
     return proba, (proba >= 0.5).astype(int)
 
 

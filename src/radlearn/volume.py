@@ -7,9 +7,8 @@ one byte per voxel (0/1), same ordering.
 
 Phantoms substitute for a real MRI cohort: class 0 is a smooth ellipsoidal
 blob plus Gaussian noise, class 1 adds a 3D checkerboard texture inside the
-ROI. The checkerboard moves texture-family features while leaving first-order
-means nearly unchanged, which is exactly the "no visible cue" regime the rest
-of the toolkit studies.
+ROI, which moves texture features but barely first-order means: the "no
+visible cue" regime the toolkit studies.
 """
 
 from __future__ import annotations
@@ -190,17 +189,16 @@ def _blob_field(dims):
 
 
 def iter_phantom(spec: PhantomSpec):
-    """The phantom set one sample at a time: ``(index, label, volume, mask)`` for
-    index 0's class-0 volume, then its class-1 volume, then index 1's, and so on.
+    """The phantom set one sample at a time: ``(index, label, volume, mask)``
+    for index 0's class-0 volume, its class-1 volume, then index 1's, ...
 
-    Each volume is a fresh float32 array, so a caller that writes and drops it
-    holds one sample, not the cohort (class 1's starts as a copy of class 0's,
-    taken when class 1 is drawn). Index i draws its noise from a generator keyed
-    by i alone, a few z-slices at a time into one small buffer (the same values
-    as one draw over the grid), and both classes share that draw. Float64 fields
-    are kept at ROI voxels only: outside the ROI the profile (+0.0) and class 1's
-    checkerboard term (+-0.0) would change no voxel, since noise drawn as
-    normal(0, sigma) draws it, 0.0 + sigma * z, is never -0.0.
+    Each volume is a fresh float32 array (class 1's a copy of class 0's, taken
+    when drawn), so a caller that writes and drops it holds one sample. Index
+    i draws its noise from a generator keyed by i alone, a few z-slices at a
+    time into one small buffer (the values of one draw over the grid), shared
+    by both classes. Float64 fields are kept at ROI voxels only: outside it the
+    profile (+0.0) and the checkerboard term (+-0.0) change no voxel, since
+    noise drawn as normal(0, sigma) draws it, 0.0 + sigma * z, is never -0.0.
     """
     support, profile, shift = _blob_field(spec.dims)
     shift *= spec.texture_amplitude

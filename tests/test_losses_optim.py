@@ -131,3 +131,24 @@ def test_train_config_rejects_learning_rates_float32_cannot_hold(lr):
     with pytest.raises(ConfigError, match="learning_rate"):
         TrainConfig(learning_rate=lr)
     assert TrainConfig(learning_rate=3.4e38).learning_rate == 3.4e38
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lr", [0.0, 1e-3, 3.4e38])
+def test_optimizers_equal_their_oracles_over_long_runs(dtype, lr):
+    # 1,200 steps: Adam's bias corrections 1 - beta ** t pass through every
+    # float32 rounding of their range, and lr 3.4e38 overflows float32 steps
+    rng = np.random.default_rng(4)
+    theta0 = rng.normal(size=23).astype(dtype)
+    grads = (rng.normal(size=(1200, 23)) * 10.0 ** rng.integers(-6, 3, size=(1200, 1)))
+    grads = grads.astype(dtype)
+    grads[::5, :4] = 0.0
+    for opt_cls, oracle_cls in ((AdamOptimizer, AdamOracle), (RmsPropOptimizer, RmsPropOracle)):
+        opt, oracle = opt_cls(lr), oracle_cls(lr)
+        theta, want = theta0.copy(), theta0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in grads:
+                opt.update(theta, g)
+                want = oracle.update("p", want, g)
+                assert theta.dtype == want.dtype == dtype
+                assert theta.tobytes() == want.tobytes()

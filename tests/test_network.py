@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 from unittest import mock
 
@@ -17,6 +18,7 @@ from radlearn.nn import (
     train,
 )
 from radlearn.nn.checkpoint import apply_checkpoint
+from radlearn.nn.losses import LOSSES
 from radlearn.nn.train import _metric_record
 
 from oracles import NetworkOracle, gradient_check_oracle
@@ -370,3 +372,68 @@ def test_validation_rows_match_per_call_forwards():
         assert record.validation == _metric_record(net, val_x, val_y, "bce_logit")
         assert record.train == _metric_record(net, x, y, "bce_logit")
     assert trace.epochs[0].validation != trace.epochs[-1].validation
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("loss", ["bce_logit", "hinge"])
+def test_loss_is_the_numpy_mean_of_the_per_sample_losses(dtype, loss):
+    cfg = NetConfig(input_dims=(6, 6), conv_blocks=[2], hidden_dense=[3], seed=2)
+    net = Network(cfg, dtype=dtype)
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        for scale in (1e-3, 1.0, 1e3):
+            x, y = rng.normal(size=(n, 6, 6)) * scale, rng.integers(0, 2, n)
+            got, _, logits = net.loss_and_grads(x, y, loss)
+            loss_vec, _ = LOSSES[loss](logits, y.astype(dtype))
+            assert np.float64(got).tobytes() == np.float64(float(loss_vec.mean())).tobytes()
+
+
+def test_loss_mean_overflowing_float32_is_inf_as_numpys():
+    # two hinge losses of about 2e38 each: their float32 sum is inf
+    net = Network(NetConfig(input_dims=(2, 2), conv_blocks=[], hidden_dense=[]))
+    net.params["fc_out"]["W"][...] = 1e38
+    x, y = np.full((2, 2, 2), -0.5), np.array([1, 1])
+    with np.errstate(over="ignore"):
+        got, _, logits = net.loss_and_grads(x, y, "hinge")
+        loss_vec, _ = LOSSES["hinge"](logits, y.astype(np.float32))
+        want = float(loss_vec.mean())
+    assert loss_vec.dtype == np.float32 and np.isfinite(loss_vec).all()
+    assert got == want == math.inf
+
+
+def _tournament_pool(act):
+    """Max pool values and flat cell positions of (n, c, h, w) activations by
+    the pairwise rule: max of (c0, c1) against max of (c2, c3), where a later
+    cell replaces an earlier one as in argmax (ties and -0.0 == 0.0 keep the
+    earlier, the first NaN wins), and a window whose max is 0 gives c0."""
+    n, c, h, w = act.shape
+    flat = np.arange(act.size).reshape(act.shape)
+    (c0, c1, c2, c3), (p0, p1, p2, p3) = (
+        [a[:, :, i:h - 1 + i:2, j:w - 1 + j:2] for i in (0, 1) for j in (0, 1)]
+        for a in (act, flat))
+
+    def replaces(x, y):
+        return ~(y <= x) & (x == x)
+
+    top01, top23 = np.maximum(c0, c1), np.maximum(c2, c3)
+    top = np.maximum(top01, top23)
+    values = np.where(top == 0, c0, top)
+    positions = np.where(replaces(top01, top23), np.where(replaces(c2, c3), p3, p2),
+                         np.where(replaces(c0, c1), p1, p0))
+    return values.reshape(n, -1), positions.reshape(n, -1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("values", [[-1.0, 0.0], [1.0, 2.0], [0.0, 1.0, np.nan]],
+                         ids=["signed-zeros", "ties", "nan"])
+def test_training_pool_equals_the_pairwise_rule(values):
+    # every arrangement of the values in a window: all +-0.0 after relu,
+    # tied maxima, and NaN cells; for a 2x2 and an odd 3x3 crop
+    image = _every_window(values)
+    for x in (np.stack([image, -image, image.T]), np.stack([image[:-1, :-1]])):
+        net, _ = _pass_through_net(x.shape[1:])
+        _, (conv_tape, dense_tape) = net._forward(net._prepare_input(x), train=True)
+        in_shape, _, _, act, positions = conv_tape[0]
+        want_values, want_positions = _tournament_pool(act.reshape(in_shape[0], 1, *x.shape[1:]))
+        assert dense_tape[0][0].tobytes() == want_values.tobytes()
+        assert positions.tobytes() == want_positions.tobytes()

@@ -1,9 +1,23 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlearn.cluster import correlation_distance_matrix
 from radlearn.errors import DataValidationError
 from radlearn.features.vector import FeatureVector
+from radlearn.nn.trace import (
+    EpochRecord,
+    HistogramRecord,
+    LayerEpochRecord,
+    MetricRecord,
+    TrainTrace,
+)
+from radlearn.rfe import RfeStep, RfeTrace
 from radlearn.table import (
     FeatureTable,
     from_rows,
@@ -124,3 +138,62 @@ def test_write_json_sorted_indented_with_trailing_newline(tmp_path):
     write_json({"b": 1, "a": [1.5, None]}, tmp_path / "x.json")
     assert (tmp_path / "x.json").read_bytes() == \
         b'{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
+
+
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1, 1e-7]
+_floats = st.floats() | st.sampled_from(_AWKWARD_FLOATS)
+_scalars = (st.none() | st.booleans() | st.integers(-10**40, 10**40) | _floats
+            | _floats.map(np.float64)
+            | st.text(max_size=12)
+            | st.sampled_from(['"', "\\", "é", "\x00\n\t\x1f", 'quo"ted ünï', "\U0001f600"]))
+
+
+def _records(inner):
+    """The repo's dataclasses, holding documents of their field types or any other."""
+    hist = st.builds(HistogramRecord, counts=st.lists(st.integers(0, 10**9), max_size=33),
+                     lo=_floats, hi=_floats)
+    metric = st.builds(MetricRecord, loss=_floats, accuracy=inner, sensitivity=_floats,
+                       specificity=_floats)
+    layer = st.builds(LayerEpochRecord, weight_l2=_floats, grad_l2=_floats, delta_l2=_floats,
+                      weight_hist=hist, grad_hist=hist)
+    epoch = st.builds(EpochRecord, layers=st.dictionaries(st.text(max_size=6), layer, max_size=3),
+                      train=metric, validation=metric)
+    trace = st.builds(TrainTrace, layer_names=st.lists(st.text(max_size=6), max_size=3),
+                      epochs=st.lists(epoch, max_size=2))
+    step = st.builds(RfeStep, subset=st.lists(st.text(max_size=6), max_size=4).map(tuple),
+                     cv_accuracy=_floats)
+    rfe = st.builds(RfeTrace, steps=st.lists(step, max_size=3),
+                    initial_ranking=st.tuples(st.text(max_size=6)), eliminated_order=st.tuples(),
+                    full_accuracy=inner, k_folds=st.integers(), seed=st.integers())
+    return hist | metric | trace | step | rfe
+
+
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+                   | st.dictionaries(st.integers(-3, 12), inner, max_size=3)
+                   | st.lists(st.integers(), max_size=4) | st.lists(_floats, max_size=4)
+                   | st.lists(st.text(max_size=4), max_size=4) | _records(inner)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(doc=_documents)
+def test_write_json_writes_json_dumps_bytes(tmp_path_factory, doc):
+    from radlearn.jsonio import write_json
+
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(doc, path)
+    expected = json.dumps(doc, sort_keys=True, indent=2, default=dataclasses.asdict) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(3), [1, np.int64(3)], {"a": (np.float32(0.5),)}, [np.float32(1.0)],
+    MetricRecord(loss=np.int64(1), accuracy=0.5, sensitivity=0.5, specificity=0.5), object()])
+def test_write_json_rejects_numpy_ints_and_float32(tmp_path, doc):
+    from radlearn.jsonio import write_json
+
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        write_json(doc, tmp_path / "x.json")
